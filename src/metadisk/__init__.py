@@ -24,7 +24,6 @@ from .disk import (
 )
 from .errors import (
     Divergent,
-    FitResidualTooLarge,
     IllConditioned,
     MetadiskError,
     NonConvergent,
@@ -38,6 +37,8 @@ from .integral import (
     BivarPoly,
     SimilarityFactor,
     schwarz_pompeiu,
+    schwarz_pompeiu_poly,
+    schwarz_pompeiu_quadrature_oracle,
     similarity_factor,
     teodorescu,
     teodorescu_poly,

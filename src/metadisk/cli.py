@@ -26,10 +26,11 @@ from . import formats
 from .boundary import poisson_extend
 from .disk import PolarGrid, RadialSequence
 from .errors import MetadiskError
-from .integral import schwarz_pompeiu, teodorescu_poly
+from .integral import schwarz_pompeiu_poly, teodorescu_poly
 from .meta import poly_decompose
 from .report import Report
 from .schwarz import (
+    DEFAULT_THRESHOLDS,
     SchwarzSolution,
     chain_from_top,
     solve_meta,
@@ -52,7 +53,10 @@ class RunConfig:
         if self.grid[0] < 4 or self.grid[1] < 4:
             raise ValueError("grid dimensions must be at least 4")
         for name, value in self.tolerances.items():
-            if value <= 0:
+            if name not in DEFAULT_THRESHOLDS:
+                raise ValueError(f"unknown tolerance {name!r}, expected one "
+                                 f"of {', '.join(sorted(DEFAULT_THRESHOLDS))}")
+            if not value > 0:  # also rejects NaN
                 raise ValueError(f"tolerance {name} must be positive")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
@@ -171,14 +175,11 @@ def run_transform(config: RunConfig) -> int:
     formats.check_schema(data, formats.TRANSFORM_CONFIG_SCHEMA)
     f = formats.bivar_from_data(data["f"])
     grid = config.sampling_grid()
-    pts = grid.points()
-    quad_tol = config.tolerances.get("quadrature")
     if data["operator"] == "teodorescu":
-        values = teodorescu_poly(f)(pts)
+        table = teodorescu_poly(f)
     else:
-        values = np.array([
-            [schwarz_pompeiu(f, z, tol=quad_tol) for z in row] for row in pts
-        ])
+        table = schwarz_pompeiu_poly(f)
+    values = table(grid.points())
     config.out_dir.mkdir(parents=True, exist_ok=True)
     formats.write_values_csv(config.out_dir / "transform.csv", grid, values)
     return 0

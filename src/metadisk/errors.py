@@ -21,10 +21,6 @@ class Divergent(MetadiskError):
     """A radial pairing sequence grows without the extrapolant stabilizing."""
 
 
-class FitResidualTooLarge(MetadiskError):
-    """A collocation fit failed to reproduce the sampled operator values."""
-
-
 class ProductNotIdentity(MetadiskError):
     """A computed inverse failed its verification product."""
 

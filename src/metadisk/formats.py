@@ -276,25 +276,24 @@ def write_solution_csv(path, grid: PolarGrid, w_values, residuals) -> None:
 
 
 def read_values_csv(path) -> PolarGrid:
-    """Parse a value-grid CSV back into a PolarGrid with values attached."""
+    """Parse a value-grid CSV back into a PolarGrid with values attached.
+
+    Rows come ring by ring, every ring at the first ring's angles in order.
+    """
     lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].strip() != VALUE_CSV_HEADER:
-        raise ValueError(f"expected header {VALUE_CSV_HEADER!r}")
-    rows = []
-    for line in lines[1:]:
-        r, theta, re, im = (float(s) for s in line.split(","))
-        rows.append((r, theta, complex(re, im)))
-    radii = []
-    for r, _, _ in rows:
-        if not radii or r != radii[-1]:
-            if r in radii:
-                raise ValueError("radii must be grouped in consecutive blocks")
-            radii.append(r)
-    n_theta, rem = divmod(len(rows), len(radii))
-    if rem:
-        raise ValueError("grid is not rectangular")
-    angles = [theta for _, theta, _ in rows[:n_theta]]
-    values = np.array([v for _, _, v in rows], dtype=complex)
-    return PolarGrid(
-        np.array(radii), np.array(angles), values.reshape(len(radii), n_theta)
-    )
+    if len(lines) < 2 or lines[0].strip() != VALUE_CSV_HEADER:
+        raise ValueError(f"expected header {VALUE_CSV_HEADER!r} and samples")
+    data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    if data.shape[1] != 4:
+        raise ValueError("expected four numbers per row")
+    r, theta = data[:, 0], data[:, 1]
+    radii = r[np.concatenate(([True], r[1:] != r[:-1]))]
+    n_theta, rem = divmod(len(r), radii.size)
+    shape = (radii.size, n_theta)
+    if rem or np.any(r.reshape(shape) != radii[:, None]):
+        raise ValueError("grid is not rectangular: rings differ in size")
+    angles = theta[:n_theta]
+    if np.any(theta.reshape(shape) != angles):
+        raise ValueError("every ring must sample the first ring's angles")
+    values = np.ascontiguousarray(data[:, 2:]).view(complex).reshape(shape)
+    return PolarGrid(radii, angles, values)

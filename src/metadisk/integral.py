@@ -1,8 +1,9 @@
 """Bivariate polynomial algebra and the singular area-integral operators.
 
 The central objects are polynomials in z and conj(z) closed under the
-Wirtinger derivatives, the Pompeiu-type area integral that inverts d/d(conj z),
-and the similarity exponents built from it.
+Wirtinger derivatives, the two area integrals that invert d/d(conj z) as
+closed-form tables with quadrature oracles, and the similarity exponents built
+from them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import as_complex, disk_quadrature
-from .errors import FitResidualTooLarge, SimilarityNotRealAtZero
+from .errors import SimilarityNotRealAtZero
 
 _PI = math.pi
 
@@ -212,11 +213,43 @@ def teodorescu_quadrature_oracle(f, z, n_radial: int = 512, n_angular: int = 512
     return -area / _PI
 
 
-def schwarz_pompeiu(f, z, n_radial: int = 128, n_angular: int = 256,
-                    tol: float | None = None) -> complex:
-    """Area-integral solution g of dg/d(conj z) = f normalized by Im g(0) = 0.
+def schwarz_pompeiu_poly(f: BivarPoly) -> BivarPoly:
+    """Closed-form Schwarz-Pompeiu area integral of ``f`` as a polynomial.
 
-    Evaluates  -1/(2 pi) Int_D [ f(t)/t * (t+z)/(t-z)
+    This is the solution g of dg/d(conj z) = f with Re g = 0 on the unit circle
+    and Im g(0) = 0.  It differs from :func:`teodorescu_poly` by a holomorphic
+    polynomial, monomial by monomial (Begehr, Bol. Asoc. Mat. Venez. 12, 2005):
+
+        S(c z^m zb^k) = T(c z^m zb^k) + [m == k+1] i Im(c) / (k+1)
+                                      - [k >= m]   conj(c) z^(k-m+1) / (k+1)
+
+    Unlike T, S is not complex-linear in c.
+    """
+    out = teodorescu_poly(f).terms
+
+    def add(m, k, c):
+        out[(m, k)] = out.get((m, k), 0j) + c
+
+    for (m, k), c in f.terms.items():
+        if m == k + 1:
+            add(0, 0, 1j * c.imag / (k + 1))
+        if k >= m:
+            add(k - m + 1, 0, -c.conjugate() / (k + 1))
+    return BivarPoly(out)
+
+
+def schwarz_pompeiu(f: BivarPoly, z) -> complex:
+    """Evaluate the closed-form Schwarz-Pompeiu integral of ``f`` at ``z``."""
+    return complex(schwarz_pompeiu_poly(f)(as_complex(z)))
+
+
+def schwarz_pompeiu_quadrature_oracle(f, z, n_radial: int = 128,
+                                      n_angular: int = 256,
+                                      tol: float | None = None) -> complex:
+    """The Schwarz-Pompeiu integral by quadrature, independent of the table.
+
+    Used to certify the table.  ``f`` may be a BivarPoly or any broadcasting
+    callable; ``z`` must be interior.  Evaluates  -1/(2 pi) Int_D [ f(t)/t * (t+z)/(t-z)
                                  + conj(f(t))/conj(t) * (1+z*conj(t))/(1-z*conj(t)) ] dA.
 
     The kernel is split exactly into integrable pieces before quadrature:
@@ -266,57 +299,21 @@ class SimilarityFactor:
         return self.value.coefficient(0, 0)
 
 
-# Collocation layout for the schwarz-kind holomorphic correction fit.  The
-# angular offset avoids putting nodes on symmetry axes of low-degree inputs.
-_FIT_RADII = (0.25, 0.45, 0.65, 0.8)
-_FIT_ANGLES = 16
-
-
-def _fit_points() -> np.ndarray:
-    theta = (np.arange(_FIT_ANGLES) + 0.37) * (2.0 * _PI / _FIT_ANGLES)
-    ring = np.exp(1j * theta)
-    return np.concatenate([r * ring for r in _FIT_RADII])
-
-
-def similarity_factor(coeff: BivarPoly, kind: str, fit_degree: int | None = None,
-                      n_radial: int = 96, n_angular: int = 192,
-                      fit_tol: float = 1e-4) -> SimilarityFactor:
+def similarity_factor(coeff: BivarPoly, kind: str) -> SimilarityFactor:
     """Build the similarity exponent for a polynomial coefficient.
 
-    kind "cauchy": the exact closed-form antiderivative.
+    kind "cauchy": the closed-form area integral :func:`teodorescu_poly`.
 
-    kind "schwarz": closed form plus a holomorphic polynomial correction fitted
-    by least squares against :func:`schwarz_pompeiu` at interior collocation
-    points (the difference of the two operators is holomorphic, so a low-degree
-    fit captures it exactly up to quadrature error), then normalized so the
-    imaginary part vanishes at the origin.
-
-    Raises FitResidualTooLarge if the collocation residual exceeds ``fit_tol``.
+    kind "schwarz": the closed-form Schwarz-Pompeiu integral
+    :func:`schwarz_pompeiu_poly`, normalized so the imaginary part vanishes
+    at the origin.
     """
     if kind == "cauchy":
         value = teodorescu_poly(coeff)
     elif kind == "schwarz":
-        base = teodorescu_poly(coeff)
-        if coeff.is_zero:
-            value = base
-        else:
-            pts = _fit_points()
-            sampled = np.array([
-                schwarz_pompeiu(coeff, p, n_radial=n_radial, n_angular=n_angular)
-                for p in pts
-            ])
-            gap = sampled - np.asarray(base(pts), dtype=complex)
-            degree = coeff.degree + 4 if fit_degree is None else fit_degree
-            vander = np.vander(pts, degree + 1, increasing=True)
-            sol, *_ = np.linalg.lstsq(vander, gap, rcond=None)
-            residual = float(np.max(np.abs(vander @ sol - gap)))
-            if residual > fit_tol:
-                raise FitResidualTooLarge(
-                    f"collocation residual {residual:.3e} exceeds {fit_tol:.1e}"
-                )
-            value = base + BivarPoly.holomorphic(sol)
-        # pin Im value(0) = 0 exactly; the true operator value is already real
-        # at the origin, so this only removes quadrature noise
+        value = schwarz_pompeiu_poly(coeff)
+        # pin Im value(0) = 0 exactly; the closed form is already real at the
+        # origin, so this only removes rounding noise
         value = value + BivarPoly.constant(-1j * value.coefficient(0, 0).imag)
         if abs(value.coefficient(0, 0).imag) > 1e-6:
             raise SimilarityNotRealAtZero("normalization failed")

@@ -37,11 +37,23 @@ def test_parse_grid():
 def test_run_config_validation(tmp_path):
     with pytest.raises(ValueError):
         RunConfig("solve", tmp_path / "x", tmp_path, grid=(2, 64))
-    with pytest.raises(ValueError):
-        RunConfig("solve", tmp_path / "x", tmp_path,
-                  tolerances={"pde_residual": -1.0})
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            RunConfig("solve", tmp_path / "x", tmp_path,
+                      tolerances={"pde_residual": bad})
     cfg = RunConfig("solve", tmp_path / "x", tmp_path, radial_depth=8)
     assert len(cfg.radial_sequence()) == 9
+
+
+def test_unknown_tolerance_name_exits_one(tmp_path):
+    with pytest.raises(ValueError, match="unknown tolerance"):
+        RunConfig("solve", tmp_path / "x", tmp_path,
+                  tolerances={"quadrature": 1e-8})
+    cfg = write_problem(tmp_path / "problem.json")
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                 "--tol", "pde_residul=1e-9"])
+    assert code == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_solve_worked_example(tmp_path):
@@ -143,7 +155,7 @@ def test_transform_schwarz_small_grid(tmp_path):
     assert code == 0
     grid = formats.read_values_csv(out / "transform.csv")
     pts = grid.points()
-    assert np.max(np.abs(grid.values - (np.conjugate(pts) - pts))) < 1e-6
+    assert np.max(np.abs(grid.values - (np.conjugate(pts) - pts))) < 1e-12
 
 
 def test_poisson_extension(tmp_path):
@@ -218,3 +230,31 @@ def test_values_csv_round_trip(tmp_path):
     assert np.allclose(back.radii, grid.radii)
     assert np.allclose(back.angles, grid.angles)
     assert np.allclose(back.values, values)
+
+
+def _write_rings(path, rings):
+    lines = [formats.VALUE_CSV_HEADER]
+    for r, angles in rings:
+        for theta in angles:
+            z = r * np.exp(1j * theta)
+            lines.append(",".join(repr(float(x))
+                                  for x in (r, theta, z.real, z.imag)))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("rings, message", [
+    # 6 + 10 rows divide into a 2 x 8 grid that would mix the two rings
+    ([(0.5, 2 * np.pi * np.arange(6) / 6), (0.7, 2 * np.pi * np.arange(10) / 10)],
+     "rings differ in size"),
+    ([(0.5, 2 * np.pi * np.arange(8) / 8), (0.7, 2 * np.pi * np.arange(8) / 8 + 0.1)],
+     "first ring's angles"),
+])
+def test_values_csv_rejects_mismatched_rings(tmp_path, rings, message):
+    path = tmp_path / "vals.csv"
+    _write_rings(path, rings)
+    with pytest.raises(ValueError, match=message):
+        formats.read_values_csv(path)
+    cfg = tmp_path / "decompose.json"
+    formats.save_json(cfg, {"order": 1, "samples": "vals.csv"})
+    assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path),
+                 "--degree", "2"]) == 1

@@ -1,19 +1,20 @@
 """Area integral operators and the similarity factor.
 
-The closed-form monomial table behind teodorescu() is certified against the
-singularity-centered quadrature oracle here; the full m,k sweep lives in the
-acceptance suite.
+The closed-form monomial tables behind teodorescu() and schwarz_pompeiu() are
+certified against their singularity-centered quadrature oracles here; the full
+m,k sweep of the teodorescu table lives in the acceptance suite.
 """
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from conftest import interior_points, random_bivar
 from metadisk.disk import wirtinger_dbar
-from metadisk.errors import FitResidualTooLarge
-from metadisk.integral import (BivarPoly, schwarz_pompeiu, similarity_factor,
-                               teodorescu, teodorescu_poly,
+from metadisk.integral import (BivarPoly, schwarz_pompeiu, schwarz_pompeiu_poly,
+                               schwarz_pompeiu_quadrature_oracle,
+                               similarity_factor, teodorescu, teodorescu_poly,
                                teodorescu_quadrature_oracle)
 
 RNG = np.random.default_rng(42)
@@ -95,20 +96,62 @@ def test_oracle_trivial_cases():
 
 
 def test_schwarz_pompeiu_contract():
+    oracle = schwarz_pompeiu_quadrature_oracle
     zero = BivarPoly.zero()
-    assert schwarz_pompeiu(zero, 0.3 + 0.1j) == 0
+    assert oracle(zero, 0.3 + 0.1j) == 0
     one = BivarPoly.constant(1.0)
-    at_zero = schwarz_pompeiu(one, 0j)
+    at_zero = oracle(one, 0j)
     assert abs(at_zero.imag) < 1e-6
     # for constant input the operator returns zbar - z
     z = 0.4 + 0.2j
-    assert schwarz_pompeiu(one, z) == pytest.approx(np.conjugate(z) - z, abs=1e-6)
+    assert oracle(one, z) == pytest.approx(np.conjugate(z) - z, abs=1e-6)
 
 
 def test_schwarz_minus_teodorescu_is_holomorphic():
     f = BivarPoly.constant(1.0)
-    diff = lambda z: schwarz_pompeiu(f, z) - teodorescu(f, z)
+    diff = lambda z: schwarz_pompeiu_quadrature_oracle(f, z) - teodorescu(f, z)
     assert abs(wirtinger_dbar(diff, 0.5 + 0j, h=1e-3)) < 1e-5
+
+
+def test_schwarz_pompeiu_table_vs_oracle():
+    # every monomial up to bidegree (4, 4) with a random complex coefficient;
+    # the table is not complex-linear, so real coefficients would miss terms
+    rng = np.random.default_rng(211)
+    points = interior_points(rng, 3, r_max=0.8)
+    worst = 0.0
+    for m in range(5):
+        for k in range(5):
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            f = BivarPoly.monomial(m, k, c)
+            for z in points:
+                gap = abs(schwarz_pompeiu_quadrature_oracle(f, z)
+                          - schwarz_pompeiu(f, z))
+                worst = max(worst, gap)
+    assert worst < 1e-5
+
+
+def _symbolic(poly, z, zb):
+    """Exact sympy image of a BivarPoly; its binary coefficients convert exactly."""
+    return sum(
+        (sympy.Rational(c.real) + sympy.I * sympy.Rational(c.imag)) * z**m * zb**k
+        for (m, k), c in poly.terms.items()
+    )
+
+
+def test_schwarz_pompeiu_table_exact():
+    # c/1, c/2, c/3 and c/4 are all exact binary fractions for this c, so the
+    # floating-point table is the exact operator and sympy can check it
+    z, zb = sympy.symbols("z zb")
+    c = 1.5 - 0.75j
+    monomials = [BivarPoly.monomial(m, k, c) for m in range(4) for k in range(4)]
+    for f in monomials + [sum(monomials, BivarPoly.zero())]:
+        table = schwarz_pompeiu_poly(f)
+        s = _symbolic(table, z, zb)
+        assert sympy.expand(sympy.diff(s, zb) - _symbolic(f, z, zb)) == 0
+        # Re S f = (S f + conj(S f)) / 2, and conj(z) = 1/z on |z| = 1
+        on_circle = (s + _symbolic(table.conjugate(), z, zb)).subs(zb, 1 / z)
+        assert sympy.cancel(on_circle) == 0
+        assert sympy.im(s.subs({z: 0, zb: 0})) == 0
 
 
 @pytest.mark.parametrize("coeff, expect_terms", [
@@ -138,12 +181,6 @@ def test_similarity_factor_derivative_both_kinds():
                 assert abs(wirtinger_dbar(psi.value, z) - coeff(z)) < 1e-5
             if kind == "schwarz":
                 assert abs(psi.value(0j).imag) < 1e-6
-
-
-def test_similarity_factor_fit_guard():
-    # a constant correction cannot absorb the degree-one mismatch
-    with pytest.raises(FitResidualTooLarge):
-        similarity_factor(BivarPoly.constant(1.0), "schwarz", fit_degree=0)
 
 
 def test_holder_quotients_stay_bounded():
