@@ -3,7 +3,6 @@ boundary behavior, and Schwarz-type boundary value problems."""
 
 from .boundary import (
     BoundaryDistribution,
-    CircleSampler,
     HardyNormEstimate,
     HoloSeries,
     PairingResult,
@@ -13,6 +12,7 @@ from .boundary import (
     lp_boundary_convergence,
     meta_hardy_norm,
     pairing_limit,
+    pairing_limits,
     poisson_extend,
 )
 from .disk import (
@@ -23,6 +23,7 @@ from .disk import (
     wirtinger_dbar,
 )
 from .errors import (
+    AliasedSampling,
     Divergent,
     IllConditioned,
     MetadiskError,

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .disk import RadialSequence, as_complex
-from .errors import Divergent, NonFinite
+from .errors import AliasedSampling, Divergent, NonFinite
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_N_THETA = 256
@@ -82,23 +82,14 @@ class HoloSeries:
         return HoloSeries(tuple(cs))
 
 
-class BoundaryDistribution:
-    """Finite Fourier data c_n, n in [-M, M]: the distribution sum c_n e^{i n theta}.
-
-    Pairing with a trig polynomial phi = sum b_m e^{i m theta} is
-    <u, phi> = sum_n c_n Int e^{i n theta} phi d theta = 2 pi sum_n c_n b_{-n}.
-    """
+class _FourierData:
+    """Finite Fourier data: nonzero coefficients keyed by integer frequency."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for n, c in dict(coeffs).items():
-                c = complex(c)
-                if c != 0:
-                    data[int(n)] = c
-        self._coeffs = data
+        self._coeffs = {int(n): complex(c)
+                        for n, c in dict(coeffs or {}).items() if complex(c) != 0}
 
     @property
     def coeffs(self) -> dict[int, complex]:
@@ -111,9 +102,19 @@ class BoundaryDistribution:
     def coefficient(self, n: int) -> complex:
         return self._coeffs.get(n, 0j)
 
+
+class BoundaryDistribution(_FourierData):
+    """Finite Fourier data c_n, n in [-M, M]: the distribution sum c_n e^{i n theta}.
+
+    Pairing with a trig polynomial phi = sum b_m e^{i m theta} is
+    <u, phi> = sum_n c_n Int e^{i n theta} phi d theta = 2 pi sum_n c_n b_{-n}.
+    """
+
+    __slots__ = ()
+
     def pair(self, phi: "TestFunction") -> complex:
         return TWO_PI * sum(
-            (c * phi.coefficient(-n) for n, c in sorted(self._coeffs.items())), 0j
+            (b * self.coefficient(-m) for m, b in sorted(phi._coeffs.items())), 0j
         )
 
     def re_part(self) -> "BoundaryDistribution":
@@ -134,21 +135,15 @@ class BoundaryDistribution:
         return f"BoundaryDistribution({self._coeffs!r})"
 
 
-class TestFunction:
+class TestFunction(_FourierData):
     """Trigonometric polynomial phi(theta) = sum b_m e^{i m theta}."""
 
-    __slots__ = ("_coeffs", "label")
+    __slots__ = ("label",)
     __test__ = False  # not a pytest case despite the name
 
     def __init__(self, coeffs=None, label: str = ""):
-        data = {}
-        if coeffs:
-            for m, c in dict(coeffs).items():
-                c = complex(c)
-                if c != 0:
-                    data[int(m)] = c
-        self._coeffs = data
-        self.label = label or f"trig{sorted(data)}"
+        super().__init__(coeffs)
+        self.label = label or f"trig{sorted(self._coeffs)}"
 
     @classmethod
     def constant(cls, value=1.0) -> "TestFunction":
@@ -176,13 +171,6 @@ class TestFunction:
         )
 
     @property
-    def coeffs(self) -> dict[int, complex]:
-        return dict(self._coeffs)
-
-    def coefficient(self, m: int) -> complex:
-        return self._coeffs.get(m, 0j)
-
-    @property
     def is_real(self) -> bool:
         return all(
             self.coefficient(-m) == np.conjugate(c) for m, c in self._coeffs.items()
@@ -198,26 +186,87 @@ class TestFunction:
         return out
 
 
-class CircleSampler:
-    """Caches samples of a disk function on circles over a fixed angular grid.
+def alias_free_n_theta(max_frequency: int, n_theta: int | None = None) -> int:
+    """Angular grid for ring integrals of frequencies up to ``max_frequency``.
 
-    Passing the same sampler to several pairings avoids re-evaluating the
-    function radius by radius.
+    The trapezoid sum of e^{i q theta} over n_theta angles is exact unless q
+    is a nonzero multiple of n_theta.  None gives the smallest power of two
+    above max_frequency, at least DEFAULT_N_THETA; an explicit n_theta at or
+    below it raises AliasedSampling.
     """
+    if n_theta is None:
+        return max(DEFAULT_N_THETA, 1 << int(max_frequency).bit_length())
+    if n_theta <= max_frequency:
+        raise AliasedSampling(f"n_theta={n_theta} aliases frequency "
+                              f"{max_frequency}; use more than {max_frequency}")
+    return n_theta
 
-    def __init__(self, fn, n_theta: int = DEFAULT_N_THETA):
-        self.n_theta = n_theta
-        self.theta = np.arange(n_theta) * (TWO_PI / n_theta)
-        self._ring = np.exp(1j * self.theta)
-        self._fn = fn
-        self._cache: dict[float, np.ndarray] = {}
 
-    def circle(self, r: float) -> np.ndarray:
-        key = float(r)
-        if key not in self._cache:
-            vals = np.asarray(self._fn(key * self._ring), dtype=complex)
-            self._cache[key] = np.broadcast_to(vals, self.theta.shape)
-        return self._cache[key]
+def ring_samples(f, rs: RadialSequence, n_theta: int) -> np.ndarray:
+    """f evaluated once on every ring of ``rs``: shape (len(rs), n_theta)."""
+    ring = np.exp(1j * (np.arange(n_theta) * (TWO_PI / n_theta)))
+    z = rs.radii[:, None] * ring[None, :]
+    return np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
+
+
+def pair_spectrum(spectrum: np.ndarray, tests) -> np.ndarray:
+    """(radii, tests) ring integrals of f phi from f's ring spectrum.
+
+    Column m mod n_theta of ``spectrum`` holds Int f e^{i m theta} d theta; a
+    test sum b_m e^{i m theta} gathers sum b_m times those columns.
+    """
+    terms = [(t, m, b) for t, phi in enumerate(tests)
+             for m, b in phi._coeffs.items()]
+    out = np.zeros(spectrum.shape[:-1] + (len(tests),), dtype=complex)
+    if terms:
+        index, columns, weights = (np.array(v) for v in zip(*terms))
+        gathered = spectrum[..., columns % spectrum.shape[-1]] * weights
+        np.add.at(out, (..., index), gathered)
+    return out
+
+
+def richardson_limits(raw: np.ndarray, stabilize_tol: float = 1e-9):
+    """Limits r -> 1 of every column of ``raw`` (at least two radii x pairings).
+
+    Iterated Richardson extrapolation in eps = 1 - r, which halves along the
+    radial sequence.  Returns arrays (value, residual, stabilized): the
+    extrapolant, the raw tail |I(r_last) - I(r_prev)|, and whether the last two
+    extrapolants agree to ``stabilize_tol``.  Raises Divergent when a column
+    is not finite, or grows without its extrapolant stabilizing.
+    """
+    if not np.all(np.isfinite(raw)):
+        raise Divergent("circle integrals are not finite near the boundary")
+    residual = np.abs(raw[-1] - raw[-2])
+    row, best = raw, raw[-1]
+    for m in range(1, len(raw)):
+        factor = 2.0 ** m
+        row = (factor * row[1:] - row[:-1]) / (factor - 1.0)
+        previous_best, best = best, row[-1]
+        scale = np.maximum(1.0, np.abs(best))
+        stabilized = np.abs(best - previous_best) <= stabilize_tol * scale
+    if len(raw) > 4:
+        mags = np.abs(raw)
+        growing = (~stabilized & np.all(np.diff(mags[-4:], axis=0) > 0, axis=0)
+                   & (mags[-1] > 2.0 * mags[-5] + 1e-12))
+        if np.any(growing):
+            raise Divergent(f"pairing integrals grow (|I| reaches "
+                            f"{mags[-1][growing].max():.3e}) without the "
+                            "extrapolant stabilizing")
+    return best, residual, stabilized
+
+
+def pairing_limits(f, tests, rs: RadialSequence | None = None,
+                   n_theta: int = DEFAULT_N_THETA,
+                   stabilize_tol: float = 1e-9):
+    """Pairings lim_{r->1} Int f(r e^{i theta}) phi(theta) d theta for every test.
+
+    The trapezoid rule on a ring (spectrally accurate for periodic integrands)
+    is its DFT, so one inverse FFT per ring gives Int f e^{i m theta} for every
+    m.  ``np.fft`` is reached at call time: numpy imports it lazily.
+    """
+    rs = rs or RadialSequence()
+    spectrum = TWO_PI * np.fft.ifft(ring_samples(f, rs, n_theta), axis=1)
+    return richardson_limits(pair_spectrum(spectrum, tests), stabilize_tol)
 
 
 @dataclass(frozen=True)
@@ -232,59 +281,17 @@ class PairingResult:
         return self.value
 
 
-def _circle_integrals(f, phi, rs: RadialSequence, n_theta: int) -> np.ndarray:
-    sampler = f if isinstance(f, CircleSampler) else CircleSampler(f, n_theta)
-    phi_vals = phi(sampler.theta) if callable(phi) else np.asarray(phi, dtype=complex)
-    weight = TWO_PI / sampler.n_theta
-    return np.array([
-        weight * np.sum(sampler.circle(r) * phi_vals) for r in rs.radii
-    ])
-
-
-def pairing_limit(f, phi, rs: RadialSequence | None = None,
+def pairing_limit(f, phi: TestFunction, rs: RadialSequence | None = None,
                   n_theta: int = DEFAULT_N_THETA,
                   stabilize_tol: float = 1e-9) -> PairingResult:
     """Distributional pairing lim_{r->1} Int f(r e^{i theta}) phi(theta) d theta.
 
-    Circle integrals use the trapezoid rule (spectrally accurate for periodic
-    integrands); the limit is taken by iterated Richardson extrapolation in the
-    gap 1 - r, which halves along the radial sequence.
-
-    Raises Divergent when the raw integrals grow without the extrapolant
-    stabilizing to ``stabilize_tol``.
+    One test through :func:`pairing_limits`, with its Divergent rule.
     """
-    rs = rs or RadialSequence()
-    raw = _circle_integrals(f, phi, rs, n_theta)
-    if not np.all(np.isfinite(raw)):
-        raise Divergent("circle integrals are not finite near the boundary")
-    residual = float(abs(raw[-1] - raw[-2])) if len(raw) > 1 else 0.0
-
-    # Richardson in eps = 1 - r: each column removes one power of eps.
-    row = list(raw)
-    previous_best = row[-1]
-    best = row[-1]
-    stabilized = False
-    for m in range(1, len(raw)):
-        factor = 2.0 ** m
-        row = [
-            (factor * row[j + 1] - row[j]) / (factor - 1.0)
-            for j in range(len(row) - 1)
-        ]
-        previous_best, best = best, row[-1]
-        scale = max(1.0, abs(best))
-        stabilized = abs(best - previous_best) <= stabilize_tol * scale
-    if not stabilized:
-        mags = np.abs(raw)
-        growing = len(mags) > 4 and np.all(np.diff(mags[-4:]) > 0) and (
-            mags[-1] > 2.0 * mags[-5] + 1e-12
-        )
-        if growing:
-            raise Divergent(
-                f"pairing integrals grow (|I| reaches {mags[-1]:.3e}) "
-                "without the extrapolant stabilizing"
-            )
-    return PairingResult(value=complex(best), residual=residual,
-                         stabilized=bool(stabilized))
+    value, residual, stabilized = pairing_limits(f, (phi,), rs, n_theta,
+                                                 stabilize_tol)
+    return PairingResult(value=complex(value[0]), residual=float(residual[0]),
+                         stabilized=bool(stabilized[0]))
 
 
 def poisson_extend(u: BoundaryDistribution, z):
@@ -308,9 +315,7 @@ def growth_order(f, rs: RadialSequence | None = None,
     sequence.  Raises NonFinite if sampling overflows.
     """
     rs = rs or RadialSequence()
-    theta = np.arange(n_theta) * (TWO_PI / n_theta)
-    ring = np.exp(1j * theta)
-    sups = np.array([np.max(np.abs(np.asarray(f(r * ring)))) for r in rs.radii])
+    sups = np.max(np.abs(ring_samples(f, rs, n_theta)), axis=1)
     if not np.all(np.isfinite(sups)):
         raise NonFinite("function overflowed while sampling radial suprema")
     x = -np.log(rs.gaps)
@@ -341,17 +346,12 @@ def hardy_norm(f, p: float, rs: RadialSequence | None = None,
     if p <= 0:
         raise ValueError("p must be positive")
     rs = rs or RadialSequence()
-    theta = np.arange(n_theta) * (TWO_PI / n_theta)
-    ring = np.exp(1j * theta)
-    weight = TWO_PI / n_theta
-    means = []
-    for r in rs.radii:
-        vals = np.abs(np.asarray(f(r * ring), dtype=complex))
-        integral = weight * np.sum(vals ** p)
-        if not np.isfinite(integral):
-            raise NonFinite(f"norm integrand overflowed at r={r}")
-        means.append(integral ** (1.0 / p))
-    means = np.array(means)
+    vals = np.abs(ring_samples(f, rs, n_theta))
+    integrals = (TWO_PI / n_theta) * np.sum(vals ** p, axis=1)
+    if not np.all(np.isfinite(integrals)):
+        r = rs.radii[np.argmin(np.isfinite(integrals))]
+        raise NonFinite(f"norm integrand overflowed at r={r}")
+    means = integrals ** (1.0 / p)
     unbounded = bool(means[-1] > 1.05 * means[-2])
     return HardyNormEstimate(value=float(np.max(means)), unbounded=unbounded)
 
@@ -383,16 +383,8 @@ def lp_boundary_convergence(f, boundary_values, p: float,
     callable of theta evaluated on it.
     """
     rs = rs or RadialSequence()
-    theta = np.arange(n_theta) * (TWO_PI / n_theta)
-    ring = np.exp(1j * theta)
-    if callable(boundary_values):
-        plus = np.asarray(boundary_values(theta), dtype=complex)
-    else:
-        plus = np.asarray(boundary_values, dtype=complex)
-    plus = np.broadcast_to(plus, theta.shape)
-    weight = TWO_PI / n_theta
-    out = []
-    for r in rs.radii:
-        gap = np.abs(np.asarray(f(r * ring), dtype=complex) - plus)
-        out.append(weight * np.sum(gap ** p))
-    return np.array(out)
+    plus = boundary_values
+    if callable(plus):
+        plus = plus(np.arange(n_theta) * (TWO_PI / n_theta))
+    gap = np.abs(ring_samples(f, rs, n_theta) - np.asarray(plus, dtype=complex))
+    return (TWO_PI / n_theta) * np.sum(gap ** p, axis=1)

@@ -35,3 +35,7 @@ class PairingMismatch(MetadiskError):
 
 class SimilarityNotRealAtZero(MetadiskError):
     """The similarity exponent has a nonzero imaginary part at the origin."""
+
+
+class AliasedSampling(MetadiskError):
+    """An explicit angular grid is too coarse for the frequencies it must pair."""

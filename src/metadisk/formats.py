@@ -11,7 +11,8 @@ import json
 from pathlib import Path
 
 import numpy as np
-from jsonschema import validate as _validate
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .boundary import BoundaryDistribution, HoloSeries
 from .disk import PolarGrid
@@ -125,9 +126,22 @@ VALUE_CSV_HEADER = "r,theta,re_value,im_value"
 SOLUTION_CSV_HEADER = "r,theta,re_w,im_w,re_residual,im_residual"
 
 
+# id(schema) -> (schema, validator); holding the schema keeps its id unique.
+_VALIDATORS: dict[int, tuple] = {}
+
+
 def check_schema(data, schema) -> None:
-    """Raise jsonschema.ValidationError if the payload does not match."""
-    _validate(data, schema)
+    """Raise the best-matching jsonschema.ValidationError if data does not match.
+
+    Each schema's validator is built once, on first use.  Unlike
+    ``jsonschema.validate`` it does not re-check the schema against its
+    metaschema on every call; the tests check every ``*_SCHEMA`` once.
+    """
+    if id(schema) not in _VALIDATORS:
+        _VALIDATORS[id(schema)] = (schema, validator_for(schema)(schema))
+    error = best_match(_VALIDATORS[id(schema)][1].iter_errors(data))
+    if error is not None:
+        raise error
 
 
 def complex_pair(c) -> list[float]:
@@ -162,7 +176,7 @@ def holo_from_data(data: dict) -> HoloSeries:
 
 
 def boundary_from_data(data: dict) -> BoundaryDistribution:
-    _validate(data, BOUNDARY_DATA_SCHEMA)
+    check_schema(data, BOUNDARY_DATA_SCHEMA)
     coeffs = [pair_complex(v) for v in data["coeffs"]]
     if data["type"] == "holo_series":
         start = data.get("min_index", 0)
@@ -185,7 +199,7 @@ def problem_to_data(problem: SchwarzProblem) -> dict:
 
 
 def problem_from_data(data: dict) -> SchwarzProblem:
-    _validate(data, PROBLEM_SCHEMA)
+    check_schema(data, PROBLEM_SCHEMA)
     if len(data["levels"]) != data["n"]:
         raise ValueError(
             f"problem declares n={data['n']} but carries "
@@ -220,7 +234,7 @@ def solution_from_data(data: dict):
 
     The similarity factor is recomputed from A and psi_kind; it is not stored.
     """
-    _validate(data, SOLUTION_SCHEMA)
+    check_schema(data, SOLUTION_SCHEMA)
     problem = problem_from_data(data["problem"])
     coeff = bivar_from_data(data["A"])
     if coeff != problem.coeff:

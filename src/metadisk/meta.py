@@ -114,6 +114,12 @@ class PolyAnalytic:
             parts.append(HoloSeries(tuple(coeffs)))
         return cls(tuple(parts))
 
+    @property
+    def max_frequency(self) -> int:
+        """Largest |m - k| over nonzero terms conj(z)^k z^m: the top frequency on rings."""
+        return max((abs(m - k) for k, part in enumerate(self.parts)
+                    for m, a in enumerate(part.coeffs) if a != 0), default=0)
+
     def boundary_distribution(self) -> BoundaryDistribution:
         """On |z| = 1, conj(z)^k z^m = e^{i(m-k)theta}; collect by frequency."""
         freq: dict[int, complex] = {}

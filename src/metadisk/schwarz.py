@@ -27,12 +27,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .boundary import (
-    CircleSampler,
-    HoloSeries,
-    TestFunction,
-    pairing_limit,
-)
+from .boundary import (HoloSeries, TestFunction, alias_free_n_theta,
+                       pairing_limits)
 from .disk import TWO_PI, PolarGrid, RadialSequence
 from .errors import PairingMismatch
 from .integral import BivarPoly, SimilarityFactor, similarity_factor
@@ -81,11 +77,16 @@ class ChainResult:
 
 @dataclass(frozen=True)
 class BoundaryRow:
+    """One condition paired with one test; ``stabilized`` and ``tail_residual``
+    summarize the radial extrapolations behind it (an exact side has none)."""
+
     level: int
     form: str
     test: str
     lhs: complex
     rhs: complex
+    stabilized: bool = True
+    tail_residual: float = 0.0
 
     @property
     def residual(self) -> float:
@@ -140,8 +141,9 @@ def imag_mean_constant(h: HoloSeries, cross_check: bool = True,
     """
     value = 1j * h.coeffs[0].imag
     if cross_check:
-        limit = pairing_limit(lambda z: np.imag(h(z)), TestFunction.constant(), rs)
-        measured = complex(limit).real / TWO_PI
+        limit = pairing_limits(lambda z: np.imag(h(z)), (TestFunction.constant(),),
+                               rs, alias_free_n_theta(h.degree))[0][0]
+        measured = limit.real / TWO_PI
         if abs(measured - h.coeffs[0].imag) > tol:
             raise PairingMismatch(
                 f"mean of Im h from the pairing limit is {measured!r}, "
@@ -195,13 +197,28 @@ def _unfolded_data(problem: SchwarzProblem, chain, k: int) -> PolyAnalytic:
     return out
 
 
-def _real_sampler(fn, n_theta: int) -> CircleSampler:
-    return CircleSampler(lambda z: np.real(np.asarray(fn(z))), n_theta)
+def _sampled_pairings(factor: SimilarityFactor | None, g: PolyAnalytic, shift,
+                      tests, rs, n_theta: int | None):
+    """Limits of Re(e^s (g + shift)), or of Re(g + shift) without a factor,
+    on a grid resolving g's frequencies plus the tests'."""
+    n_theta = alias_free_n_theta(g.max_frequency + max(
+        (phi.max_frequency for phi in tests), default=0), n_theta)
+    weight = np.ones_like if factor is None else (
+        lambda z: np.exp(factor.value(z)))
+    return pairing_limits(lambda z: np.real(weight(z) * (g(z) + shift)),
+                          tests, rs, n_theta)
+
+
+def _exact_pairings(g: PolyAnalytic, tests):
+    """Pairings of the exact trace Re g on |z| = 1, shaped like pairing_limits'."""
+    trace = g.boundary_distribution().re_part()
+    return (np.array([trace.pair(phi) for phi in tests], dtype=complex),
+            np.zeros(len(tests)), np.ones(len(tests), dtype=bool))
 
 
 def verify_boundary_conditions(sol: SchwarzSolution, problem: SchwarzProblem,
                                tests=None, rs: RadialSequence | None = None,
-                               n_theta: int = 256,
+                               n_theta: int | None = None,
                                forms=("recursive", "unfolded")) -> BoundaryReport:
     """Pair both sides of every boundary condition against the test basis.
 
@@ -209,69 +226,53 @@ def verify_boundary_conditions(sol: SchwarzSolution, problem: SchwarzProblem,
     the cauchy kind, kept for the schwarz kind), the right side from the
     prescribed data: the recursive form uses the stored chain member, the
     unfolded form re-assembles the data from h and the lower members.
+
+    Each sampled function is evaluated once and paired with every test at
+    once, on its alias-free grid when ``n_theta`` is None (AliasedSampling if
+    an explicit one would alias).
     """
     tests = tuple(tests) if tests is not None else default_test_basis(problem)
     rs = rs or RadialSequence()
     n = problem.n
     smooth = problem.factor_kind == "schwarz"
-    factor = sol.w.factor
+    factor = sol.w.factor if smooth else None
+    lhs_polys = chain_from_top(sol.w.poly, n)[::-1]
     rows: list[BoundaryRow] = []
-
-    lhs_poly = sol.w.poly
     for k in range(n):
-        member = sol.chain[n - k - 1]
-        unfolded = _unfolded_data(problem, sol.chain, k)
-        if smooth:
-            def weighted(g, shift=0j):
-                return lambda z: np.exp(factor.value(z)) * (g(z) + shift)
-
-            const = 1j * problem.levels[n - 1 - k][1] - sol.constants[n - 1 - k]
-            lhs_fn = _real_sampler(weighted(lhs_poly), n_theta)
-            rhs_fns = {
-                "recursive": _real_sampler(weighted(member), n_theta),
-                "unfolded": _real_sampler(weighted(unfolded, const), n_theta),
-            }
-            for phi in tests:
-                lhs = complex(pairing_limit(lhs_fn, phi, rs, n_theta))
-                for form in forms:
-                    rhs = complex(pairing_limit(rhs_fns[form], phi, rs, n_theta))
-                    rows.append(BoundaryRow(k, form, phi.label, lhs, rhs))
-        else:
-            lhs_fn = _real_sampler(lhs_poly, n_theta)
-            rhs_dists = {
-                "recursive": member.boundary_distribution().re_part(),
-                "unfolded": unfolded.boundary_distribution().re_part(),
-            }
-            for phi in tests:
-                lhs = complex(pairing_limit(lhs_fn, phi, rs, n_theta))
-                for form in forms:
-                    rhs = rhs_dists[form].pair(phi)
-                    rows.append(BoundaryRow(k, form, phi.label, lhs, rhs))
-        lhs_poly = lhs_poly.dbar()
+        const = 1j * problem.levels[n - 1 - k][1] - sol.constants[n - 1 - k]
+        sides = {"recursive": (sol.chain[n - k - 1], 0j),
+                 "unfolded": (_unfolded_data(problem, sol.chain, k), const)}
+        lhs, lhs_residual, lhs_stable = _sampled_pairings(
+            factor, lhs_polys[k], 0j, tests, rs, n_theta)
+        columns = []
+        for form in forms:
+            rhs, residual, stable = (
+                _sampled_pairings(factor, *sides[form], tests, rs, n_theta)
+                if smooth else _exact_pairings(sides[form][0], tests))
+            columns.append(list(zip(rhs.tolist(), (stable & lhs_stable).tolist(),
+                                    np.maximum(residual, lhs_residual).tolist())))
+        for i, (phi, value) in enumerate(zip(tests, lhs.tolist())):
+            rows.extend(BoundaryRow(k, form, phi.label, value, *column[i])
+                        for form, column in zip(forms, columns))
     return BoundaryReport(rows=tuple(rows))
 
 
 def _negative_control(sol: SchwarzSolution, problem: SchwarzProblem,
-                      rs: RadialSequence, n_theta: int) -> float:
+                      rs: RadialSequence, n_theta: int | None) -> float:
     """Shift the solution by 0.1 and measure the k=0 constant-test row move.
 
     A corrupted solution must fail verification by a visible margin,
     otherwise the pairing residuals prove nothing.
     """
-    phi = TestFunction.constant()
-    if problem.factor_kind == "schwarz":
-        factor = sol.w.factor
-        bad = _real_sampler(
-            lambda z: np.exp(factor.value(z)) * (sol.w.poly(z) + 0.1), n_theta)
-        good = _real_sampler(
-            lambda z: np.exp(factor.value(z)) * sol.w.poly(z), n_theta)
-        lhs = complex(pairing_limit(bad, phi, rs, n_theta))
-        rhs = complex(pairing_limit(good, phi, rs, n_theta))
-        return abs(lhs - rhs)
-    corrupted = sol.w.poly + PolyAnalytic.constant(0.1)
-    lhs = complex(pairing_limit(_real_sampler(corrupted, n_theta), phi, rs, n_theta))
-    rhs = sol.w.poly.boundary_distribution().re_part().pair(phi)
-    return abs(lhs - rhs)
+    phi = (TestFunction.constant(),)
+    poly = sol.w.poly
+    factor = sol.w.factor if problem.factor_kind == "schwarz" else None
+    bad = _sampled_pairings(factor, poly, 0.1, phi, rs, n_theta)[0]
+    if factor is not None:
+        good = _sampled_pairings(factor, poly, 0j, phi, rs, n_theta)[0]
+    else:
+        good = _exact_pairings(poly, phi)[0]
+    return abs(bad[0] - good[0])
 
 
 def _chain_defect(chain) -> float:
@@ -288,6 +289,7 @@ DEFAULT_THRESHOLDS = {
     "imag_at_origin": 1e-9,
     "imag_at_origin_smooth": 1e-8,
     "boundary_pairing_max": 1e-6,
+    "boundary_unstabilized": 0.5,
     "chain_derivative": 1e-12,
     "negative_control": 1e-3,
 }
@@ -295,7 +297,7 @@ DEFAULT_THRESHOLDS = {
 
 def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
                     tests=None, rs: RadialSequence | None = None,
-                    n_theta: int = 256,
+                    n_theta: int | None = None,
                     thresholds: dict | None = None) -> SchwarzSolution:
     """Run the full check battery on a solution and attach a fresh report.
 
@@ -339,6 +341,9 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
     boundary = verify_boundary_conditions(sol, problem, tests, rs, n_theta)
     report.add("boundary_pairing_max", boundary.max_residual,
                limits["boundary_pairing_max"])
+    report.add("boundary_unstabilized",
+               sum(not row.stabilized for row in boundary.rows),
+               limits["boundary_unstabilized"])
     report.timings["boundary"] = perf_counter() - t
 
     report.add("chain_derivative", _chain_defect(sol.chain),
@@ -355,8 +360,8 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
 
 
 def _solve(problem: SchwarzProblem, factor: SimilarityFactor, smooth: bool,
-           verify: bool, grid: PolarGrid | None, tests, rs, n_theta: int,
-           thresholds: dict | None):
+           verify: bool, grid: PolarGrid | None, tests, rs,
+           n_theta: int | None, thresholds: dict | None):
     t0 = perf_counter()
     result = solve_poly_chain(problem)
     w = MetaExpr(factor, result.chain[-1])
@@ -372,7 +377,7 @@ def _solve(problem: SchwarzProblem, factor: SimilarityFactor, smooth: bool,
 
 def solve_meta(problem: SchwarzProblem, verify: bool = True,
                grid: PolarGrid | None = None, tests=None,
-               rs: RadialSequence | None = None, n_theta: int = 256,
+               rs: RadialSequence | None = None, n_theta: int | None = None,
                thresholds: dict | None = None) -> SchwarzSolution:
     """Solve with the boundary conditions divided by the exponential factor."""
     if problem.factor_kind != "cauchy":
@@ -385,7 +390,8 @@ def solve_meta(problem: SchwarzProblem, verify: bool = True,
 
 def solve_meta_smooth(problem: SchwarzProblem, verify: bool = True,
                       grid: PolarGrid | None = None, tests=None,
-                      rs: RadialSequence | None = None, n_theta: int = 256,
+                      rs: RadialSequence | None = None,
+                      n_theta: int | None = None,
                       thresholds: dict | None = None) -> SchwarzSolution:
     """Solve with the factor kept inside the boundary conditions.
 

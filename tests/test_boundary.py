@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_bivar, random_holo
+from conftest import random_bivar, random_holo, random_problem
 from metadisk.boundary import (BoundaryDistribution, HoloSeries, TestFunction,
                                growth_order, hardy_norm,
                                lp_boundary_convergence, meta_hardy_norm,
@@ -16,6 +16,9 @@ from metadisk.errors import Divergent
 from metadisk.integral import BivarPoly
 from metadisk.meta import MetaExpr, PolyAnalytic
 from metadisk.integral import similarity_factor
+from metadisk.schwarz import (SchwarzProblem, _unfolded_data,
+                              default_test_basis, solve_meta,
+                              solve_meta_smooth, verify_boundary_conditions)
 
 TWO_PI = 2.0 * math.pi
 
@@ -190,3 +193,128 @@ def test_hardy_norm_regression_bound_for_meta():
         assert np.isfinite(total)
         if bound > 0:
             assert total <= bound
+
+
+def _oracle_pairing(samples, phi, n_theta=256, stabilize_tol=1e-9):
+    """The scalar route: one trapezoid sum per ring, then a Python Richardson table.
+
+    ``samples`` holds the function on each ring of the default radial
+    sequence.  Returns (value, stabilized).
+    """
+    theta = np.arange(n_theta) * (TWO_PI / n_theta)
+    phi_vals = phi(theta)
+    raw = [TWO_PI / n_theta * np.sum(ring * phi_vals) for ring in samples]
+    row = list(raw)
+    previous_best = best = row[-1]
+    stabilized = False
+    for m in range(1, len(raw)):
+        factor = 2.0 ** m
+        row = [(factor * row[j + 1] - row[j]) / (factor - 1.0)
+               for j in range(len(row) - 1)]
+        previous_best, best = best, row[-1]
+        stabilized = abs(best - previous_best) <= stabilize_tol * max(1.0, abs(best))
+    return complex(best), bool(stabilized)
+
+
+def _oracle_samples(f, n_theta=256):
+    ring = np.exp(1j * np.arange(n_theta) * (TWO_PI / n_theta))
+    return [np.broadcast_to(np.asarray(f(r * ring), dtype=complex), ring.shape)
+            for r in RadialSequence().radii]
+
+
+def _oracle_rows(sol, problem):
+    """Every (level, test, form) row paired on its own through the scalar route."""
+    n = problem.n
+    smooth = problem.factor_kind == "schwarz"
+    factor = sol.w.factor
+    rows = []
+    lhs_poly = sol.w.poly
+    for k in range(n):
+        member = sol.chain[n - k - 1]
+        unfolded = _unfolded_data(problem, sol.chain, k)
+        if smooth:
+            def real(g, shift=0j):
+                return _oracle_samples(
+                    lambda z: np.real(np.exp(factor.value(z)) * (g(z) + shift)))
+            const = 1j * problem.levels[n - 1 - k][1] - sol.constants[n - 1 - k]
+            lhs_samples = real(lhs_poly)
+            rhs_samples = {"recursive": real(member),
+                           "unfolded": real(unfolded, const)}
+        else:
+            lhs_samples = _oracle_samples(lambda z: np.real(lhs_poly(z)))
+            rhs_dists = {"recursive": member.boundary_distribution().re_part(),
+                         "unfolded": unfolded.boundary_distribution().re_part()}
+        for phi in default_test_basis(problem):
+            lhs, lhs_ok = _oracle_pairing(lhs_samples, phi)
+            for form in ("recursive", "unfolded"):
+                if smooth:
+                    rhs, rhs_ok = _oracle_pairing(rhs_samples[form], phi)
+                else:
+                    coeffs = sorted(rhs_dists[form].coeffs.items())
+                    rhs = TWO_PI * sum((c * phi.coefficient(-q)
+                                        for q, c in coeffs), 0j)
+                    rhs_ok = True
+                rows.append((k, form, phi.label, lhs, rhs, lhs_ok and rhs_ok))
+        lhs_poly = lhs_poly.dbar()
+    return rows
+
+
+def _oracle_problems():
+    rng = np.random.default_rng(7)
+    out = [random_problem(rng) for _ in range(20)]
+    rng = np.random.default_rng(31)
+    out += [random_problem(rng, coeff_degree=3, factor_kind="schwarz")
+            for _ in range(3)]
+    rng = np.random.default_rng(60)
+    out.append(SchwarzProblem(
+        n=6, coeff=random_bivar(rng, 2),
+        levels=tuple((random_holo(rng, 60), 0.04 * float(rng.standard_normal()))
+                     for _ in range(6))))
+    return out
+
+
+def test_spectral_rows_match_scalar_oracle():
+    # seed-7 batch, three schwarz problems and an n=6, degree-60 cauchy problem
+    for problem in _oracle_problems():
+        solver = solve_meta if problem.factor_kind == "cauchy" else solve_meta_smooth
+        sol = solver(problem, verify=False)
+        report = verify_boundary_conditions(sol, problem)
+        want = _oracle_rows(sol, problem)
+        assert len(report.rows) == len(want)
+        for row, (k, form, label, lhs, rhs, stabilized) in zip(report.rows, want):
+            assert (row.level, row.form, row.test) == (k, form, label)
+            assert abs(row.lhs - lhs) <= 1e-12
+            assert abs(row.rhs - rhs) <= 1e-12
+            assert row.stabilized == stabilized
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "schwarz"])
+def test_verify_evaluations_do_not_grow_with_the_basis(kind, monkeypatch):
+    rng = np.random.default_rng(13)
+    problem = random_problem(rng, n_max=3, factor_kind=kind)
+    solver = solve_meta if kind == "cauchy" else solve_meta_smooth
+    sol = solver(problem, verify=False)
+    counts = {"poly": 0, "factor": 0}
+
+    def counting(cls, key):
+        original = cls.__call__
+
+        def counted(self, z):
+            counts[key] += 1
+            return original(self, z)
+        monkeypatch.setattr(cls, "__call__", counted)
+
+    counting(PolyAnalytic, "poly")
+    counting(BivarPoly, "factor")
+    seen = []
+    for top in (8, 120):  # 17 and 241 test functions
+        tests = tuple(TestFunction.harmonic(m) for m in range(-top, top + 1))
+        counts.update(poly=0, factor=0)
+        verify_boundary_conditions(sol, problem, tests=tests)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    # one evaluation per sampled function: the left side of each level, and
+    # for the schwarz kind both right-side forms, each with its factor
+    sampled = problem.n * (3 if kind == "schwarz" else 1)
+    assert seen[0] == {"poly": sampled,
+                       "factor": sampled if kind == "schwarz" else 0}

@@ -1,11 +1,17 @@
 """Command-line behavior: exit codes, emitted files, determinism, formats."""
 
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from metadisk import formats
+from metadisk import cli, formats
 from metadisk.boundary import BoundaryDistribution, HoloSeries
 from metadisk.cli import RunConfig, _parse_grid, main
 from metadisk.disk import PolarGrid
@@ -258,3 +264,50 @@ def test_values_csv_rejects_mismatched_rings(tmp_path, rings, message):
     formats.save_json(cfg, {"order": 1, "samples": "vals.csv"})
     assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path),
                  "--degree", "2"]) == 1
+
+
+def test_every_schema_is_valid_under_its_metaschema():
+    names = [name for name in dir(formats) if name.endswith("_SCHEMA")]
+    assert len(names) >= 7
+    for name in names:
+        schema = getattr(formats, name)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_schema_errors_match_jsonschema_validate():
+    bad = {"n": 1, "psi_kind": "cauchy", "levels": [{"h": {"coeffs": [[1]]}}]}
+    with pytest.raises(jsonschema.ValidationError) as ours:
+        formats.check_schema(bad, formats.PROBLEM_SCHEMA)
+    with pytest.raises(jsonschema.ValidationError) as reference:
+        jsonschema.validate(bad, formats.PROBLEM_SCHEMA)
+    assert ours.value.message == reference.value.message
+    assert list(ours.value.path) == list(reference.value.path)
+
+
+def test_aliased_angular_grid_exits_three(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    problem = SchwarzProblem(
+        n=1, coeff=BivarPoly.zero(),
+        levels=((HoloSeries(tuple(rng.standard_normal(91) * 0.01)), 0.0),))
+    cfg = write_problem(tmp_path / "problem.json", problem)
+    args = ["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert main(args) == 0
+    monkeypatch.setattr(cli, "solve_meta",
+                        functools.partial(cli.solve_meta, n_theta=256))
+    assert main(args) == 3
+
+
+def test_commands_without_pairings_leave_numpy_fft_unloaded(tmp_path):
+    # numpy imports np.fft lazily; only the boundary pairings should pay for it
+    cfg = tmp_path / "transform.json"
+    formats.save_json(cfg, {"operator": "teodorescu",
+                            "f": formats.bivar_to_data(BivarPoly.constant(1.0))})
+    script = ("import sys; from metadisk.cli import main; "
+              "code = main(sys.argv[1:]); print(code, 'numpy.fft' in sys.modules)")
+    args = ["transform", "--config", str(cfg), "--out", str(tmp_path),
+            "--grid", "4x8"]
+    src = str(Path(formats.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["0", "False"], done.stderr

@@ -11,11 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_problem
+from conftest import random_bivar, random_holo, random_problem
 from metadisk.boundary import HoloSeries, TestFunction
 from metadisk.boundary import meta_hardy_norm
-from metadisk.disk import PolarGrid
-from metadisk.errors import PairingMismatch
+from metadisk.disk import PolarGrid, RadialSequence
+from metadisk.errors import AliasedSampling, MetadiskError, PairingMismatch
 from metadisk.integral import BivarPoly
 from metadisk.schwarz import (SchwarzProblem, chain_from_top,
                               default_test_basis, imag_mean_constant,
@@ -222,3 +222,42 @@ def test_hardy_persistence():
     sol = solve_meta(problem, verify=False)
     for p in (1.0, 2.0):
         assert np.isfinite(float(meta_hardy_norm(sol.w, p, problem.n)))
+
+
+def high_degree_problem(degree):
+    rng = np.random.default_rng(5)
+    coeff = random_bivar(rng, 1)
+    levels = tuple((random_holo(rng, degree), 0.0) for _ in range(2))
+    return SchwarzProblem(n=2, coeff=coeff, levels=levels)
+
+
+@pytest.mark.parametrize("degree", [90, 130])
+def test_angular_grid_follows_the_test_basis(degree):
+    # the default basis reaches frequency 2*degree; on 256 angles harmonic
+    # -180 aliased onto the data and an exact solution failed verification
+    problem = high_degree_problem(degree)
+    sol = solve_meta(problem)
+    assert sol.report["boundary_pairing_max"].value < 1e-12
+    assert sol.report.overall_pass
+    with pytest.raises(AliasedSampling):
+        solve_meta(problem, n_theta=256)
+    assert issubclass(AliasedSampling, MetadiskError)
+
+
+def test_unstabilized_pairing_fails_its_check():
+    # on three radii the extrapolant of the z^5 pairings has not settled
+    problem = SchwarzProblem(n=1, coeff=BivarPoly.zero(),
+                             levels=((HoloSeries((0, 0, 0, 0, 0, 1.0)), 0.0),))
+    loose = {"boundary_pairing_max": 1.0}
+    sol = solve_meta(problem, rs=RadialSequence(depth=2), thresholds=loose)
+    check = sol.report["boundary_unstabilized"]
+    assert check.value == 4.0  # harmonic[-5] and harmonic[5], both forms
+    assert not check.passed
+    assert sol.report["boundary_pairing_max"].passed
+    assert not sol.report.overall_pass
+    unstable = [row for row in sol.boundary.rows if not row.stabilized]
+    assert {row.test for row in unstable} == {"harmonic[-5]", "harmonic[5]"}
+    assert all(row.tail_residual > 0.1 for row in unstable)
+    deep = solve_meta(problem)
+    assert deep.report["boundary_unstabilized"].value == 0.0
+    assert deep.report.overall_pass
