@@ -53,9 +53,7 @@ from .meta import (
     decompose_samples,
     derivative_matrix,
     derivative_stack,
-    dbar_shift,
     invert_unitriangular,
-    meta_eval,
     pde_residual,
     poly_decompose,
 )
@@ -69,7 +67,6 @@ from .schwarz import (
     default_test_basis,
     imag_mean_constant,
     solve_meta,
-    solve_meta_smooth,
     solve_poly_chain,
     verify_boundary_conditions,
     verify_solution,

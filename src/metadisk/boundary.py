@@ -82,67 +82,20 @@ class HoloSeries:
         return HoloSeries(tuple(cs))
 
 
-class _FourierData:
-    """Finite Fourier data: nonzero coefficients keyed by integer frequency."""
+class BoundaryDistribution:
+    """Finite Fourier data sum c_n e^{i n theta}: a trigonometric test function
+    or the boundary distribution it defines; both names bind this class.
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=None):
-        self._coeffs = {int(n): complex(c)
-                        for n, c in dict(coeffs or {}).items() if complex(c) != 0}
-
-    @property
-    def coeffs(self) -> dict[int, complex]:
-        return dict(self._coeffs)
-
-    @property
-    def max_frequency(self) -> int:
-        return max((abs(n) for n in self._coeffs), default=0)
-
-    def coefficient(self, n: int) -> complex:
-        return self._coeffs.get(n, 0j)
-
-
-class BoundaryDistribution(_FourierData):
-    """Finite Fourier data c_n, n in [-M, M]: the distribution sum c_n e^{i n theta}.
-
-    Pairing with a trig polynomial phi = sum b_m e^{i m theta} is
+    Pairing with phi = sum b_m e^{i m theta} is
     <u, phi> = sum_n c_n Int e^{i n theta} phi d theta = 2 pi sum_n c_n b_{-n}.
     """
 
-    __slots__ = ()
-
-    def pair(self, phi: "TestFunction") -> complex:
-        return TWO_PI * sum(
-            (b * self.coefficient(-m) for m, b in sorted(phi._coeffs.items())), 0j
-        )
-
-    def re_part(self) -> "BoundaryDistribution":
-        freqs = set(self._coeffs) | {-n for n in self._coeffs}
-        return BoundaryDistribution({
-            n: (self.coefficient(n) + np.conjugate(self.coefficient(-n))) / 2.0
-            for n in freqs
-        })
-
-    def im_part(self) -> "BoundaryDistribution":
-        freqs = set(self._coeffs) | {-n for n in self._coeffs}
-        return BoundaryDistribution({
-            n: (self.coefficient(n) - np.conjugate(self.coefficient(-n))) / 2j
-            for n in freqs
-        })
-
-    def __repr__(self):
-        return f"BoundaryDistribution({self._coeffs!r})"
-
-
-class TestFunction(_FourierData):
-    """Trigonometric polynomial phi(theta) = sum b_m e^{i m theta}."""
-
-    __slots__ = ("label",)
-    __test__ = False  # not a pytest case despite the name
+    __slots__ = ("_coeffs", "label")
+    __test__ = False  # not a pytest case despite the name TestFunction
 
     def __init__(self, coeffs=None, label: str = ""):
-        super().__init__(coeffs)
+        self._coeffs = {int(n): complex(c)
+                        for n, c in dict(coeffs or {}).items() if complex(c) != 0}
         self.label = label or f"trig{sorted(self._coeffs)}"
 
     @classmethod
@@ -171,6 +124,17 @@ class TestFunction(_FourierData):
         )
 
     @property
+    def coeffs(self) -> dict[int, complex]:
+        return dict(self._coeffs)
+
+    @property
+    def max_frequency(self) -> int:
+        return max((abs(n) for n in self._coeffs), default=0)
+
+    def coefficient(self, n: int) -> complex:
+        return self._coeffs.get(n, 0j)
+
+    @property
     def is_real(self) -> bool:
         return all(
             self.coefficient(-m) == np.conjugate(c) for m, c in self._coeffs.items()
@@ -184,6 +148,36 @@ class TestFunction(_FourierData):
         if out.shape == ():
             return complex(out)
         return out
+
+    def re_part(self) -> "BoundaryDistribution":
+        freqs = set(self._coeffs) | {-n for n in self._coeffs}
+        return BoundaryDistribution({
+            n: (self.coefficient(n) + np.conjugate(self.coefficient(-n))) / 2.0
+            for n in freqs
+        })
+
+    def pairings(self, tests) -> np.ndarray:
+        """<self, phi> for every test, gathered by :func:`pair_spectrum`.
+
+        The row r[-n mod N] = 2 pi c_n stands in for a ring spectrum; with N
+        from alias_free_n_theta(top frequency of self plus the tests') the
+        column a test term b_m reads holds 2 pi c_{-m} alone.
+        """
+        n_theta = alias_free_n_theta(self.max_frequency + max(
+            (phi.max_frequency for phi in tests), default=0))
+        row = np.zeros(n_theta, dtype=complex)
+        freqs = np.array(list(self._coeffs), dtype=int)
+        row[-freqs % n_theta] = TWO_PI * np.array(list(self._coeffs.values()))
+        return pair_spectrum(row, tests)
+
+    def pair(self, phi: "TestFunction") -> complex:
+        return complex(self.pairings((phi,))[0])
+
+    def __repr__(self):
+        return f"BoundaryDistribution({self._coeffs!r})"
+
+
+TestFunction = BoundaryDistribution
 
 
 def alias_free_n_theta(max_frequency: int, n_theta: int | None = None) -> int:
@@ -364,10 +358,9 @@ def meta_hardy_norm(w, p: float, n: int, rs: RadialSequence | None = None,
     ``w`` must expose them exactly via a ``dbar`` method (meta-analytic
     expressions do).
     """
-    stack = [w]
-    for _ in range(n - 1):
-        stack.append(stack[-1].dbar())
-    parts = [hardy_norm(g, p, rs, n_theta) for g in stack]
+    from .meta import derivative_stack  # meta imports this module
+
+    parts = [hardy_norm(g, p, rs, n_theta) for g in derivative_stack(w, n)]
     return HardyNormEstimate(
         value=float(sum(part.value for part in parts)),
         unbounded=any(part.unbounded for part in parts),

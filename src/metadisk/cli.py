@@ -34,7 +34,6 @@ from .schwarz import (
     SchwarzSolution,
     chain_from_top,
     solve_meta,
-    solve_meta_smooth,
     verify_solution,
 )
 
@@ -137,10 +136,9 @@ def _sample_solution(sol: SchwarzSolution, grid: PolarGrid):
 
 def run_solve(config: RunConfig) -> int:
     problem = formats.problem_from_data(formats.load_json(config.config_path))
-    solver = solve_meta if problem.factor_kind == "cauchy" else solve_meta_smooth
     grid = config.sampling_grid()
-    sol = solver(problem, verify=True, grid=grid,
-                 rs=config.radial_sequence(), thresholds=config.tolerances)
+    sol = solve_meta(problem, verify=True, grid=grid,
+                     rs=config.radial_sequence(), thresholds=config.tolerances)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     formats.save_json(out / "solution.json", formats.solution_to_data(sol))
@@ -152,7 +150,7 @@ def run_solve(config: RunConfig) -> int:
 
 def run_verify(config: RunConfig) -> int:
     data = formats.load_json(config.config_path)
-    w, constants, problem, _ = formats.solution_from_data(data)
+    w, constants, problem = formats.solution_from_data(data)
     sol = SchwarzSolution(
         w=w,
         chain=chain_from_top(w.poly, problem.n),

@@ -216,23 +216,22 @@ def problem_from_data(data: dict) -> SchwarzProblem:
 
 
 def solution_to_data(sol: SchwarzSolution) -> dict:
-    data = {
+    """The solution alone; its checks and timings go to report.json."""
+    return {
         "A": bivar_to_data(sol.problem.coeff),
         "psi_kind": sol.problem.factor_kind,
         "parts": [holo_to_data(p) for p in sol.w.poly.parts],
         "I": [complex_pair(c) for c in sol.constants],
-        "diagnostics": sol.report.to_dict(),
         "problem": problem_to_data(sol.problem),
     }
-    if sol.boundary is not None:
-        data["diagnostics"]["boundary_rows"] = sol.boundary.to_rows()
-    return data
 
 
 def solution_from_data(data: dict):
-    """Rebuild (w, constants, problem, diagnostics) from a solution file.
+    """Rebuild (w, constants, problem) from a solution file.
 
     The similarity factor is recomputed from A and psi_kind; it is not stored.
+    A ``diagnostics`` object, written by earlier versions, is accepted and
+    ignored.
     """
     check_schema(data, SOLUTION_SCHEMA)
     problem = problem_from_data(data["problem"])
@@ -245,7 +244,7 @@ def solution_from_data(data: dict):
     poly = PolyAnalytic(tuple(holo_from_data(p) for p in data["parts"]))
     w = MetaExpr(factor, poly)
     constants = tuple(pair_complex(v) for v in data["I"])
-    return w, constants, problem, data.get("diagnostics", {})
+    return w, constants, problem
 
 
 def save_json(path, data) -> None:

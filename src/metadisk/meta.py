@@ -76,6 +76,13 @@ class PolyAnalytic:
             part.scale(k + 1) for k, part in enumerate(self.parts[1:])
         ))
 
+    def dbar_stack(self, n: int) -> tuple["PolyAnalytic", ...]:
+        """dbar^k F for k = 0..n-1; e^s times it is the shifted stack of e^s F."""
+        stack = [self]
+        for _ in range(n - 1):
+            stack.append(stack[-1].dbar())
+        return tuple(stack)
+
     def shifted(self, count: int, scale=1.0) -> "PolyAnalytic":
         """scale * conj(z)^count * self."""
         pad = (HoloSeries.zero(),) * count
@@ -169,29 +176,11 @@ class MetaExpr:
         )
 
     def dbar_shift_power(self, k: int) -> "MetaExpr":
-        out = self
-        for _ in range(k):
-            out = out.dbar_shift()
-        return out
-
-    def dbar_stack(self, n: int) -> tuple["MetaExpr", ...]:
-        """(d/d conj(z) - A)^k w for k = 0..n-1."""
-        stack = [self]
-        for _ in range(n - 1):
-            stack.append(stack[-1].dbar_shift())
-        return tuple(stack)
+        """(d/d conj(z) - A)^k w = e^{s} * (d/d conj(z))^k F."""
+        return MetaExpr(self.factor, self.poly.dbar_stack(k + 1)[-1])
 
     def exact_dbar(self, z):
         return self.dbar()(z)
-
-
-def meta_eval(w, z):
-    """Evaluate w at a point or array; accepts DiskPoint, complex, or ndarray."""
-    return w(_carray(z) if not np.ndim(z) else np.asarray(z, dtype=complex))
-
-
-def dbar_shift(w: MetaExpr) -> MetaExpr:
-    return w.dbar_shift()
 
 
 def derivative_stack(w: MetaExpr, n: int) -> tuple[MetaExpr, ...]:

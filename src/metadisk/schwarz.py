@@ -8,9 +8,9 @@ built bottom-up so that
     dbar f_k = f_{k-1}   (f_0 = 0),   Im f_k(0) = c_{k-1},
 
 and the solution is w = e^{s} f_n with s the similarity factor of the
-coefficient A.  Two factor kinds give the two solvers: `solve_meta` divides
-the boundary conditions by e^{s} (cauchy kind), `solve_meta_smooth` keeps the
-factor inside the conditions and needs s real at the origin (schwarz kind).
+coefficient A.  `solve_meta` solves both factor kinds: the cauchy kind
+divides the boundary conditions by e^{s}, the schwarz kind keeps the factor
+inside the conditions and needs s real at the origin.
 
 Every solve can carry its own verification report: PDE residual, origin
 conditions, boundary pairings against a trig test basis in both the recursive
@@ -131,25 +131,21 @@ class SchwarzSolution:
     problem: SchwarzProblem
 
 
-def imag_mean_constant(h: HoloSeries, cross_check: bool = True,
-                       rs: RadialSequence | None = None,
-                       tol: float = 1e-8) -> complex:
+def imag_mean_constant(h: HoloSeries, tol: float = 1e-8) -> complex:
     """i times the mean of Im h over the boundary, i.e. i*Im(a_0).
 
-    The mean-value form is exact for series data; optionally cross-checked
-    against the pairing limit of Im h with the constant test function.
+    The mean-value form is exact for series data; it is cross-checked against
+    the pairing limit of Im h with the constant test function.
     """
-    value = 1j * h.coeffs[0].imag
-    if cross_check:
-        limit = pairing_limits(lambda z: np.imag(h(z)), (TestFunction.constant(),),
-                               rs, alias_free_n_theta(h.degree))[0][0]
-        measured = limit.real / TWO_PI
-        if abs(measured - h.coeffs[0].imag) > tol:
-            raise PairingMismatch(
-                f"mean of Im h from the pairing limit is {measured!r}, "
-                f"series gives {h.coeffs[0].imag!r}"
-            )
-    return value
+    limit = pairing_limits(lambda z: np.imag(h(z)), (TestFunction.constant(),),
+                           n_theta=alias_free_n_theta(h.degree))[0][0]
+    measured = limit.real / TWO_PI
+    if abs(measured - h.coeffs[0].imag) > tol:
+        raise PairingMismatch(
+            f"mean of Im h from the pairing limit is {measured!r}, "
+            f"series gives {h.coeffs[0].imag!r}"
+        )
+    return 1j * h.coeffs[0].imag
 
 
 def solve_poly_chain(problem: SchwarzProblem) -> ChainResult:
@@ -174,10 +170,7 @@ def solve_poly_chain(problem: SchwarzProblem) -> ChainResult:
 
 def chain_from_top(poly: PolyAnalytic, n: int) -> tuple[PolyAnalytic, ...]:
     """Rebuild f_1..f_n from the top member alone: f_{n-j} = dbar^j f_n."""
-    members = [poly]
-    for _ in range(n - 1):
-        members.append(members[-1].dbar())
-    return tuple(reversed(members))
+    return poly.dbar_stack(n)[::-1]
 
 
 def default_test_basis(problem: SchwarzProblem) -> tuple[TestFunction, ...]:
@@ -211,15 +204,13 @@ def _sampled_pairings(factor: SimilarityFactor | None, g: PolyAnalytic, shift,
 
 def _exact_pairings(g: PolyAnalytic, tests):
     """Pairings of the exact trace Re g on |z| = 1, shaped like pairing_limits'."""
-    trace = g.boundary_distribution().re_part()
-    return (np.array([trace.pair(phi) for phi in tests], dtype=complex),
+    return (g.boundary_distribution().re_part().pairings(tests),
             np.zeros(len(tests)), np.ones(len(tests), dtype=bool))
 
 
 def verify_boundary_conditions(sol: SchwarzSolution, problem: SchwarzProblem,
                                tests=None, rs: RadialSequence | None = None,
-                               n_theta: int | None = None,
-                               forms=("recursive", "unfolded")) -> BoundaryReport:
+                               n_theta: int | None = None) -> BoundaryReport:
     """Pair both sides of every boundary condition against the test basis.
 
     The left side is always computed from w itself (its factor divided out for
@@ -236,7 +227,7 @@ def verify_boundary_conditions(sol: SchwarzSolution, problem: SchwarzProblem,
     n = problem.n
     smooth = problem.factor_kind == "schwarz"
     factor = sol.w.factor if smooth else None
-    lhs_polys = chain_from_top(sol.w.poly, n)[::-1]
+    lhs_polys = sol.w.poly.dbar_stack(n)
     rows: list[BoundaryRow] = []
     for k in range(n):
         const = 1j * problem.levels[n - 1 - k][1] - sol.constants[n - 1 - k]
@@ -245,15 +236,15 @@ def verify_boundary_conditions(sol: SchwarzSolution, problem: SchwarzProblem,
         lhs, lhs_residual, lhs_stable = _sampled_pairings(
             factor, lhs_polys[k], 0j, tests, rs, n_theta)
         columns = []
-        for form in forms:
+        for g, shift in sides.values():
             rhs, residual, stable = (
-                _sampled_pairings(factor, *sides[form], tests, rs, n_theta)
-                if smooth else _exact_pairings(sides[form][0], tests))
+                _sampled_pairings(factor, g, shift, tests, rs, n_theta)
+                if smooth else _exact_pairings(g, tests))
             columns.append(list(zip(rhs.tolist(), (stable & lhs_stable).tolist(),
                                     np.maximum(residual, lhs_residual).tolist())))
         for i, (phi, value) in enumerate(zip(tests, lhs.tolist())):
             rows.extend(BoundaryRow(k, form, phi.label, value, *column[i])
-                        for form, column in zip(forms, columns))
+                        for form, column in zip(sides, columns))
     return BoundaryReport(rows=tuple(rows))
 
 
@@ -324,9 +315,9 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
         report.add("similarity_imag_at_origin", abs(w.factor.at_zero.imag),
                    limits["similarity_imag_at_origin"])
         origin_scale = cmath.exp(w.factor.at_zero).real
-        stack = w.dbar_stack(n)
         worst = max(
-            abs(stack[k](0j).imag - origin_scale * problem.levels[n - 1 - k][1])
+            abs(w.dbar_shift_power(k)(0j).imag
+                - origin_scale * problem.levels[n - 1 - k][1])
             for k in range(n)
         )
         report.add("imag_at_origin", worst, limits["imag_at_origin_smooth"])
@@ -359,48 +350,25 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
                            report=report, boundary=boundary, problem=problem)
 
 
-def _solve(problem: SchwarzProblem, factor: SimilarityFactor, smooth: bool,
-           verify: bool, grid: PolarGrid | None, tests, rs,
-           n_theta: int | None, thresholds: dict | None):
+def solve_meta(problem: SchwarzProblem, verify: bool = True,
+               grid: PolarGrid | None = None, tests=None,
+               rs: RadialSequence | None = None, n_theta: int | None = None,
+               thresholds: dict | None = None) -> SchwarzSolution:
+    """Solve with the similarity factor of ``problem.factor_kind``.
+
+    The cauchy kind divides the boundary conditions by the factor; the
+    schwarz kind keeps it inside them and has it real at the origin, so
+    Im((dbar - A)^k w)(0) = e^{s(0)} c_{n-1-k} with a positive scale.
+    """
     t0 = perf_counter()
+    factor = similarity_factor(problem.coeff, problem.factor_kind)
     result = solve_poly_chain(problem)
-    w = MetaExpr(factor, result.chain[-1])
     report = Report()
     report.timings["construct"] = perf_counter() - t0
-    sol = SchwarzSolution(w=w, chain=result.chain, constants=result.constants,
+    sol = SchwarzSolution(w=MetaExpr(factor, result.chain[-1]),
+                          chain=result.chain, constants=result.constants,
                           report=report, boundary=None, problem=problem)
     if not verify:
         return sol
     return verify_solution(sol, grid=grid, tests=tests, rs=rs, n_theta=n_theta,
                            thresholds=thresholds)
-
-
-def solve_meta(problem: SchwarzProblem, verify: bool = True,
-               grid: PolarGrid | None = None, tests=None,
-               rs: RadialSequence | None = None, n_theta: int | None = None,
-               thresholds: dict | None = None) -> SchwarzSolution:
-    """Solve with the boundary conditions divided by the exponential factor."""
-    if problem.factor_kind != "cauchy":
-        raise ValueError("solve_meta expects factor_kind 'cauchy'; "
-                         "use solve_meta_smooth for 'schwarz'")
-    factor = similarity_factor(problem.coeff, "cauchy")
-    return _solve(problem, factor, smooth=False, verify=verify, grid=grid,
-                  tests=tests, rs=rs, n_theta=n_theta, thresholds=thresholds)
-
-
-def solve_meta_smooth(problem: SchwarzProblem, verify: bool = True,
-                      grid: PolarGrid | None = None, tests=None,
-                      rs: RadialSequence | None = None,
-                      n_theta: int | None = None,
-                      thresholds: dict | None = None) -> SchwarzSolution:
-    """Solve with the factor kept inside the boundary conditions.
-
-    Needs the factor real at the origin, which the schwarz kind guarantees;
-    then Im((dbar - A)^k w)(0) = e^{s(0)} c_{n-1-k} with a positive scale.
-    """
-    if problem.factor_kind != "schwarz":
-        raise ValueError("solve_meta_smooth expects factor_kind 'schwarz'; "
-                         "use solve_meta for 'cauchy'")
-    factor = similarity_factor(problem.coeff, "schwarz")
-    return _solve(problem, factor, smooth=True, verify=verify, grid=grid,
-                  tests=tests, rs=rs, n_theta=n_theta, thresholds=thresholds)

@@ -18,7 +18,7 @@ from metadisk.meta import MetaExpr, PolyAnalytic
 from metadisk.integral import similarity_factor
 from metadisk.schwarz import (SchwarzProblem, _unfolded_data,
                               default_test_basis, solve_meta,
-                              solve_meta_smooth, verify_boundary_conditions)
+                              verify_boundary_conditions)
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,6 +48,45 @@ def test_real_and_imag_parts():
     direct = u.pair(phi)
     conj = BoundaryDistribution({-1: 2.0 - 1.0j, 1: 0.5}).pair(phi)
     assert re.pair(phi) == pytest.approx((direct + conj) / 2.0)
+
+
+def _oracle_pair(u, phi):
+    """The dict loop 2 pi sum_m b_m c_{-m}, with the sum of |terms| as its scale."""
+    terms = [b * u.coefficient(-m) for m, b in sorted(phi.coeffs.items())]
+    return TWO_PI * sum(terms, 0j), TWO_PI * sum(abs(t) for t in terms)
+
+
+def test_one_fourier_class():
+    assert TestFunction is BoundaryDistribution
+    assert not hasattr(BoundaryDistribution, "im_part")
+
+
+fourier_data = st.dictionaries(
+    st.integers(min_value=-40, max_value=40),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    max_size=12)
+
+
+@given(fourier_data, st.lists(fourier_data, min_size=1, max_size=5))
+def test_gathered_pairings_match_dict_loop(u_coeffs, test_coeffs):
+    u = BoundaryDistribution(u_coeffs)
+    tests = tuple(TestFunction(c) for c in test_coeffs)
+    got = u.pairings(tests)
+    for value, phi in zip(got, tests):
+        want, scale = _oracle_pair(u, phi)
+        assert abs(value - want) <= 1e-13 * scale
+        assert abs(u.pair(phi) - want) <= 1e-13 * scale
+
+
+def test_gathered_pairings_match_dict_loop_degree_60():
+    problem = _oracle_problems()[-1]  # n=6, data degree 60
+    basis = default_test_basis(problem)
+    for member in solve_meta(problem, verify=False).chain:
+        trace = member.boundary_distribution().re_part()
+        got = trace.pairings(basis)
+        for value, phi in zip(got, basis):
+            want, scale = _oracle_pair(trace, phi)
+            assert abs(value - want) <= 1e-13 * scale
 
 
 def test_test_function_factories():
@@ -276,8 +315,7 @@ def _oracle_problems():
 def test_spectral_rows_match_scalar_oracle():
     # seed-7 batch, three schwarz problems and an n=6, degree-60 cauchy problem
     for problem in _oracle_problems():
-        solver = solve_meta if problem.factor_kind == "cauchy" else solve_meta_smooth
-        sol = solver(problem, verify=False)
+        sol = solve_meta(problem, verify=False)
         report = verify_boundary_conditions(sol, problem)
         want = _oracle_rows(sol, problem)
         assert len(report.rows) == len(want)
@@ -292,8 +330,7 @@ def test_spectral_rows_match_scalar_oracle():
 def test_verify_evaluations_do_not_grow_with_the_basis(kind, monkeypatch):
     rng = np.random.default_rng(13)
     problem = random_problem(rng, n_max=3, factor_kind=kind)
-    solver = solve_meta if kind == "cauchy" else solve_meta_smooth
-    sol = solver(problem, verify=False)
+    sol = solve_meta(problem, verify=False)
     counts = {"poly": 0, "factor": 0}
 
     def counting(cls, key):

@@ -99,9 +99,24 @@ def test_solve_rerun_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["solve", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["solve", "--config", str(cfg), "--out", str(out2)]) == 0
-    csv1 = (out1 / "solution_grid.csv").read_bytes()
-    csv2 = (out2 / "solution_grid.csv").read_bytes()
-    assert csv1 == csv2
+    for name in ("solution_grid.csv", "solution.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_verify_accepts_legacy_diagnostics(tmp_path):
+    # earlier versions copied the report into solution.json as "diagnostics"
+    cfg = write_problem(tmp_path / "problem.json")
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    data = json.loads((out / "solution.json").read_text())
+    assert "diagnostics" not in data
+    # the legacy copy held what report.json holds: checks, timings, rows
+    data["diagnostics"] = json.loads((out / "report.json").read_text())
+    legacy = tmp_path / "legacy.json"
+    formats.save_json(legacy, data)
+    code = main(["verify", "--config", str(legacy),
+                 "--out", str(tmp_path / "check")])
+    assert code == 0
 
 
 def test_verify_corrupted_solution(tmp_path):

@@ -13,8 +13,8 @@ from metadisk.errors import IllConditioned, ProductNotIdentity, StencilOutsideDi
 from metadisk.integral import BivarPoly, similarity_factor
 from metadisk.meta import (MetaExpr, PolyAnalytic, TriangularOperatorMatrix,
                            decompose_samples, derivative_matrix,
-                           derivative_stack, dbar_shift, invert_unitriangular,
-                           meta_eval, pde_residual, poly_decompose)
+                           derivative_stack, invert_unitriangular,
+                           pde_residual, poly_decompose)
 
 GRID = PolarGrid.mesh(32, 64)
 
@@ -49,17 +49,17 @@ def test_poly_analytic_bivar_round_trip():
      math.exp(0.5) * (2.0j + 0.5)),
 ])
 def test_meta_eval_examples(coeff, parts, z, want):
-    assert meta_eval(expr(coeff, parts), z) == pytest.approx(want)
+    assert expr(coeff, parts)(z) == pytest.approx(want)
 
 
 def test_dbar_shift_examples():
     one = BivarPoly.constant(1.0)
     w = expr(one, (HoloSeries.zero(), HoloSeries((1.0,))))  # e^zbar * zbar
-    shifted = dbar_shift(w)
+    shifted = w.dbar_shift()
     z = 0.25 - 0.1j
     assert shifted(z) == pytest.approx(np.exp(np.conjugate(z)))
     order_one = expr(one, (HoloSeries((0.7, 0.1j)),))
-    assert dbar_shift(order_one).poly.is_zero
+    assert order_one.dbar_shift().poly.is_zero
     rng = np.random.default_rng(2)
     w = random_meta(rng, n_max=4)
     assert w.dbar_shift_power(w.order).poly.is_zero

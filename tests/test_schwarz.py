@@ -19,7 +19,7 @@ from metadisk.errors import AliasedSampling, MetadiskError, PairingMismatch
 from metadisk.integral import BivarPoly
 from metadisk.schwarz import (SchwarzProblem, chain_from_top,
                               default_test_basis, imag_mean_constant,
-                              solve_meta, solve_meta_smooth, solve_poly_chain,
+                              solve_meta, solve_poly_chain,
                               verify_boundary_conditions, verify_solution)
 
 POINTS = [0.3 + 0.2j, -0.5 + 0.1j, 0.7j, 0.25]
@@ -121,11 +121,10 @@ def test_solve_meta_linear_coeff():
         assert sol.w(z) == pytest.approx(want)
 
 
-def test_solve_meta_rejects_wrong_kind():
-    with pytest.raises(ValueError):
-        solve_meta(constant_problem(kind="schwarz"))
-    with pytest.raises(ValueError):
-        solve_meta_smooth(constant_problem(kind="cauchy"))
+def test_problem_rejects_unknown_factor_kind():
+    # solve_meta trusts problem.factor_kind, so the problem must reject others
+    with pytest.raises(ValueError, match="factor_kind"):
+        constant_problem(kind="poisson")
 
 
 def test_smooth_variant_zero_coeff_identical():
@@ -135,7 +134,7 @@ def test_smooth_variant_zero_coeff_identical():
     pb = SchwarzProblem(n=base.n, coeff=BivarPoly.zero(), levels=base.levels,
                         factor_kind="schwarz")
     wa = solve_meta(pa, verify=False).w
-    wb = solve_meta_smooth(pb, verify=False).w
+    wb = solve_meta(pb, verify=False).w
     for z in POINTS:
         assert wa(z) == pytest.approx(wb(z), abs=1e-12)
 
@@ -143,7 +142,7 @@ def test_smooth_variant_zero_coeff_identical():
 def test_smooth_variant_single_level():
     problem = constant_problem(c=1.0, coeff=BivarPoly.constant(1.0),
                                kind="schwarz")
-    sol = solve_meta_smooth(problem)
+    sol = solve_meta(problem)
     assert sol.report.overall_pass
     scale = cmath.exp(sol.w.factor.at_zero)
     assert scale.imag == pytest.approx(0.0, abs=1e-12)
@@ -158,7 +157,7 @@ def test_smooth_variant_origin_ratio_uniform():
     rng = np.random.default_rng(73)
     problem = random_problem(rng, n_max=2, coeff_degree=1, data_degree=3,
                              factor_kind="schwarz")
-    sol = solve_meta_smooth(problem, verify=False)
+    sol = solve_meta(problem, verify=False)
     scale = cmath.exp(sol.w.factor.at_zero).real
     for k in range(problem.n):
         c = problem.levels[problem.n - 1 - k][1]
