@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 from jsonschema.exceptions import ValidationError
@@ -139,23 +140,29 @@ def run_solve(config: RunConfig) -> int:
     grid = config.sampling_grid()
     sol = solve_meta(problem, verify=True, grid=grid,
                      rs=config.radial_sequence(), thresholds=config.tolerances)
+    t = perf_counter()
+    w_values, residuals = _sample_solution(sol, grid)
+    sol.report.timings["sample_grid"] = perf_counter() - t
+    t = perf_counter()
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     formats.save_json(out / "solution.json", formats.solution_to_data(sol))
-    w_values, residuals = _sample_solution(sol, grid)
     formats.write_solution_csv(out / "solution_grid.csv", grid, w_values, residuals)
+    sol.report.timings["write"] = perf_counter() - t
     _write_report(out, sol.report, sol.boundary)
     return 0 if sol.report.overall_pass else 2
 
 
 def run_verify(config: RunConfig) -> int:
-    data = formats.load_json(config.config_path)
-    w, constants, problem = formats.solution_from_data(data)
+    t = perf_counter()
+    w, constants, problem = formats.solution_from_data(
+        formats.load_json(config.config_path))
+    load_s = perf_counter() - t
     sol = SchwarzSolution(
         w=w,
         chain=chain_from_top(w.poly, problem.n),
         constants=constants,
-        report=Report(),
+        report=Report(timings={"load": load_s}),
         boundary=None,
         problem=problem,
     )

@@ -2,7 +2,9 @@
 
 Complex numbers are stored as [re, im] pairs.  All JSON is written with
 sorted keys and all floats via repr, so identical inputs produce
-byte-identical files.
+byte-identical files.  A grid CSV has a header, then one row per grid point,
+ring by ring: r, theta, then the real and imaginary part of each sampled
+array, every float in Python's shortest round-trip repr (nan, inf, -0.0).
 """
 
 from __future__ import annotations
@@ -256,36 +258,31 @@ def load_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _rows_to_text(header: str, columns) -> str:
-    lines = [header]
-    stacked = [np.asarray(col).ravel() for col in columns]
-    for row in zip(*stacked):
-        lines.append(",".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def _grid_columns(grid: PolarGrid):
-    r = np.broadcast_to(grid.radii[:, None], (grid.radii.size, grid.angles.size))
-    theta = np.broadcast_to(grid.angles[None, :], r.shape)
-    return r, theta
+def _write_grid_csv(path, header: str, grid: PolarGrid, *arrays) -> None:
+    """Format each ring with one ``%`` over Python floats (``%r`` of a numpy
+    scalar prints ``np.float64(...)``) and write it before the next."""
+    shape = (grid.radii.size, grid.angles.size)
+    arrays = [np.asarray(a, dtype=complex) for a in arrays]
+    for a in arrays:
+        if a.shape != shape:
+            raise ValueError(f"values of shape {a.shape} do not match the "
+                             f"grid's shape {shape}")
+    rows = [repr(t) + ",%r" * (2 * len(arrays)) for t in grid.angles.tolist()]
+    rings = np.stack(arrays, axis=-1).view(float)
+    with open(path, "w") as out:
+        out.write(header + "\n")
+        for r, ring in zip(grid.radii.tolist(), rings):
+            prefix = repr(r) + ","
+            template = prefix + ("\n" + prefix).join(rows) + "\n"
+            out.write(template % tuple(ring.ravel().tolist()))
 
 
 def write_values_csv(path, grid: PolarGrid, values) -> None:
-    r, theta = _grid_columns(grid)
-    values = np.asarray(values, dtype=complex)
-    text = _rows_to_text(VALUE_CSV_HEADER, [r, theta, values.real, values.imag])
-    Path(path).write_text(text)
+    _write_grid_csv(path, VALUE_CSV_HEADER, grid, values)
 
 
 def write_solution_csv(path, grid: PolarGrid, w_values, residuals) -> None:
-    r, theta = _grid_columns(grid)
-    w_values = np.asarray(w_values, dtype=complex)
-    residuals = np.asarray(residuals, dtype=complex)
-    text = _rows_to_text(
-        SOLUTION_CSV_HEADER,
-        [r, theta, w_values.real, w_values.imag, residuals.real, residuals.imag],
-    )
-    Path(path).write_text(text)
+    _write_grid_csv(path, SOLUTION_CSV_HEADER, grid, w_values, residuals)
 
 
 def read_values_csv(path) -> PolarGrid:

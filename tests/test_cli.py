@@ -94,6 +94,18 @@ def test_solve_then_verify_round_trip(tmp_path):
     assert report["overall_pass"] is True
 
 
+def test_report_times_sampling_writing_and_loading(tmp_path):
+    cfg = write_problem(tmp_path / "problem.json")
+    out, check = tmp_path / "run", tmp_path / "check"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", "--config", str(out / "solution.json"),
+                 "--out", str(check)]) == 0
+    for path, names in ((out, ("sample_grid", "write")), (check, ("load",))):
+        timings = json.loads((path / "report.json").read_text())["timings"]
+        for name in names:
+            assert timings[name] >= 0.0
+
+
 def test_solve_rerun_is_byte_identical(tmp_path):
     cfg = write_problem(tmp_path / "problem.json")
     out1, out2 = tmp_path / "a", tmp_path / "b"
