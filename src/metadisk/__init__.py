@@ -4,14 +4,11 @@ boundary behavior, and Schwarz-type boundary value problems."""
 from .boundary import (
     BoundaryDistribution,
     HardyNormEstimate,
-    HoloSeries,
-    PairingResult,
     TestFunction,
     growth_order,
     hardy_norm,
     lp_boundary_convergence,
     meta_hardy_norm,
-    pairing_limit,
     pairing_limits,
     poisson_extend,
 )

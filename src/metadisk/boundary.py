@@ -12,74 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .disk import RadialSequence, as_complex
 from .errors import AliasedSampling, Divergent, NonFinite
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_N_THETA = 256
-
-
-@dataclass(frozen=True)
-class HoloSeries:
-    """Polynomial truncation of a holomorphic function, coefficients a_0..a_N."""
-
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self):
-        cs = tuple(complex(c) for c in self.coeffs) or (0j,)
-        object.__setattr__(self, "coeffs", cs)
-
-    @classmethod
-    def constant(cls, c) -> "HoloSeries":
-        return cls((complex(c),))
-
-    @classmethod
-    def zero(cls) -> "HoloSeries":
-        return cls((0j,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __call__(self, z):
-        arr = np.asarray(z, dtype=complex)
-        out = npoly.polyval(arr, np.asarray(self.coeffs, dtype=complex))
-        if np.ndim(out) == 0:
-            return complex(out)
-        return out
-
-    def derivative(self) -> "HoloSeries":
-        if len(self.coeffs) == 1:
-            return HoloSeries.zero()
-        return HoloSeries(tuple((j + 1) * c for j, c in enumerate(self.coeffs[1:])))
-
-    def scale(self, c) -> "HoloSeries":
-        c = complex(c)
-        return HoloSeries(tuple(c * a for a in self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, HoloSeries):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0j,) * (n - len(self.coeffs))
-        b = other.coeffs + (0j,) * (n - len(other.coeffs))
-        return HoloSeries(tuple(x + y for x, y in zip(a, b)))
-
-    def boundary(self) -> "BoundaryDistribution":
-        """Boundary distribution: frequency n carries the coefficient a_n."""
-        return BoundaryDistribution({n: c for n, c in enumerate(self.coeffs) if c != 0})
-
-    def trimmed(self) -> "HoloSeries":
-        cs = list(self.coeffs)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        return HoloSeries(tuple(cs))
 
 
 class BoundaryDistribution:
@@ -261,31 +199,6 @@ def pairing_limits(f, tests, rs: RadialSequence | None = None,
     rs = rs or RadialSequence()
     spectrum = TWO_PI * np.fft.ifft(ring_samples(f, rs, n_theta), axis=1)
     return richardson_limits(pair_spectrum(spectrum, tests), stabilize_tol)
-
-
-@dataclass(frozen=True)
-class PairingResult:
-    """Extrapolated boundary pairing with its raw tail residual."""
-
-    value: complex
-    residual: float
-    stabilized: bool
-
-    def __complex__(self):
-        return self.value
-
-
-def pairing_limit(f, phi: TestFunction, rs: RadialSequence | None = None,
-                  n_theta: int = DEFAULT_N_THETA,
-                  stabilize_tol: float = 1e-9) -> PairingResult:
-    """Distributional pairing lim_{r->1} Int f(r e^{i theta}) phi(theta) d theta.
-
-    One test through :func:`pairing_limits`, with its Divergent rule.
-    """
-    value, residual, stabilized = pairing_limits(f, (phi,), rs, n_theta,
-                                                 stabilize_tol)
-    return PairingResult(value=complex(value[0]), residual=float(residual[0]),
-                         stabilized=bool(stabilized[0]))
 
 
 def poisson_extend(u: BoundaryDistribution, z):

@@ -210,7 +210,7 @@ def run_decompose(config: RunConfig) -> int:
     fit = poly_decompose(samples, n=data["order"], degree=config.degree)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     formats.save_json(config.out_dir / "decomposition.json", {
-        "parts": [formats.holo_to_data(p) for p in fit.poly.parts],
+        "parts": formats.parts_to_data(fit.poly),
         "residual": fit.residual,
         "condition": fit.condition,
     })

@@ -157,12 +157,9 @@ class PolarGrid:
 def wirtinger_dbar(f, z, h: float = 1e-4, richardson: bool = False) -> complex:
     """d/d(conj z) of ``f`` at ``z``: (f_x + i f_y) / 2 by central differences.
 
-    Objects exposing an ``exact_dbar`` method (meta-analytic expressions) are
-    differentiated symbolically instead of numerically.
-
     Parameters
     ----------
-    f : callable or object with ``exact_dbar``
+    f : callable
     z : complex or DiskPoint, interior, at distance > 2h from the boundary
     h : stencil step
     richardson : combine steps h and h/2 for fourth-order accuracy
@@ -173,9 +170,6 @@ def wirtinger_dbar(f, z, h: float = 1e-4, richardson: bool = False) -> complex:
     NonFinite : a stencil sample came back inf or NaN.
     """
     zc = as_complex(z)
-    exact = getattr(f, "exact_dbar", None)
-    if callable(exact):
-        return complex(exact(zc))
     if abs(zc) + 2.0 * h >= 1.0:
         raise StencilOutsideDisk(f"point {zc} is within 2h={2 * h} of the boundary")
 

@@ -16,7 +16,7 @@ import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
-from .boundary import BoundaryDistribution, HoloSeries
+from .boundary import BoundaryDistribution
 from .disk import PolarGrid
 from .integral import BivarPoly, similarity_factor
 from .meta import MetaExpr, PolyAnalytic
@@ -169,12 +169,32 @@ def bivar_from_data(data: dict) -> BivarPoly:
     })
 
 
-def holo_to_data(h: HoloSeries) -> dict:
-    return {"coeffs": [complex_pair(c) for c in h.coeffs]}
+def holo_to_data(coeffs) -> dict:
+    """A holomorphic series from its coefficients, by ascending power."""
+    return {"coeffs": [complex_pair(c) for c in coeffs]}
 
 
-def holo_from_data(data: dict) -> HoloSeries:
-    return HoloSeries(tuple(pair_complex(v) for v in data["coeffs"]))
+def holo_from_data(data: dict) -> PolyAnalytic:
+    return PolyAnalytic.holomorphic([pair_complex(v) for v in data["coeffs"]])
+
+
+def parts_to_data(poly: PolyAnalytic) -> list[dict]:
+    """Each holomorphic part trimmed to its last nonzero coefficient, keeping
+    at least one."""
+    parts = []
+    for row in poly.c:
+        nonzero = np.flatnonzero(row)
+        parts.append(holo_to_data(row[:nonzero[-1] + 1 if nonzero.size else 1]))
+    return parts
+
+
+def parts_from_data(parts: list[dict]) -> PolyAnalytic:
+    """Parts of any lengths, zero-padded to the longest."""
+    rows = [[pair_complex(v) for v in part["coeffs"]] for part in parts]
+    c = np.zeros((len(rows), max(map(len, rows))), dtype=complex)
+    for k, row in enumerate(rows):
+        c[k, :len(row)] = row
+    return PolyAnalytic(c)
 
 
 def boundary_from_data(data: dict) -> BoundaryDistribution:
@@ -195,7 +215,7 @@ def problem_to_data(problem: SchwarzProblem) -> dict:
         "A": bivar_to_data(problem.coeff),
         "psi_kind": problem.factor_kind,
         "levels": [
-            {"h": holo_to_data(h), "c": c} for h, c in problem.levels
+            {"h": holo_to_data(h.c[0]), "c": c} for h, c in problem.levels
         ],
     }
 
@@ -222,7 +242,7 @@ def solution_to_data(sol: SchwarzSolution) -> dict:
     return {
         "A": bivar_to_data(sol.problem.coeff),
         "psi_kind": sol.problem.factor_kind,
-        "parts": [holo_to_data(p) for p in sol.w.poly.parts],
+        "parts": parts_to_data(sol.w.poly),
         "I": [complex_pair(c) for c in sol.constants],
         "problem": problem_to_data(sol.problem),
     }
@@ -233,7 +253,7 @@ def solution_from_data(data: dict):
 
     The similarity factor is recomputed from A and psi_kind; it is not stored.
     A ``diagnostics`` object, written by earlier versions, is accepted and
-    ignored.
+    ignored.  ``I`` must hold one origin constant per level.
     """
     check_schema(data, SOLUTION_SCHEMA)
     problem = problem_from_data(data["problem"])
@@ -242,9 +262,11 @@ def solution_from_data(data: dict):
         raise ValueError("solution A differs from the embedded problem's A")
     if data["psi_kind"] != problem.factor_kind:
         raise ValueError("solution psi_kind differs from the embedded problem's")
+    if len(data["I"]) != problem.n:
+        raise ValueError(f"solution holds {len(data['I'])} origin constants "
+                         f"for n={problem.n} levels")
     factor = similarity_factor(coeff, data["psi_kind"])
-    poly = PolyAnalytic(tuple(holo_from_data(p) for p in data["parts"]))
-    w = MetaExpr(factor, poly)
+    w = MetaExpr(factor, parts_from_data(data["parts"]))
     constants = tuple(pair_complex(v) for v in data["I"])
     return w, constants, problem
 

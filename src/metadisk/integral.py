@@ -30,7 +30,8 @@ class BivarPoly:
     """Finite sum  c[(m, k)] * z**m * conj(z)**k  with complex coefficients.
 
     Instances are immutable; arithmetic returns new polynomials.  Keys with an
-    exactly zero coefficient are dropped on construction.
+    exactly zero coefficient are dropped on construction.  Evaluation sums the
+    monomials in sorted order, which ``transform.csv`` pins bit for bit.
     """
 
     __slots__ = ("_terms",)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import BoundaryDistribution, HoloSeries
+from .boundary import BoundaryDistribution
 from .disk import PolarGrid
 from .errors import IllConditioned, NonFinite, ProductNotIdentity, StencilOutsideDisk
 from .integral import BivarPoly, SimilarityFactor
@@ -26,55 +26,73 @@ def _carray(z):
     return np.asarray(z, dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyAnalytic:
-    """sum_{k < order} conj(z)^k parts[k](z) with holomorphic parts."""
+    """sum_k conj(z)^k f_k(z): row k of the complex array ``c[k, m]`` holds the
+    coefficients of the holomorphic part f_k, and one row is a holomorphic
+    series.  The array is read-only and keeps the width it is built with."""
 
-    parts: tuple[HoloSeries, ...]
+    c: np.ndarray
 
     def __post_init__(self):
-        parts = tuple(self.parts) or (HoloSeries.zero(),)
-        object.__setattr__(self, "parts", parts)
+        c = np.array(self.c, dtype=complex, ndmin=2)
+        if c.ndim != 2:
+            raise ValueError(f"coefficients must form a 2-D array, got {c.ndim}-D")
+        if c.size == 0:
+            c = np.zeros((1, 1), dtype=complex)
+        c.flags.writeable = False
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def zero(cls) -> "PolyAnalytic":
-        return cls((HoloSeries.zero(),))
-
-    @classmethod
-    def from_holo(cls, h: HoloSeries) -> "PolyAnalytic":
-        return cls((h,))
+        return cls([[0j]])
 
     @classmethod
     def constant(cls, c) -> "PolyAnalytic":
-        return cls((HoloSeries.constant(c),))
+        return cls([[complex(c)]])
+
+    @classmethod
+    def holomorphic(cls, coeffs) -> "PolyAnalytic":
+        """The series sum_m coeffs[m] z^m, coefficients by ascending power."""
+        return cls([coeffs])
 
     @property
     def order(self) -> int:
-        return len(self.parts)
+        return self.c.shape[0]
+
+    @property
+    def degree(self) -> int:
+        """Highest power of z the array holds, zero coefficients included."""
+        return self.c.shape[1] - 1
 
     @property
     def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.parts)
+        return not self.c.any()
 
     def __call__(self, z):
+        """Horner in z per row, in numpy.polynomial.polyval's operation
+        order, then a running power of conj(z); ``solution_grid.csv`` pins
+        this order bit for bit."""
         arr = _carray(z)
         zbar = np.conjugate(arr)
         out = np.zeros(arr.shape, dtype=complex)
         power = np.ones(arr.shape, dtype=complex)
-        for part in self.parts:
-            out = out + power * part(arr)
+        for row in self.c:
+            value = row[-1] + arr * 0
+            for a in row[-2::-1]:
+                value = a + value * arr
+            out = out + power * value
             power = power * zbar
         if out.shape == ():
             return complex(out)
         return out
 
     def dbar(self) -> "PolyAnalytic":
-        """Derivative in conj(z): drops the order by one."""
+        """Derivative in conj(z): drops row 0 and scales row k by k."""
         if self.order == 1:
             return PolyAnalytic.zero()
-        return PolyAnalytic(tuple(
-            part.scale(k + 1) for k, part in enumerate(self.parts[1:])
-        ))
+        k = np.arange(1, self.order, dtype=complex)
+        return PolyAnalytic(self.c[1:] * k[:, None])
 
     def dbar_stack(self, n: int) -> tuple["PolyAnalytic", ...]:
         """dbar^k F for k = 0..n-1; e^s times it is the shifted stack of e^s F."""
@@ -85,60 +103,40 @@ class PolyAnalytic:
 
     def shifted(self, count: int, scale=1.0) -> "PolyAnalytic":
         """scale * conj(z)^count * self."""
-        pad = (HoloSeries.zero(),) * count
-        return PolyAnalytic(pad + tuple(p.scale(scale) for p in self.parts))
+        return PolyAnalytic(np.pad(self.c * complex(scale), ((count, 0), (0, 0))))
 
     def __add__(self, other):
         if not isinstance(other, PolyAnalytic):
             return NotImplemented
-        n = max(self.order, other.order)
-        pad_a = self.parts + (HoloSeries.zero(),) * (n - self.order)
-        pad_b = other.parts + (HoloSeries.zero(),) * (n - other.order)
-        return PolyAnalytic(tuple(a + b for a, b in zip(pad_a, pad_b)))
+        rows, width = np.maximum(self.c.shape, other.c.shape)
+        a, b = (np.pad(c, ((0, rows - c.shape[0]), (0, width - c.shape[1])))
+                for c in (self.c, other.c))
+        return PolyAnalytic(a + b)
 
     def scale(self, c) -> "PolyAnalytic":
-        return PolyAnalytic(tuple(p.scale(c) for p in self.parts))
-
-    def to_bivar(self) -> BivarPoly:
-        terms = {}
-        for k, part in enumerate(self.parts):
-            for m, a in enumerate(part.coeffs):
-                if a != 0:
-                    terms[(m, k)] = terms.get((m, k), 0j) + a
-        return BivarPoly(terms)
-
-    @classmethod
-    def from_bivar(cls, poly: BivarPoly) -> "PolyAnalytic":
-        if poly.is_zero:
-            return cls.zero()
-        top = max(k for (_, k) in poly.terms)
-        parts = []
-        for k in range(top + 1):
-            ms = [m for (m, kk) in poly.terms if kk == k]
-            coeffs = [0j] * (max(ms) + 1 if ms else 1)
-            for m in ms:
-                coeffs[m] = poly.coefficient(m, k)
-            parts.append(HoloSeries(tuple(coeffs)))
-        return cls(tuple(parts))
+        return PolyAnalytic(self.c * complex(c))
 
     @property
     def max_frequency(self) -> int:
         """Largest |m - k| over nonzero terms conj(z)^k z^m: the top frequency on rings."""
-        return max((abs(m - k) for k, part in enumerate(self.parts)
-                    for m, a in enumerate(part.coeffs) if a != 0), default=0)
+        k, m = np.nonzero(self.c)
+        return int(np.abs(m - k).max(initial=0))
 
     def boundary_distribution(self) -> BoundaryDistribution:
-        """On |z| = 1, conj(z)^k z^m = e^{i(m-k)theta}; collect by frequency."""
-        freq: dict[int, complex] = {}
-        for k, part in enumerate(self.parts):
-            for m, a in enumerate(part.coeffs):
-                if a != 0:
-                    q = m - k
-                    freq[q] = freq.get(q, 0j) + a
-        return BoundaryDistribution(freq)
+        """On |z| = 1, conj(z)^k z^m = e^{i(m-k)theta}; collect by frequency.
+
+        The nonzero terms are summed row by row, one bincount for the real
+        and one for the imaginary parts, offset so that q = m - k >= 1 - order.
+        """
+        k, m = np.nonzero(self.c)
+        a = self.c[k, m]
+        q = m - k + (self.order - 1)
+        sums = np.bincount(q, a.real) + 1j * np.bincount(q, a.imag)
+        return BoundaryDistribution({n - (self.order - 1): sums[n]
+                                     for n in set(q.tolist())})
 
     def max_coeff(self) -> float:
-        return max((max(abs(c) for c in p.coeffs) for p in self.parts), default=0.0)
+        return float(np.abs(self.c).max())
 
 
 @dataclass(frozen=True)
@@ -168,19 +166,17 @@ class MetaExpr:
         return MetaExpr(self.factor, self.poly.dbar())
 
     def dbar(self) -> "MetaExpr":
-        """Plain d/d conj(z): the product rule brings the coefficient back in."""
-        f_bv = self.poly.to_bivar()
-        return MetaExpr(
-            self.factor,
-            PolyAnalytic.from_bivar(f_bv.dbar() + self.coefficient * f_bv),
-        )
+        """Plain d/d conj(z): the product rule brings the coefficient back in,
+        each term a z^m conj(z)^k of A as a shift of F's array."""
+        F = self.poly
+        out = F.dbar()
+        for (m, k), a in self.coefficient.terms.items():
+            out = out + PolyAnalytic(np.pad(F.c * a, ((k, 0), (m, 0))))
+        return MetaExpr(self.factor, out)
 
     def dbar_shift_power(self, k: int) -> "MetaExpr":
         """(d/d conj(z) - A)^k w = e^{s} * (d/d conj(z))^k F."""
         return MetaExpr(self.factor, self.poly.dbar_stack(k + 1)[-1])
-
-    def exact_dbar(self, z):
-        return self.dbar()(z)
 
 
 def derivative_stack(w: MetaExpr, n: int) -> tuple[MetaExpr, ...]:
@@ -398,10 +394,6 @@ def poly_decompose(samples: PolarGrid, n: int, degree: int = 16,
         raise IllConditioned(
             f"normal equations condition {condition:.3e} exceeds {cond_limit:.1e}"
         )
-    parts = []
-    for k in range(n):
-        block = sol[k * (degree + 1):(k + 1) * (degree + 1)]
-        parts.append(HoloSeries(tuple(block)).trimmed())
-    poly = PolyAnalytic(tuple(parts))
+    poly = PolyAnalytic(sol.reshape(n, degree + 1))
     residual = float(np.max(np.abs(design @ sol - vals)))
     return DecompositionFit(poly=poly, residual=residual, condition=condition)

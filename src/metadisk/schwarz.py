@@ -13,9 +13,9 @@ divides the boundary conditions by e^{s}, the schwarz kind keeps the factor
 inside the conditions and needs s real at the origin.
 
 Every solve can carry its own verification report: PDE residual, origin
-conditions, boundary pairings against a trig test basis in both the recursive
-and the unfolded form, the exact chain property, and a corrupted-solution
-negative control that must visibly fail.
+conditions, boundary pairings of w against the data unfolded from h and the
+lower chain members over a trig test basis, the exact chain property, and a
+corrupted-solution negative control that must visibly fail.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .boundary import (HoloSeries, TestFunction, alias_free_n_theta,
-                       pairing_limits)
+from .boundary import TestFunction, alias_free_n_theta, pairing_limits
 from .disk import TWO_PI, PolarGrid, RadialSequence
 from .errors import PairingMismatch
 from .integral import BivarPoly, SimilarityFactor, similarity_factor
@@ -40,11 +39,15 @@ FACTOR_KINDS = ("cauchy", "schwarz")
 
 @dataclass(frozen=True)
 class SchwarzProblem:
-    """n levels of boundary data for an order-n problem with coefficient A."""
+    """n levels of boundary data for an order-n problem with coefficient A.
+
+    Each level is (h, c): h a holomorphic series, given as a one-row
+    PolyAnalytic or as its coefficients, and c a real constant.
+    """
 
     n: int
     coeff: BivarPoly
-    levels: tuple[tuple[HoloSeries, float], ...]
+    levels: tuple[tuple[PolyAnalytic, float], ...]
     factor_kind: str = "cauchy"
 
     def __post_init__(self):
@@ -54,8 +57,11 @@ class SchwarzProblem:
             raise ValueError(f"factor_kind must be one of {FACTOR_KINDS}")
         levels = []
         for h, c in self.levels:
-            if not isinstance(h, HoloSeries):
-                h = HoloSeries(tuple(h))
+            if not isinstance(h, PolyAnalytic):
+                h = PolyAnalytic.holomorphic(h)
+            if h.order != 1:
+                raise ValueError(f"level data must be holomorphic, got "
+                                 f"{h.order} rows")
             c = complex(c)
             if c.imag != 0:
                 raise ValueError("level constants must be real")
@@ -81,7 +87,6 @@ class BoundaryRow:
     summarize the radial extrapolations behind it (an exact side has none)."""
 
     level: int
-    form: str
     test: str
     lhs: complex
     rhs: complex
@@ -111,7 +116,6 @@ class BoundaryReport:
         return [
             {
                 "level": row.level,
-                "form": row.form,
                 "test": row.test,
                 "lhs": [row.lhs.real, row.lhs.imag],
                 "rhs": [row.rhs.real, row.rhs.imag],
@@ -131,7 +135,7 @@ class SchwarzSolution:
     problem: SchwarzProblem
 
 
-def imag_mean_constant(h: HoloSeries, tol: float = 1e-8) -> complex:
+def imag_mean_constant(h: PolyAnalytic, tol: float = 1e-8) -> complex:
     """i times the mean of Im h over the boundary, i.e. i*Im(a_0).
 
     The mean-value form is exact for series data; it is cross-checked against
@@ -140,12 +144,13 @@ def imag_mean_constant(h: HoloSeries, tol: float = 1e-8) -> complex:
     limit = pairing_limits(lambda z: np.imag(h(z)), (TestFunction.constant(),),
                            n_theta=alias_free_n_theta(h.degree))[0][0]
     measured = limit.real / TWO_PI
-    if abs(measured - h.coeffs[0].imag) > tol:
+    a0 = complex(h.c[0, 0])
+    if abs(measured - a0.imag) > tol:
         raise PairingMismatch(
             f"mean of Im h from the pairing limit is {measured!r}, "
-            f"series gives {h.coeffs[0].imag!r}"
+            f"series gives {a0.imag!r}"
         )
-    return 1j * h.coeffs[0].imag
+    return 1j * a0.imag
 
 
 def solve_poly_chain(problem: SchwarzProblem) -> ChainResult:
@@ -159,8 +164,7 @@ def solve_poly_chain(problem: SchwarzProblem) -> ChainResult:
     for k, (h, c) in enumerate(problem.levels):
         const = imag_mean_constant(h)
         constants.append(const)
-        base = h + HoloSeries.constant(1j * c - const)
-        f = PolyAnalytic.from_holo(base)
+        f = h + PolyAnalytic.constant(1j * c - const)
         for step in range(1, k + 1):
             scale = -((-1.0) ** step) / math.factorial(step)
             f = f + members[k - step].shifted(step, scale)
@@ -182,8 +186,7 @@ def default_test_basis(problem: SchwarzProblem) -> tuple[TestFunction, ...]:
 def _unfolded_data(problem: SchwarzProblem, chain, k: int) -> PolyAnalytic:
     """Boundary data of derivative order k assembled from h and lower members."""
     n = problem.n
-    h = problem.levels[n - 1 - k][0]
-    out = PolyAnalytic.from_holo(h)
+    out = problem.levels[n - 1 - k][0]
     for step in range(1, n - k):
         scale = -((-1.0) ** step) / math.factorial(step)
         out = out + chain[n - k - step - 1].shifted(step, scale)
@@ -215,8 +218,7 @@ def verify_boundary_conditions(sol: SchwarzSolution, problem: SchwarzProblem,
 
     The left side is always computed from w itself (its factor divided out for
     the cauchy kind, kept for the schwarz kind), the right side from the
-    prescribed data: the recursive form uses the stored chain member, the
-    unfolded form re-assembles the data from h and the lower members.
+    prescribed data, re-assembled from h and the lower chain members.
 
     Each sampled function is evaluated once and paired with every test at
     once, on its alias-free grid when ``n_theta`` is None (AliasedSampling if
@@ -231,20 +233,16 @@ def verify_boundary_conditions(sol: SchwarzSolution, problem: SchwarzProblem,
     rows: list[BoundaryRow] = []
     for k in range(n):
         const = 1j * problem.levels[n - 1 - k][1] - sol.constants[n - 1 - k]
-        sides = {"recursive": (sol.chain[n - k - 1], 0j),
-                 "unfolded": (_unfolded_data(problem, sol.chain, k), const)}
+        data = _unfolded_data(problem, sol.chain, k)
         lhs, lhs_residual, lhs_stable = _sampled_pairings(
             factor, lhs_polys[k], 0j, tests, rs, n_theta)
-        columns = []
-        for g, shift in sides.values():
-            rhs, residual, stable = (
-                _sampled_pairings(factor, g, shift, tests, rs, n_theta)
-                if smooth else _exact_pairings(g, tests))
-            columns.append(list(zip(rhs.tolist(), (stable & lhs_stable).tolist(),
-                                    np.maximum(residual, lhs_residual).tolist())))
-        for i, (phi, value) in enumerate(zip(tests, lhs.tolist())):
-            rows.extend(BoundaryRow(k, form, phi.label, value, *column[i])
-                        for form, column in zip(sides, columns))
+        rhs, residual, stable = (
+            _sampled_pairings(factor, data, const, tests, rs, n_theta)
+            if smooth else _exact_pairings(data, tests))
+        stable = (stable & lhs_stable).tolist()
+        residual = np.maximum(residual, lhs_residual).tolist()
+        rows.extend(BoundaryRow(k, phi.label, *values) for phi, values in zip(
+            tests, zip(lhs.tolist(), rhs.tolist(), stable, residual)))
     return BoundaryReport(rows=tuple(rows))
 
 

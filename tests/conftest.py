@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import settings
 
 from metadisk import BivarPoly
-from metadisk.boundary import HoloSeries
+from metadisk.meta import PolyAnalytic
 from metadisk.schwarz import SchwarzProblem
 
 settings.register_profile("suite", deadline=None, derandomize=True,
@@ -35,7 +35,15 @@ def random_bivar(rng, degree, scale=COEFF_SCALE):
 def random_holo(rng, degree, scale=DATA_SCALE):
     coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     coeffs = coeffs * scale / (1.0 + np.arange(degree + 1)) ** 2
-    return HoloSeries(tuple(coeffs))
+    return PolyAnalytic.holomorphic(coeffs)
+
+
+def stack_parts(parts):
+    """sum_k conj(z)^k parts[k] for one-row parts of any widths."""
+    poly = parts[0]
+    for k, part in enumerate(parts[1:], 1):
+        poly = poly + part.shifted(k)
+    return poly
 
 
 def random_problem(rng, n_max=4, coeff_degree=2, data_degree=6,
@@ -51,19 +59,18 @@ def random_problem(rng, n_max=4, coeff_degree=2, data_degree=6,
                           factor_kind=factor_kind)
 
 
-def random_meta(rng, n_max=4, coeff_degree=2, scale=0.3):
+def random_meta(rng, n_max=4, coeff_degree=2, scale=0.3, kind="cauchy"):
     from metadisk import similarity_factor
-    from metadisk.meta import MetaExpr, PolyAnalytic
+    from metadisk.meta import MetaExpr
 
     n = int(rng.integers(1, n_max + 1))
     coeff = random_bivar(rng, int(rng.integers(0, coeff_degree + 1)))
     parts = [random_holo(rng, int(rng.integers(0, 4)), scale=scale)
              for _ in range(n)]
-    if abs(parts[-1].coeffs[0]) < 0.2:
+    if abs(parts[-1].c[0, 0]) < 0.2:
         # keep the top part visibly nonzero so order-minimality controls bite
-        parts[-1] = parts[-1] + HoloSeries.constant(0.25)
-    return MetaExpr(similarity_factor(coeff, "cauchy"),
-                    PolyAnalytic(tuple(parts)))
+        parts[-1] = parts[-1] + PolyAnalytic.constant(0.25)
+    return MetaExpr(similarity_factor(coeff, kind), stack_parts(parts))
 
 
 def interior_points(rng, count, r_max=0.85):

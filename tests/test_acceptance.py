@@ -14,14 +14,15 @@ import pytest
 
 from conftest import interior_points, random_bivar, random_meta, random_problem
 from metadisk import formats
-from metadisk.boundary import (HoloSeries, TestFunction, growth_order,
-                               hardy_norm, lp_boundary_convergence,
-                               meta_hardy_norm, pairing_limit)
+from metadisk.boundary import (TestFunction, growth_order, hardy_norm,
+                               lp_boundary_convergence, meta_hardy_norm,
+                               pairing_limits)
 from metadisk.cli import main
 from metadisk.disk import PolarGrid, RadialSequence, wirtinger_dbar
 from metadisk.integral import (BivarPoly, similarity_factor, teodorescu,
                                teodorescu_quadrature_oracle)
-from metadisk.meta import derivative_matrix, derivative_stack, pde_residual
+from metadisk.meta import (PolyAnalytic, derivative_matrix, derivative_stack,
+                           pde_residual)
 from metadisk.schwarz import SchwarzProblem, solve_meta, verify_solution
 
 GRID = PolarGrid.mesh(32, 64)
@@ -190,8 +191,9 @@ def test_criterion_7_boundary_behavior(batch):
     for problem, sol in batch[:10]:
         top = sol.chain[-1]
         algebraic = top.boundary_distribution()
-        for phi in probes:
-            gap = abs(complex(pairing_limit(top, phi)) - algebraic.pair(phi))
+        limits = pairing_limits(top, probes)[0]
+        for phi, value in zip(probes, limits):
+            gap = abs(complex(value) - algebraic.pair(phi))
             worst_pairing = max(worst_pairing, gap)
     ok = worst_lp < 1e-5 and worst_pairing < 1e-8
     _verdict(7, ok, f"max final L^p residual {worst_lp:.3g} at r=1-2^-17 "
@@ -225,8 +227,8 @@ def test_criterion_9_cli_round_trip(tmp_path):
     problem = SchwarzProblem(
         n=2,
         coeff=BivarPoly.constant(1.0),
-        levels=((HoloSeries.constant(1.0), 0.0),
-                (HoloSeries.zero(), 2.0)),
+        levels=((PolyAnalytic.constant(1.0), 0.0),
+                (PolyAnalytic.zero(), 2.0)),
     )
     cfg = tmp_path / "problem.json"
     formats.save_json(cfg, formats.problem_to_data(problem))

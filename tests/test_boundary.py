@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_bivar, random_holo, random_problem
-from metadisk.boundary import (BoundaryDistribution, HoloSeries, TestFunction,
+from conftest import random_bivar, random_holo, random_problem, stack_parts
+from metadisk.boundary import (BoundaryDistribution, TestFunction,
                                growth_order, hardy_norm,
                                lp_boundary_convergence, meta_hardy_norm,
-                               pairing_limit, poisson_extend)
+                               pairing_limits, poisson_extend)
 from metadisk.disk import RadialSequence
 from metadisk.errors import Divergent
 from metadisk.integral import BivarPoly
@@ -24,18 +24,19 @@ TWO_PI = 2.0 * math.pi
 
 
 def test_holo_series_algebra():
-    h = HoloSeries((1.0, 2.0, 0.5j))
+    # a holomorphic series is the one-row poly-analytic function
+    h = PolyAnalytic.holomorphic((1.0, 2.0, 0.5j))
     assert h(0.5) == pytest.approx(1.0 + 1.0 + 0.125j)
-    assert h.derivative().coeffs == (2.0, 1.0j)
-    combined = h + HoloSeries((0.0, 0.0, 0.0, 4.0))
-    assert combined.coeffs == (1.0 + 0j, 2.0 + 0j, 0.5j, 4.0 + 0j)
-    assert h.scale(2.0).coeffs == (2.0 + 0j, 4.0 + 0j, 1.0j)
-    assert HoloSeries.zero().is_zero
+    assert (h.order, h.degree) == (1, 2)
+    combined = h + PolyAnalytic.holomorphic((0.0, 0.0, 0.0, 4.0))
+    assert combined.c.tolist() == [[1.0 + 0j, 2.0 + 0j, 0.5j, 4.0 + 0j]]
+    assert h.scale(2.0).c.tolist() == [[2.0 + 0j, 4.0 + 0j, 1.0j]]
+    assert PolyAnalytic.zero().is_zero
 
 
 def test_boundary_distribution_pairings():
     # z on the circle is the frequency-one mode
-    u = HoloSeries((0.0, 1.0)).boundary()
+    u = PolyAnalytic.holomorphic((0.0, 1.0)).boundary_distribution()
     assert u.pair(TestFunction.harmonic(-1)) == pytest.approx(TWO_PI)
     assert u.pair(TestFunction.harmonic(1)) == pytest.approx(0.0)
     assert BoundaryDistribution({0: 1.0}).pair(TestFunction.constant()) == pytest.approx(TWO_PI)
@@ -107,31 +108,31 @@ def test_test_function_factories():
     (lambda z: z, TestFunction.harmonic(1), 0.0),
 ])
 def test_pairing_limit_examples(f, phi, want):
-    result = pairing_limit(f, phi)
-    assert complex(result) == pytest.approx(want, abs=1e-8)
-    assert result.stabilized
+    value, _, stabilized = pairing_limits(f, (phi,))
+    assert complex(value[0]) == pytest.approx(want, abs=1e-8)
+    assert stabilized[0]
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                                    allow_infinity=False),
                 min_size=1, max_size=6))
 def test_pairing_limit_matches_algebra(coeffs):
-    h = HoloSeries(tuple(coeffs))
+    h = PolyAnalytic.holomorphic(coeffs)
     phi = TestFunction.harmonic(-1) if len(coeffs) > 1 else TestFunction.constant()
-    exact = h.boundary().pair(phi)
-    got = complex(pairing_limit(h, phi))
+    exact = h.boundary_distribution().pair(phi)
+    got = complex(pairing_limits(h, (phi,))[0][0])
     assert abs(got - exact) < 1e-8 * max(1.0, abs(exact))
 
 
 def test_pairing_limit_divergent_input():
     blow_up = lambda z: 1.0 / (1.0 - np.abs(z))
     with pytest.raises(Divergent):
-        pairing_limit(blow_up, TestFunction.constant())
+        pairing_limits(blow_up, (TestFunction.constant(),))
 
 
 def test_poisson_extension_examples():
     assert poisson_extend(BoundaryDistribution({0: 1.0}), 0.3 + 0.2j) == pytest.approx(1.0)
-    u = HoloSeries((0.0, 1.0)).boundary()
+    u = PolyAnalytic.holomorphic((0.0, 1.0)).boundary_distribution()
     z = 0.4 * np.exp(0.7j)
     assert poisson_extend(u, z) == pytest.approx(z)
     comb = BoundaryDistribution({n: 1.0 for n in range(-5, 6)})
@@ -142,8 +143,8 @@ def test_poisson_reproduces_series():
     rng = np.random.default_rng(9)
     coeffs = (rng.standard_normal(33) + 1j * rng.standard_normal(33))
     coeffs = coeffs / (1.0 + np.arange(33)) ** 1.5
-    h = HoloSeries(tuple(coeffs))
-    u = h.boundary()
+    h = PolyAnalytic.holomorphic(coeffs)
+    u = h.boundary_distribution()
     for _ in range(50):
         z = 0.92 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, TWO_PI))
         assert abs(poisson_extend(u, z) - h(z)) < 1e-10
@@ -198,7 +199,7 @@ def test_meta_hardy_norm_examples():
     assert float(meta_hardy_norm(zero, 2.0, 1)) == 0.0
 
     zbar = MetaExpr(similarity_factor(BivarPoly.zero(), "cauchy"),
-                    PolyAnalytic((HoloSeries.zero(), HoloSeries((1.0,)))))
+                    PolyAnalytic([[0.0], [1.0]]))
     got = float(meta_hardy_norm(zbar, 1.0, 2))
     # sup of the first term is realized at the last radius, 2pi*(1 - 2^-17)
     assert got == pytest.approx(2.0 * TWO_PI, abs=1e-3)
@@ -226,7 +227,7 @@ def test_hardy_norm_regression_bound_for_meta():
     for _ in range(3):
         coeff = random_bivar(rng, 2)
         parts = tuple(random_holo(rng, 3, scale=0.3) for _ in range(2))
-        w = MetaExpr(similarity_factor(coeff, "cauchy"), PolyAnalytic(parts))
+        w = MetaExpr(similarity_factor(coeff, "cauchy"), stack_parts(parts))
         total = float(meta_hardy_norm(w, 2.0, 2))
         bound = 4.0 * sum(float(hardy_norm(f, 2.0)) for f in parts)
         assert np.isfinite(total)
@@ -262,14 +263,13 @@ def _oracle_samples(f, n_theta=256):
 
 
 def _oracle_rows(sol, problem):
-    """Every (level, test, form) row paired on its own through the scalar route."""
+    """Every (level, test) row paired on its own through the scalar route."""
     n = problem.n
     smooth = problem.factor_kind == "schwarz"
     factor = sol.w.factor
     rows = []
     lhs_poly = sol.w.poly
     for k in range(n):
-        member = sol.chain[n - k - 1]
         unfolded = _unfolded_data(problem, sol.chain, k)
         if smooth:
             def real(g, shift=0j):
@@ -277,23 +277,20 @@ def _oracle_rows(sol, problem):
                     lambda z: np.real(np.exp(factor.value(z)) * (g(z) + shift)))
             const = 1j * problem.levels[n - 1 - k][1] - sol.constants[n - 1 - k]
             lhs_samples = real(lhs_poly)
-            rhs_samples = {"recursive": real(member),
-                           "unfolded": real(unfolded, const)}
+            rhs_samples = real(unfolded, const)
         else:
             lhs_samples = _oracle_samples(lambda z: np.real(lhs_poly(z)))
-            rhs_dists = {"recursive": member.boundary_distribution().re_part(),
-                         "unfolded": unfolded.boundary_distribution().re_part()}
+            rhs_dist = unfolded.boundary_distribution().re_part()
         for phi in default_test_basis(problem):
             lhs, lhs_ok = _oracle_pairing(lhs_samples, phi)
-            for form in ("recursive", "unfolded"):
-                if smooth:
-                    rhs, rhs_ok = _oracle_pairing(rhs_samples[form], phi)
-                else:
-                    coeffs = sorted(rhs_dists[form].coeffs.items())
-                    rhs = TWO_PI * sum((c * phi.coefficient(-q)
-                                        for q, c in coeffs), 0j)
-                    rhs_ok = True
-                rows.append((k, form, phi.label, lhs, rhs, lhs_ok and rhs_ok))
+            if smooth:
+                rhs, rhs_ok = _oracle_pairing(rhs_samples, phi)
+            else:
+                coeffs = sorted(rhs_dist.coeffs.items())
+                rhs = TWO_PI * sum((c * phi.coefficient(-q)
+                                    for q, c in coeffs), 0j)
+                rhs_ok = True
+            rows.append((k, phi.label, lhs, rhs, lhs_ok and rhs_ok))
         lhs_poly = lhs_poly.dbar()
     return rows
 
@@ -319,8 +316,8 @@ def test_spectral_rows_match_scalar_oracle():
         report = verify_boundary_conditions(sol, problem)
         want = _oracle_rows(sol, problem)
         assert len(report.rows) == len(want)
-        for row, (k, form, label, lhs, rhs, stabilized) in zip(report.rows, want):
-            assert (row.level, row.form, row.test) == (k, form, label)
+        for row, (k, label, lhs, rhs, stabilized) in zip(report.rows, want):
+            assert (row.level, row.test) == (k, label)
             assert abs(row.lhs - lhs) <= 1e-12
             assert abs(row.rhs - rhs) <= 1e-12
             assert row.stabilized == stabilized
@@ -351,7 +348,7 @@ def test_verify_evaluations_do_not_grow_with_the_basis(kind, monkeypatch):
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     # one evaluation per sampled function: the left side of each level, and
-    # for the schwarz kind both right-side forms, each with its factor
-    sampled = problem.n * (3 if kind == "schwarz" else 1)
+    # for the schwarz kind its right side, each with its factor
+    sampled = problem.n * (2 if kind == "schwarz" else 1)
     assert seen[0] == {"poly": sampled,
                        "factor": sampled if kind == "schwarz" else 0}

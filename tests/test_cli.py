@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 
 from metadisk import cli, formats
-from metadisk.boundary import BoundaryDistribution, HoloSeries
+from metadisk.boundary import BoundaryDistribution
 from metadisk.cli import RunConfig, _parse_grid, main
 from metadisk.disk import PolarGrid
 from metadisk.integral import BivarPoly
+from metadisk.meta import PolyAnalytic
 from metadisk.schwarz import SchwarzProblem
 
 WORKED = SchwarzProblem(
     n=2,
     coeff=BivarPoly.constant(1.0),
-    levels=((HoloSeries.constant(1.0), 0.0), (HoloSeries.zero(), 2.0)),
+    levels=((PolyAnalytic.constant(1.0), 0.0), (PolyAnalytic.zero(), 2.0)),
 )
 
 
@@ -237,9 +238,9 @@ def test_formats_round_trips(tmp_path):
     poly = BivarPoly({(1, 2): 0.5 - 0.25j, (0, 0): 1.0})
     assert formats.bivar_from_data(formats.bivar_to_data(poly)) == poly
 
-    series = HoloSeries((1.0, 0.0, 2.0j))
-    back = formats.holo_from_data(formats.holo_to_data(series))
-    assert back.coeffs == series.coeffs
+    series = PolyAnalytic.holomorphic((1.0, 0.0, 2.0j))
+    back = formats.holo_from_data(formats.holo_to_data(series.c[0]))
+    assert back.c.tolist() == series.c.tolist()
 
     problem_data = formats.problem_to_data(WORKED)
     back = formats.problem_from_data(problem_data)
@@ -315,7 +316,7 @@ def test_aliased_angular_grid_exits_three(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     problem = SchwarzProblem(
         n=1, coeff=BivarPoly.zero(),
-        levels=((HoloSeries(tuple(rng.standard_normal(91) * 0.01)), 0.0),))
+        levels=((PolyAnalytic.holomorphic(rng.standard_normal(91) * 0.01), 0.0),))
     cfg = write_problem(tmp_path / "problem.json", problem)
     args = ["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]
     assert main(args) == 0
@@ -338,3 +339,51 @@ def test_commands_without_pairings_leave_numpy_fft_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.stdout.split() == ["0", "False"], done.stderr
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # poly-analytic evaluation is Horner over the coefficient array
+    script = ("import sys; import metadisk.cli; "
+              "print('numpy.polynomial' in sys.modules)")
+    src = str(Path(formats.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["False"], done.stderr
+
+
+def test_solution_parts_are_written_trimmed(tmp_path):
+    problem = SchwarzProblem(
+        n=2, coeff=BivarPoly.constant(1.0),
+        levels=((PolyAnalytic.holomorphic((1.0, 0.5, 0.0, 0.0)), 0.0),
+                (PolyAnalytic.holomorphic((0.0, 0.0)), 2.0)))
+    cfg = write_problem(tmp_path / "problem.json", problem)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    data = json.loads((out / "solution.json").read_text())
+    # F = 2i + zbar (1 + z/2): each part ends at its last nonzero coefficient
+    assert [part["coeffs"] for part in data["parts"]] == [
+        [[0.0, 2.0]], [[1.0, 0.0], [0.5, 0.0]]]
+    # the problem copy keeps the widths it was given
+    assert [len(level["h"]["coeffs"]) for level in data["problem"]["levels"]] \
+        == [4, 2]
+    assert main(["verify", "--config", str(out / "solution.json"),
+                 "--out", str(tmp_path / "check")]) == 0
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_verify_rejects_origin_constants_not_one_per_level(tmp_path, count,
+                                                           capsys):
+    cfg = write_problem(tmp_path / "problem.json")
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    data = json.loads((out / "solution.json").read_text())
+    data["I"] = (data["I"] * 2)[:count]
+    with pytest.raises(ValueError, match=f"{count} origin constants"):
+        formats.solution_from_data(data)
+    bad = tmp_path / "bad.json"
+    formats.save_json(bad, data)
+    capsys.readouterr()
+    code = main(["verify", "--config", str(bad), "--out", str(tmp_path / "check")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

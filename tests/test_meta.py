@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from numpy.polynomial import polynomial as npoly
 
-from conftest import random_bivar, random_holo, random_meta
-from metadisk.boundary import HoloSeries
-from metadisk.disk import PolarGrid
+from conftest import (interior_points, random_bivar, random_holo, random_meta,
+                      stack_parts)
+from metadisk.boundary import BoundaryDistribution
+from metadisk.disk import PolarGrid, RadialSequence, wirtinger_dbar
 from metadisk.errors import IllConditioned, ProductNotIdentity, StencilOutsideDisk
 from metadisk.integral import BivarPoly, similarity_factor
 from metadisk.meta import (MetaExpr, PolyAnalytic, TriangularOperatorMatrix,
@@ -19,12 +22,12 @@ from metadisk.meta import (MetaExpr, PolyAnalytic, TriangularOperatorMatrix,
 GRID = PolarGrid.mesh(32, 64)
 
 
-def expr(coeff, parts):
-    return MetaExpr(similarity_factor(coeff, "cauchy"), PolyAnalytic(parts))
+def expr(coeff, c):
+    return MetaExpr(similarity_factor(coeff, "cauchy"), PolyAnalytic(c))
 
 
 def test_poly_analytic_evaluation_and_dbar():
-    F = PolyAnalytic((HoloSeries((0.0, 1.0)), HoloSeries((2.0,))))  # z + 2 zbar
+    F = PolyAnalytic([[0.0, 1.0], [2.0, 0.0]])  # z + 2 zbar
     z = 0.3 - 0.2j
     assert F(z) == pytest.approx(z + 2 * np.conjugate(z))
     assert F.dbar()(z) == pytest.approx(2.0)
@@ -33,32 +36,105 @@ def test_poly_analytic_evaluation_and_dbar():
     assert shifted(z) == pytest.approx(0.5 * np.conjugate(z) ** 2 * F(z))
 
 
-def test_poly_analytic_bivar_round_trip():
+def _oracle_eval(c, z):
+    """The per-part loop: numpy's polyval on each row, then powers of conj(z)."""
+    arr = np.asarray(z, dtype=complex)
+    out = np.zeros(arr.shape, dtype=complex)
+    power = np.ones(arr.shape, dtype=complex)
+    for row in c:
+        out = out + power * npoly.polyval(arr, row)
+        power = power * np.conjugate(arr)
+    return out
+
+
+def _oracle_boundary(c):
+    """The dict loop: nonzero terms collected by frequency m - k, row by row."""
+    freq = {}
+    for k, row in enumerate(c):
+        for m, a in enumerate(row):
+            if a != 0:
+                freq[m - k] = freq.get(m - k, 0j) + a
+    return BoundaryDistribution(freq)
+
+
+@st.composite
+def coefficient_arrays(draw):
+    """Orders 1-6, widths 1-61, with planted zeros, trailing zeros and -0.0."""
+    order = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 61))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** rng.uniform(-3, 1, (order, 1))
+    c = scale * (rng.standard_normal((order, width))
+                 + 1j * rng.standard_normal((order, width)))
+    c[rng.uniform(size=c.shape) < draw(st.sampled_from((0.0, 0.3, 0.9)))] = 0
+    for k in range(order):
+        c[k, width - draw(st.integers(0, width)):] = 0
+    flat = c.view(float)
+    flat[rng.uniform(size=flat.shape) < draw(st.sampled_from((0.0, 0.2)))] = -0.0
+    return c
+
+
+def _same_bits(got, want):
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got.view(float)),
+                               np.signbit(want.view(float))))
+
+
+RINGS = (RadialSequence().radii[:, None]
+         * np.exp(2j * np.pi * np.arange(512) / 512)[None, :])
+
+
+@given(coefficient_arrays())
+def test_poly_analytic_matches_per_part_oracle(c):
+    F = PolyAnalytic(c)
+    for z in (GRID.points(), RINGS):
+        assert _same_bits(F(z), _oracle_eval(c, z))
+    assert F(0.3 - 0.2j) == complex(_oracle_eval(c, 0.3 - 0.2j))
+    assert F.boundary_distribution().coeffs == _oracle_boundary(c).coeffs
+    assert F.max_frequency == max((abs(m - k) for (k, m), a in np.ndenumerate(c)
+                                   if a != 0), default=0)
+
+
+def test_poly_analytic_matches_bivar_poly():
+    # the array c[k, m] and the dict {(m, k): c} hold the same function
     rng = np.random.default_rng(23)
-    F = PolyAnalytic(tuple(random_holo(rng, 4, scale=1.0) for _ in range(3)))
-    back = PolyAnalytic.from_bivar(F.to_bivar())
+    F = stack_parts([random_holo(rng, 4, scale=1.0) for _ in range(3)])
+    bivar = BivarPoly({(m, k): a for (k, m), a in np.ndenumerate(F.c)})
     z = 0.4 + 0.1j
-    assert back(z) == pytest.approx(F(z))
-    assert back.order <= 3
+    assert bivar(z) == pytest.approx(F(z))
+    assert F.order == 3
 
 
 @pytest.mark.parametrize("coeff, parts, z, want", [
-    (BivarPoly.constant(1.0), (HoloSeries((1.0,)),), 0j, 1.0),
-    (BivarPoly.zero(), (HoloSeries.zero(), HoloSeries((1.0,))), 0.3 + 0.4j, 0.3 - 0.4j),
-    (BivarPoly.constant(1.0), (HoloSeries((2.0j,)), HoloSeries((1.0,))), 0.5 + 0j,
+    (BivarPoly.constant(1.0), [[1.0]], 0j, 1.0),
+    (BivarPoly.zero(), [[0.0], [1.0]], 0.3 + 0.4j, 0.3 - 0.4j),
+    (BivarPoly.constant(1.0), [[2.0j], [1.0]], 0.5 + 0j,
      math.exp(0.5) * (2.0j + 0.5)),
 ])
 def test_meta_eval_examples(coeff, parts, z, want):
     assert expr(coeff, parts)(z) == pytest.approx(want)
 
 
+@pytest.mark.parametrize("kind", ["cauchy", "schwarz"])
+def test_product_rule_matches_finite_differences(kind):
+    # wirtinger_dbar differences e^s F numerically; MetaExpr.dbar is symbolic
+    rng = np.random.default_rng(59)
+    for _ in range(4):
+        w = random_meta(rng, kind=kind)
+        exact = w.dbar()
+        for z in interior_points(rng, 6):
+            want = exact(z)
+            got = wirtinger_dbar(w, z, h=1e-3, richardson=True)
+            assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+
+
 def test_dbar_shift_examples():
     one = BivarPoly.constant(1.0)
-    w = expr(one, (HoloSeries.zero(), HoloSeries((1.0,))))  # e^zbar * zbar
+    w = expr(one, [[0.0], [1.0]])  # e^zbar * zbar
     shifted = w.dbar_shift()
     z = 0.25 - 0.1j
     assert shifted(z) == pytest.approx(np.exp(np.conjugate(z)))
-    order_one = expr(one, (HoloSeries((0.7, 0.1j)),))
+    order_one = expr(one, [[0.7, 0.1j]])
     assert order_one.dbar_shift().poly.is_zero
     rng = np.random.default_rng(2)
     w = random_meta(rng, n_max=4)
@@ -67,7 +143,7 @@ def test_dbar_shift_examples():
 
 def test_pde_residual_exact_and_order():
     one = BivarPoly.constant(1.0)
-    w = expr(one, (HoloSeries((2.0j,)), HoloSeries((1.0,))))  # e^zbar (2i + zbar)
+    w = expr(one, [[2.0j], [1.0]])  # e^zbar (2i + zbar)
     assert pde_residual(w, one, 2, GRID) < 1e-12
 
     zero = BivarPoly.zero()
@@ -76,7 +152,7 @@ def test_pde_residual_exact_and_order():
     assert r2 == pytest.approx(2.0, abs=1e-6)
     assert pde_residual(lambda z: np.conjugate(z) ** 2, zero, 3, small) < 1e-6
 
-    null = expr(zero, (HoloSeries.zero(),))
+    null = expr(zero, [[0.0]])
     assert pde_residual(null, zero, 1, GRID) == 0.0
 
 
@@ -151,14 +227,14 @@ def test_matrix_inverse_guard():
 
 def test_derivative_stack_examples():
     one = BivarPoly.constant(1.0)
-    w = expr(one, (HoloSeries((1.0,)),))
+    w = expr(one, [[1.0]])
     stack = derivative_stack(w, 2)
     z = 0.3 + 0.3j
     e = np.exp(np.conjugate(z))
     assert stack[0](z) == pytest.approx(e)
     assert stack[1](z) == pytest.approx(e)
 
-    zbar = expr(BivarPoly.zero(), (HoloSeries.zero(), HoloSeries((1.0,))))
+    zbar = expr(BivarPoly.zero(), [[0.0], [1.0]])
     stack = derivative_stack(zbar, 2)
     assert stack[0](z) == pytest.approx(np.conjugate(z))
     assert stack[1](z) == pytest.approx(1.0)
@@ -185,10 +261,9 @@ def test_poly_decompose_examples():
     target = BivarPoly({(0, 1): 1.0, (2, 0): 3.0})  # zbar + 3 z^2
     fit = poly_decompose(decompose_samples(target), 2, degree=2)
     assert fit.residual < 1e-10
-    f0, f1 = fit.poly.parts
-    pad = lambda h: np.pad(np.asarray(h.coeffs), (0, 3 - len(h.coeffs)))
-    assert np.allclose(pad(f0), (0.0, 0.0, 3.0))
-    assert np.allclose(pad(f1), (1.0, 0.0, 0.0))
+    f0, f1 = fit.poly.c
+    assert np.allclose(f0, (0.0, 0.0, 3.0))
+    assert np.allclose(f1, (1.0, 0.0, 0.0))
 
     flat = poly_decompose(decompose_samples(lambda z: np.zeros_like(z)), 2, degree=2)
     assert flat.poly.is_zero
@@ -196,15 +271,15 @@ def test_poly_decompose_examples():
     divided = lambda z: np.conjugate(z)  # e^zbar * zbar after similarity division
     fit = poly_decompose(decompose_samples(divided), 2, degree=3)
     assert fit.residual < 1e-10
-    f0, f1 = fit.poly.parts
+    f0, f1 = (PolyAnalytic.holomorphic(row) for row in fit.poly.c)
     assert abs(f1(0.5) - 1.0) < 1e-12 and abs(f1(0.5j) - 1.0) < 1e-12
-    assert max(abs(c) for c in f0.coeffs) < 1e-12
+    assert f0.max_coeff() < 1e-12
 
 
 def test_poly_decompose_round_trip():
     rng = np.random.default_rng(53)
     psi = similarity_factor(random_bivar(rng, 2, scale=0.3), "cauchy")
-    F = PolyAnalytic(tuple(random_holo(rng, 5, scale=0.5) for _ in range(3)))
+    F = stack_parts([random_holo(rng, 5, scale=0.5) for _ in range(3)])
     w = MetaExpr(psi, F)
     grid = PolarGrid.mesh(10, 24, r_min=0.1, r_max=0.9)
     pts = grid.points()

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import random_bivar, random_holo, random_problem
-from metadisk.boundary import HoloSeries, TestFunction
+from metadisk.boundary import TestFunction
 from metadisk.boundary import meta_hardy_norm
 from metadisk.disk import PolarGrid, RadialSequence
 from metadisk.errors import AliasedSampling, MetadiskError, PairingMismatch
 from metadisk.integral import BivarPoly
+from metadisk.meta import MetaExpr, PolyAnalytic
 from metadisk.schwarz import (SchwarzProblem, chain_from_top,
                               default_test_basis, imag_mean_constant,
                               solve_meta, solve_poly_chain,
@@ -26,7 +27,7 @@ POINTS = [0.3 + 0.2j, -0.5 + 0.1j, 0.7j, 0.25]
 
 
 def constant_problem(n=1, value=1.0, c=0.0, coeff=None, kind="cauchy"):
-    levels = [(HoloSeries.constant(value), 0.0) for _ in range(n)]
+    levels = [(PolyAnalytic.constant(value), 0.0) for _ in range(n)]
     levels[-1] = (levels[-1][0], c)
     return SchwarzProblem(n=n, coeff=coeff or BivarPoly.zero(),
                           levels=tuple(levels), factor_kind=kind)
@@ -35,14 +36,14 @@ def constant_problem(n=1, value=1.0, c=0.0, coeff=None, kind="cauchy"):
 WORKED = SchwarzProblem(
     n=2,
     coeff=BivarPoly.constant(1.0),
-    levels=((HoloSeries.constant(1.0), 0.0), (HoloSeries.zero(), 2.0)),
+    levels=((PolyAnalytic.constant(1.0), 0.0), (PolyAnalytic.zero(), 2.0)),
 )
 
 
 @pytest.mark.parametrize("h, want", [
-    (HoloSeries.constant(1.0), 0.0),
-    (HoloSeries.constant(3.0 + 4.0j), 4.0j),
-    (HoloSeries((0.0, 1.0)), 0.0),
+    (PolyAnalytic.constant(1.0), 0.0),
+    (PolyAnalytic.constant(3.0 + 4.0j), 4.0j),
+    (PolyAnalytic.holomorphic((0.0, 1.0)), 0.0),
 ])
 def test_imag_mean_constant_examples(h, want):
     assert imag_mean_constant(h) == pytest.approx(want)
@@ -50,7 +51,7 @@ def test_imag_mean_constant_examples(h, want):
 
 def test_imag_mean_constant_cross_check_guard():
     with pytest.raises(PairingMismatch):
-        imag_mean_constant(HoloSeries.constant(1.0 + 2.0j), tol=0.0)
+        imag_mean_constant(PolyAnalytic.constant(1.0 + 2.0j), tol=0.0)
 
 
 def test_chain_constant_data():
@@ -61,7 +62,7 @@ def test_chain_constant_data():
 
 def test_chain_identity_data():
     problem = SchwarzProblem(n=1, coeff=BivarPoly.zero(),
-                             levels=((HoloSeries((0.0, 1.0)), 0.0),))
+                             levels=((PolyAnalytic.holomorphic((0.0, 1.0)), 0.0),))
     f1 = solve_poly_chain(problem).chain[0]
     for z in POINTS:
         assert f1(z) == pytest.approx(z)
@@ -125,6 +126,12 @@ def test_problem_rejects_unknown_factor_kind():
     # solve_meta trusts problem.factor_kind, so the problem must reject others
     with pytest.raises(ValueError, match="factor_kind"):
         constant_problem(kind="poisson")
+
+
+def test_problem_rejects_level_data_that_is_not_holomorphic():
+    with pytest.raises(ValueError, match="holomorphic"):
+        SchwarzProblem(n=1, coeff=BivarPoly.zero(),
+                       levels=((PolyAnalytic([[1.0], [1.0]]), 0.0),))
 
 
 def test_smooth_variant_zero_coeff_identical():
@@ -192,6 +199,25 @@ def test_verify_detects_corruption():
     worst = report.worst()
     assert worst.residual == report.max_residual
 
+    # each part of a solved n=3 solution shifted by 1e-3, reloaded as verify
+    # reloads it: the chain is rebuilt from the corrupted top member
+    rng = np.random.default_rng(101)
+    for kind in ("cauchy", "schwarz"):
+        problem = SchwarzProblem(
+            n=3, coeff=random_bivar(rng, 2), factor_kind=kind,
+            levels=tuple((random_holo(rng, 6), 0.04 * rng.standard_normal())
+                         for _ in range(3)))
+        sol = solve_meta(problem, verify=False)
+        for k in range(3):
+            bump = np.zeros(sol.w.poly.c.shape, dtype=complex)
+            bump[k, 0] = 1e-3
+            w = MetaExpr(sol.w.factor, PolyAnalytic(sol.w.poly.c + bump))
+            corrupted = type(sol)(w=w, chain=chain_from_top(w.poly, 3),
+                                  constants=sol.constants, report=sol.report,
+                                  boundary=None, problem=problem)
+            report = verify_boundary_conditions(corrupted, problem)
+            assert not report.passes(), (kind, k, report.max_residual)
+
 
 def test_verify_solution_full_battery():
     rng = np.random.default_rng(79)
@@ -246,11 +272,11 @@ def test_angular_grid_follows_the_test_basis(degree):
 def test_unstabilized_pairing_fails_its_check():
     # on three radii the extrapolant of the z^5 pairings has not settled
     problem = SchwarzProblem(n=1, coeff=BivarPoly.zero(),
-                             levels=((HoloSeries((0, 0, 0, 0, 0, 1.0)), 0.0),))
+                             levels=((PolyAnalytic.holomorphic((0, 0, 0, 0, 0, 1.0)), 0.0),))
     loose = {"boundary_pairing_max": 1.0}
     sol = solve_meta(problem, rs=RadialSequence(depth=2), thresholds=loose)
     check = sol.report["boundary_unstabilized"]
-    assert check.value == 4.0  # harmonic[-5] and harmonic[5], both forms
+    assert check.value == 2.0  # harmonic[-5] and harmonic[5]
     assert not check.passed
     assert sol.report["boundary_pairing_max"].passed
     assert not sol.report.overall_pass
