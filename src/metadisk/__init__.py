@@ -16,7 +16,6 @@ from .disk import (
     DiskPoint,
     PolarGrid,
     RadialSequence,
-    disk_quadrature,
     wirtinger_dbar,
 )
 from .errors import (
@@ -28,24 +27,20 @@ from .errors import (
     NonFinite,
     PairingMismatch,
     ProductNotIdentity,
-    SimilarityNotRealAtZero,
     StencilOutsideDisk,
 )
 from .integral import (
-    BivarPoly,
+    PolyAnalytic,
     SimilarityFactor,
     schwarz_pompeiu,
     schwarz_pompeiu_poly,
-    schwarz_pompeiu_quadrature_oracle,
     similarity_factor,
     teodorescu,
     teodorescu_poly,
-    teodorescu_quadrature_oracle,
 )
 from .meta import (
     DecompositionFit,
     MetaExpr,
-    PolyAnalytic,
     TriangularOperatorMatrix,
     decompose_samples,
     derivative_matrix,

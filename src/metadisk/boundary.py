@@ -28,13 +28,14 @@ class BoundaryDistribution:
     <u, phi> = sum_n c_n Int e^{i n theta} phi d theta = 2 pi sum_n c_n b_{-n}.
     """
 
-    __slots__ = ("_coeffs", "label")
+    __slots__ = ("_coeffs", "label", "max_frequency")
     __test__ = False  # not a pytest case despite the name TestFunction
 
     def __init__(self, coeffs=None, label: str = ""):
         self._coeffs = {int(n): complex(c)
                         for n, c in dict(coeffs or {}).items() if complex(c) != 0}
         self.label = label or f"trig{sorted(self._coeffs)}"
+        self.max_frequency = max(map(abs, self._coeffs), default=0)
 
     @classmethod
     def constant(cls, value=1.0) -> "TestFunction":
@@ -64,10 +65,6 @@ class BoundaryDistribution:
     @property
     def coeffs(self) -> dict[int, complex]:
         return dict(self._coeffs)
-
-    @property
-    def max_frequency(self) -> int:
-        return max((abs(n) for n in self._coeffs), default=0)
 
     def coefficient(self, n: int) -> complex:
         return self._coeffs.get(n, 0j)

@@ -184,7 +184,7 @@ def run_transform(config: RunConfig) -> int:
         table = teodorescu_poly(f)
     else:
         table = schwarz_pompeiu_poly(f)
-    values = table(grid.points())
+    values = table.monomial_sum(grid.points())
     config.out_dir.mkdir(parents=True, exist_ok=True)
     formats.write_values_csv(config.out_dir / "transform.csv", grid, values)
     return 0

@@ -1,4 +1,4 @@
-"""Geometry, differentiation, and quadrature on the open unit disk.
+"""Geometry and differentiation on the open unit disk.
 
 Everything here treats functions as plain callables ``z -> value`` where ``z``
 may be a complex scalar or a numpy array of complex points; callables are
@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonConvergent, NonFinite, StencilOutsideDisk
+from .errors import NonFinite, StencilOutsideDisk
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,58 +188,3 @@ def wirtinger_dbar(f, z, h: float = 1e-4, richardson: bool = False) -> complex:
         d_half = central(h / 2.0)
         d = (4.0 * d_half - d) / 3.0
     return d
-
-
-@lru_cache(maxsize=32)
-def _gauss_on_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Legendre on (0, 1); nodes are strictly interior, so integrands are
-    # never evaluated at the singular center or on the clipped boundary.
-    t, w = np.polynomial.legendre.leggauss(n)
-    return (t + 1.0) / 2.0, w / 2.0
-
-
-def _polar_integral(g, center: complex, n_radial: int, n_angular: int) -> complex:
-    phi = np.arange(n_angular) * (TWO_PI / n_angular)
-    rays = np.exp(1j * phi)
-    # distance from the center to the unit circle along each ray
-    beta = (np.conjugate(center) * rays).real
-    reach = -beta + np.sqrt(beta * beta + 1.0 - abs(center) ** 2)
-    x, wx = _gauss_on_unit(n_radial)
-    rho = x[:, None] * reach[None, :]
-    nodes = center + rho * rays[None, :]
-    vals = np.asarray(g(nodes), dtype=complex)
-    # area element rho drho dphi; the factor rho tames 1/|zeta - center|
-    weights = (wx[:, None] * reach[None, :]) * rho * (TWO_PI / n_angular)
-    return complex(np.sum(vals * weights))
-
-
-def disk_quadrature(g, singularity=None, n_radial: int = 512,
-                    n_angular: int = 512, tol: float | None = None) -> complex:
-    """Integral of ``g`` over the unit disk with respect to area measure.
-
-    When ``singularity`` is given, the polar coordinates are centered there so
-    the Jacobian cancels an integrable 1/|zeta - singularity| factor; rays are
-    clipped to the disk.  With ``tol`` set, the result is compared against a
-    half-resolution pass and NonConvergent is raised if the two differ by more
-    than ``tol``.
-
-    Parameters
-    ----------
-    g : callable, must broadcast over complex arrays
-    singularity : interior point used as the polar center, default the origin
-    n_radial, n_angular : node counts (Gauss-Legendre radial, uniform angular)
-    tol : optional absolute refinement tolerance
-    """
-    center = 0j if singularity is None else as_complex(singularity)
-    if abs(center) >= 1.0:
-        raise ValueError("singularity must be an interior point")
-    fine = _polar_integral(g, center, n_radial, n_angular)
-    if tol is not None:
-        coarse = _polar_integral(
-            g, center, max(8, n_radial // 2), max(8, n_angular // 2)
-        )
-        if not (abs(fine - coarse) <= tol):   # also trips on NaN
-            raise NonConvergent(
-                f"refinement gap {abs(fine - coarse):.3e} exceeds tol {tol:.3e}"
-            )
-    return fine

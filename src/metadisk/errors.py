@@ -33,9 +33,5 @@ class PairingMismatch(MetadiskError):
     """Algebraic and limit-based boundary pairings disagree."""
 
 
-class SimilarityNotRealAtZero(MetadiskError):
-    """The similarity exponent has a nonzero imaginary part at the origin."""
-
-
 class AliasedSampling(MetadiskError):
     """An explicit angular grid is too coarse for the frequencies it must pair."""

@@ -18,8 +18,8 @@ from jsonschema.validators import validator_for
 
 from .boundary import BoundaryDistribution
 from .disk import PolarGrid
-from .integral import BivarPoly, similarity_factor
-from .meta import MetaExpr, PolyAnalytic
+from .integral import PolyAnalytic, similarity_factor
+from .meta import MetaExpr
 from .schwarz import SchwarzProblem, SchwarzSolution
 
 COMPLEX_PAIR = {
@@ -155,16 +155,16 @@ def pair_complex(v) -> complex:
     return complex(float(v[0]), float(v[1]))
 
 
-def bivar_to_data(poly: BivarPoly) -> dict:
-    terms = [
-        {"m": m, "k": k, "re": c.real, "im": c.imag}
-        for (m, k), c in sorted(poly.terms.items())
-    ]
-    return {"terms": terms}
+def bivar_to_data(poly: PolyAnalytic) -> dict:
+    """The nonzero terms in sorted (m, k) order."""
+    m, k, c = (a.tolist() for a in poly.sorted_terms())
+    return {"terms": [{"m": m, "k": k, "re": c.real, "im": c.imag}
+                      for m, k, c in zip(m, k, c)]}
 
 
-def bivar_from_data(data: dict) -> BivarPoly:
-    return BivarPoly({
+def bivar_from_data(data: dict) -> PolyAnalytic:
+    """A repeated (m, k) keeps its last coefficient."""
+    return PolyAnalytic.from_terms({
         (t["m"], t["k"]): complex(t["re"], t["im"]) for t in data["terms"]
     })
 
@@ -258,7 +258,7 @@ def solution_from_data(data: dict):
     check_schema(data, SOLUTION_SCHEMA)
     problem = problem_from_data(data["problem"])
     coeff = bivar_from_data(data["A"])
-    if coeff != problem.coeff:
+    if not (coeff - problem.coeff).is_zero:
         raise ValueError("solution A differs from the embedded problem's A")
     if data["psi_kind"] != problem.factor_kind:
         raise ValueError("solution psi_kind differs from the embedded problem's")

@@ -1,174 +1,221 @@
-"""Bivariate polynomial algebra and the singular area-integral operators.
+"""Polynomials in (z, conj z) and the singular area-integral operators.
 
-The central objects are polynomials in z and conj(z) closed under the
-Wirtinger derivatives, the two area integrals that invert d/d(conj z) as
-closed-form tables with quadrature oracles, and the similarity exponents built
-from them.
+One class, :class:`PolyAnalytic`, holds every polynomial in z and conj(z):
+the coefficient A, the similarity exponent s, the two area integrals that
+invert d/d(conj z) as closed-form tables, and the poly-analytic factor F.
+Quadrature oracles for the tables live with the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import as_complex, disk_quadrature
-from .errors import SimilarityNotRealAtZero
-
-_PI = math.pi
+from .boundary import BoundaryDistribution
+from .disk import as_complex
 
 
-def _powers(base: np.ndarray, top: int) -> list[np.ndarray]:
-    out = [np.ones_like(base)]
-    for _ in range(top):
-        out.append(out[-1] * base)
-    return out
+def _carray(z):
+    if hasattr(z, "z"):
+        z = z.z
+    return np.asarray(z, dtype=complex)
 
 
-class BivarPoly:
-    """Finite sum  c[(m, k)] * z**m * conj(z)**k  with complex coefficients.
+@dataclass(frozen=True, eq=False)
+class PolyAnalytic:
+    """sum_k conj(z)^k f_k(z) = sum c[k, m] z^m conj(z)^k: row k of the complex
+    array ``c[k, m]`` holds the coefficients of the holomorphic part f_k, and
+    one row is a holomorphic series.  The array is read-only and keeps the
+    width it is built with.
 
-    Instances are immutable; arithmetic returns new polynomials.  Keys with an
-    exactly zero coefficient are dropped on construction.  Evaluation sums the
-    monomials in sorted order, which ``transform.csv`` pins bit for bit.
+    Two evaluation orders are each pinned bit for bit by an output file:
+    calling runs Horner per row (``solution_grid.csv``, through F), and
+    :meth:`monomial_sum` adds the monomials in sorted (m, k) order
+    (``transform.csv``, and e^s inside ``solution_grid.csv``).
     """
 
-    __slots__ = ("_terms",)
+    c: np.ndarray
 
-    def __init__(self, terms=None):
-        data: dict[tuple[int, int], complex] = {}
-        if terms:
-            for (m, k), c in dict(terms).items():
-                m, k = int(m), int(k)
-                if m < 0 or k < 0:
-                    raise ValueError("exponents must be nonnegative")
-                c = complex(c)
-                if c != 0:
-                    data[(m, k)] = data.get((m, k), 0j) + c
-        self._terms = {mk: c for mk, c in data.items() if c != 0}
+    def __post_init__(self):
+        c = np.array(self.c, dtype=complex, ndmin=2)
+        if c.ndim != 2:
+            raise ValueError(f"coefficients must form a 2-D array, got {c.ndim}-D")
+        if c.size == 0:
+            c = np.zeros((1, 1), dtype=complex)
+        c.flags.writeable = False
+        object.__setattr__(self, "c", c)
 
     @classmethod
-    def zero(cls) -> "BivarPoly":
-        return cls()
+    def zero(cls) -> "PolyAnalytic":
+        return cls([[0j]])
 
     @classmethod
-    def constant(cls, c) -> "BivarPoly":
-        return cls({(0, 0): complex(c)})
+    def constant(cls, c) -> "PolyAnalytic":
+        return cls([[complex(c)]])
 
     @classmethod
-    def monomial(cls, m: int, k: int, c=1.0) -> "BivarPoly":
-        return cls({(m, k): complex(c)})
+    def holomorphic(cls, coeffs) -> "PolyAnalytic":
+        """The series sum_m coeffs[m] z^m, coefficients by ascending power."""
+        return cls([coeffs])
 
     @classmethod
-    def holomorphic(cls, coeffs) -> "BivarPoly":
-        """Polynomial in z alone, coefficients ordered by ascending power."""
-        return cls({(j, 0): c for j, c in enumerate(coeffs)})
+    def from_terms(cls, terms) -> "PolyAnalytic":
+        """sum c z^m conj(z)^k over a {(m, k): c} mapping or ((m, k), c) pairs;
+        repeated keys add up in input order."""
+        pairs = list(terms.items() if hasattr(terms, "items") else terms)
+        keys = np.array([mk for mk, _ in pairs], dtype=int).reshape(-1, 2)
+        if np.any(keys < 0):
+            raise ValueError("exponents must be nonnegative")
+        out = np.zeros(keys.max(axis=0, initial=0)[::-1] + 1, dtype=complex)
+        np.add.at(out, (keys[:, 1], keys[:, 0]),
+                  np.array([complex(c) for _, c in pairs], dtype=complex))
+        return cls(out)
 
     @property
-    def terms(self) -> dict[tuple[int, int], complex]:
-        return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
+    def order(self) -> int:
+        return self.c.shape[0]
 
     @property
     def degree(self) -> int:
-        """Total degree m + k; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(m + k for m, k in self._terms)
+        """Highest power of z the array holds, zero coefficients included."""
+        return self.c.shape[1] - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.c.any()
 
     def coefficient(self, m: int, k: int) -> complex:
-        return self._terms.get((m, k), 0j)
+        """The coefficient of z^m conj(z)^k; 0 outside the array."""
+        rows, width = self.c.shape
+        return complex(self.c[k, m]) if 0 <= k < rows and 0 <= m < width else 0j
+
+    def sorted_terms(self):
+        """Arrays m, k, c of the nonzero terms in sorted (m, k) order: the
+        order of the monomial sum, of both area-integral tables and of the
+        terms written to files."""
+        m, k = np.nonzero(self.c.T)
+        return m, k, self.c[k, m]
 
     def __call__(self, z):
-        arr = np.asarray(z, dtype=complex)
+        """Horner in z per row, in numpy.polynomial.polyval's operation
+        order, then a running power of conj(z)."""
+        arr = _carray(z)
+        zbar = np.conjugate(arr)
         out = np.zeros(arr.shape, dtype=complex)
-        if self._terms:
-            top_m = max(m for m, _ in self._terms)
-            top_k = max(k for _, k in self._terms)
-            zp = _powers(arr, top_m)
-            wp = _powers(np.conjugate(arr), top_k)
-            # sorted iteration keeps the summation order deterministic
-            for (m, k), c in sorted(self._terms.items()):
-                out = out + c * zp[m] * wp[k]
+        power = np.ones(arr.shape, dtype=complex)
+        for row in self.c:
+            value = row[-1] + arr * 0
+            for a in row[-2::-1]:
+                value = a + value * arr
+            out = out + power * value
+            power = power * zbar
         if out.shape == ():
             return complex(out)
         return out
 
+    def monomial_sum(self, z):
+        """The nonzero terms c z^m conj(z)^k added one by one in sorted (m, k)
+        order, with a running power of z and a table of powers of conj(z)."""
+        arr = _carray(z)
+        out = np.zeros(arr.shape, dtype=complex)
+        m, k, c = self.sorted_terms()
+        if c.size:
+            zbar = np.conjugate(arr)
+            zbar_powers = [np.ones_like(arr)]
+            for _ in range(k.max()):
+                zbar_powers.append(zbar_powers[-1] * zbar)
+            power, top = np.ones_like(arr), 0
+            for m, k, c in zip(m.tolist(), k.tolist(), c.tolist()):
+                while top < m:
+                    power, top = power * arr, top + 1
+                out = out + c * power * zbar_powers[k]
+        if out.shape == ():
+            return complex(out)
+        return out
+
+    def dbar(self) -> "PolyAnalytic":
+        """Derivative in conj(z): drops row 0 and scales row k by k."""
+        if self.order == 1:
+            return PolyAnalytic.zero()
+        k = np.arange(1, self.order, dtype=complex)
+        return PolyAnalytic(self.c[1:] * k[:, None])
+
+    def dbar_stack(self, n: int) -> tuple["PolyAnalytic", ...]:
+        """dbar^k F for k = 0..n-1; e^s times it is the shifted stack of e^s F."""
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        stack = [self]
+        for _ in range(n - 1):
+            stack.append(stack[-1].dbar())
+        return tuple(stack)
+
+    def shifted(self, count: int, scale=1.0) -> "PolyAnalytic":
+        """scale * conj(z)^count * self."""
+        return PolyAnalytic(np.pad(self.c * complex(scale), ((count, 0), (0, 0))))
+
+    def _padded(self, other):
+        rows, width = np.maximum(self.c.shape, other.c.shape)
+        return (np.pad(c, ((0, rows - c.shape[0]), (0, width - c.shape[1])))
+                for c in (self.c, other.c))
+
     def __add__(self, other):
-        if not isinstance(other, BivarPoly):
+        if not isinstance(other, PolyAnalytic):
             return NotImplemented
-        out = dict(self._terms)
-        for mk, c in other._terms.items():
-            out[mk] = out.get(mk, 0j) + c
-        return BivarPoly(out)
+        a, b = self._padded(other)
+        return PolyAnalytic(a + b)
 
     def __sub__(self, other):
-        if not isinstance(other, BivarPoly):
+        if not isinstance(other, PolyAnalytic):
             return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return BivarPoly({mk: -c for mk, c in self._terms.items()})
+        a, b = self._padded(other)
+        return PolyAnalytic(a - b)
 
     def __mul__(self, other):
-        if isinstance(other, BivarPoly):
-            out: dict[tuple[int, int], complex] = {}
-            for (m1, k1), c1 in self._terms.items():
-                for (m2, k2), c2 in other._terms.items():
-                    key = (m1 + m2, k1 + k2)
-                    out[key] = out.get(key, 0j) + c1 * c2
-            return BivarPoly(out)
-        return self.scale(other)
+        """The product as a 2-D convolution of the coefficient arrays."""
+        if not isinstance(other, PolyAnalytic):
+            return NotImplemented
+        rows, width = other.c.shape
+        out = np.zeros(np.add(self.c.shape, other.c.shape) - 1, dtype=complex)
+        for k, m in zip(*np.nonzero(self.c)):
+            out[k:k + rows, m:m + width] += self.c[k, m] * other.c
+        return PolyAnalytic(out)
 
-    def __rmul__(self, other):
-        return self.scale(other)
+    def scale(self, c) -> "PolyAnalytic":
+        return PolyAnalytic(self.c * complex(c))
 
-    def scale(self, c) -> "BivarPoly":
-        c = complex(c)
-        return BivarPoly({mk: c * v for mk, v in self._terms.items()})
+    @property
+    def max_frequency(self) -> int:
+        """Largest |m - k| over nonzero terms conj(z)^k z^m: the top frequency on rings."""
+        k, m = np.nonzero(self.c)
+        return int(np.abs(m - k).max(initial=0))
 
-    def conjugate(self) -> "BivarPoly":
-        """Complex conjugate: (m, k) terms map to (k, m) with conjugated coefficients."""
-        return BivarPoly({(k, m): np.conjugate(c) for (m, k), c in self._terms.items()})
+    def boundary_distribution(self) -> BoundaryDistribution:
+        """On |z| = 1, conj(z)^k z^m = e^{i(m-k)theta}; collect by frequency.
 
-    def dbar(self) -> "BivarPoly":
-        """Derivative with respect to conj(z)."""
-        return BivarPoly(
-            {(m, k - 1): k * c for (m, k), c in self._terms.items() if k > 0}
-        )
-
-    def dz(self) -> "BivarPoly":
-        """Derivative with respect to z."""
-        return BivarPoly(
-            {(m - 1, k): m * c for (m, k), c in self._terms.items() if m > 0}
-        )
+        The nonzero terms are summed row by row, one bincount for the real
+        and one for the imaginary parts, offset so that q = m - k >= 1 - order.
+        """
+        k, m = np.nonzero(self.c)
+        a = self.c[k, m]
+        q = m - k + (self.order - 1)
+        sums = np.bincount(q, a.real) + 1j * np.bincount(q, a.imag)
+        return BoundaryDistribution({n - (self.order - 1): sums[n]
+                                     for n in set(q.tolist())})
 
     def max_coeff(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
-
-    def almost_equal(self, other: "BivarPoly", tol: float = 1e-12) -> bool:
-        return (self - other).max_coeff() <= tol
-
-    def __eq__(self, other):
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self):
-        if not self._terms:
-            return "BivarPoly(0)"
-        bits = [f"({c:.6g})*z^{m}*zb^{k}" for (m, k), c in sorted(self._terms.items())]
-        return "BivarPoly(" + " + ".join(bits) + ")"
+        return float(np.abs(self.c).max())
 
 
-def teodorescu_poly(f: BivarPoly) -> BivarPoly:
+def _divided(re, im, d) -> np.ndarray:
+    """(re + i im) / d part by part: Python's complex division by an integer
+    gives the same bits for coefficients without a -0.0 part."""
+    out = np.empty(np.shape(d), dtype=complex)
+    out.real, out.imag = re / d, im / d
+    return out
+
+
+def teodorescu_poly(f: PolyAnalytic) -> PolyAnalytic:
     """Closed-form area integral -1/pi * Int_D f(zeta)/(zeta - z) dA as a polynomial.
 
     Per monomial, expanding the Cauchy kernel in the regions |zeta| > |z| and
@@ -177,44 +224,24 @@ def teodorescu_poly(f: BivarPoly) -> BivarPoly:
         z^m zb^k  ->  z^m zb^(k+1) / (k+1)                       k >= m
         z^m zb^k  ->  z^m zb^(k+1) / (k+1) - z^(m-k-1) / (k+1)   m >= k+1
 
-    Both branches differentiate back to the monomial under d/d(conj z).
+    Both branches differentiate back to the monomial under d/d(conj z).  The
+    holomorphic row collects its terms in sorted (m, k) order.
     """
-    out: dict[tuple[int, int], complex] = {}
-
-    def add(m, k, c):
-        out[(m, k)] = out.get((m, k), 0j) + c
-
-    for (m, k), c in f.terms.items():
-        w = c / (k + 1)
-        add(m, k + 1, w)
-        if m >= k + 1:
-            add(m - k - 1, 0, -w)
-    return BivarPoly(out)
+    m, k, c = f.sorted_terms()
+    w = _divided(c.real, c.imag, k + 1.0)
+    out = np.zeros((f.order + 1, f.c.shape[1]), dtype=complex)
+    np.add.at(out, (k + 1, m), w)
+    lower = m >= k + 1
+    np.add.at(out[0], (m - k - 1)[lower], -w[lower])
+    return PolyAnalytic(out)
 
 
-def teodorescu(f: BivarPoly, z) -> complex:
+def teodorescu(f: PolyAnalytic, z) -> complex:
     """Evaluate the closed-form area integral of ``f`` at ``z`` (disk closure allowed)."""
     return complex(teodorescu_poly(f)(as_complex(z)))
 
 
-def teodorescu_quadrature_oracle(f, z, n_radial: int = 512, n_angular: int = 512,
-                                 tol: float | None = None) -> complex:
-    """The same operator evaluated by singularity-centered quadrature.
-
-    Independent of the closed-form table; used to certify it.  ``f`` may be a
-    BivarPoly or any broadcasting callable; ``z`` must be interior.
-    """
-    zc = as_complex(z)
-
-    def integrand(zeta):
-        return np.asarray(f(zeta), dtype=complex) / (zeta - zc)
-
-    area = disk_quadrature(integrand, singularity=zc, n_radial=n_radial,
-                           n_angular=n_angular, tol=tol)
-    return -area / _PI
-
-
-def schwarz_pompeiu_poly(f: BivarPoly) -> BivarPoly:
+def schwarz_pompeiu_poly(f: PolyAnalytic) -> PolyAnalytic:
     """Closed-form Schwarz-Pompeiu area integral of ``f`` as a polynomial.
 
     This is the solution g of dg/d(conj z) = f with Re g = 0 on the unit circle
@@ -224,60 +251,22 @@ def schwarz_pompeiu_poly(f: BivarPoly) -> BivarPoly:
         S(c z^m zb^k) = T(c z^m zb^k) + [m == k+1] i Im(c) / (k+1)
                                       - [k >= m]   conj(c) z^(k-m+1) / (k+1)
 
-    Unlike T, S is not complex-linear in c.
+    Unlike T, S is not complex-linear in c.  The extra terms are added to T's
+    holomorphic row in sorted (m, k) order.
     """
-    out = teodorescu_poly(f).terms
-
-    def add(m, k, c):
-        out[(m, k)] = out.get((m, k), 0j) + c
-
-    for (m, k), c in f.terms.items():
-        if m == k + 1:
-            add(0, 0, 1j * c.imag / (k + 1))
-        if k >= m:
-            add(k - m + 1, 0, -c.conjugate() / (k + 1))
-    return BivarPoly(out)
+    table = teodorescu_poly(f).c
+    m, k, c = f.sorted_terms()
+    out = np.pad(table, ((0, 0), (0, max(0, f.order + 1 - table.shape[1]))))
+    centre = m == k + 1
+    extra = centre | (k >= m)
+    values = _divided(np.where(centre, 0.0, -c.real), c.imag, k + 1.0)
+    np.add.at(out[0], np.where(centre, 0, k - m + 1)[extra], values[extra])
+    return PolyAnalytic(out)
 
 
-def schwarz_pompeiu(f: BivarPoly, z) -> complex:
+def schwarz_pompeiu(f: PolyAnalytic, z) -> complex:
     """Evaluate the closed-form Schwarz-Pompeiu integral of ``f`` at ``z``."""
     return complex(schwarz_pompeiu_poly(f)(as_complex(z)))
-
-
-def schwarz_pompeiu_quadrature_oracle(f, z, n_radial: int = 128,
-                                      n_angular: int = 256,
-                                      tol: float | None = None) -> complex:
-    """The Schwarz-Pompeiu integral by quadrature, independent of the table.
-
-    Used to certify the table.  ``f`` may be a BivarPoly or any broadcasting
-    callable; ``z`` must be interior.  Evaluates  -1/(2 pi) Int_D [ f(t)/t * (t+z)/(t-z)
-                                 + conj(f(t))/conj(t) * (1+z*conj(t))/(1-z*conj(t)) ] dA.
-
-    The kernel is split exactly into integrable pieces before quadrature:
-
-        f/t * (t+z)/(t-z)                    = 2 f/(t-z) - f/t
-        conj(f)/conj(t) * (1+z ct)/(1-z ct)  = conj(f)/conj(t) + 2 z conj(f)/(1-z ct)
-
-    and each singular piece is integrated in polar coordinates centered on its
-    own singularity (z, the origin, the origin; the last piece has its pole at
-    1/conj(z), outside the closed disk for interior z).
-    """
-    zc = as_complex(z)
-    quad = dict(n_radial=n_radial, n_angular=n_angular, tol=tol)
-
-    def fv(t):
-        return np.asarray(f(t), dtype=complex)
-
-    cauchy_part = disk_quadrature(lambda t: 2.0 * fv(t) / (t - zc),
-                                  singularity=zc, **quad)
-    center_part = disk_quadrature(lambda t: -fv(t) / t, singularity=0j, **quad)
-    mirror_part = disk_quadrature(lambda t: np.conjugate(fv(t)) / np.conjugate(t),
-                                  singularity=0j, **quad)
-    herglotz_part = disk_quadrature(
-        lambda t: 2.0 * zc * np.conjugate(fv(t)) / (1.0 - zc * np.conjugate(t)),
-        singularity=0j, **quad)
-    total = cauchy_part + center_part + mirror_part + herglotz_part
-    return -total / (2.0 * _PI)
 
 
 @dataclass(frozen=True)
@@ -285,22 +274,23 @@ class SimilarityFactor:
     """Exponent of the similarity factorization: exp(value) with d(value)/dzb = source.
 
     kind "cauchy" is the plain closed-form antiderivative; kind "schwarz" is
-    additionally normalized to have a real value at the origin.
+    additionally normalized to have a real value at the origin.  Calling it
+    evaluates the exponent by :meth:`PolyAnalytic.monomial_sum`.
     """
 
     kind: str
-    value: BivarPoly
-    source: BivarPoly
+    value: PolyAnalytic
+    source: PolyAnalytic
 
     def __call__(self, z):
-        return self.value(z)
+        return self.value.monomial_sum(z)
 
     @property
     def at_zero(self) -> complex:
         return self.value.coefficient(0, 0)
 
 
-def similarity_factor(coeff: BivarPoly, kind: str) -> SimilarityFactor:
+def similarity_factor(coeff: PolyAnalytic, kind: str) -> SimilarityFactor:
     """Build the similarity exponent for a polynomial coefficient.
 
     kind "cauchy": the closed-form area integral :func:`teodorescu_poly`.
@@ -312,14 +302,14 @@ def similarity_factor(coeff: BivarPoly, kind: str) -> SimilarityFactor:
     if kind == "cauchy":
         value = teodorescu_poly(coeff)
     elif kind == "schwarz":
-        value = schwarz_pompeiu_poly(coeff)
         # pin Im value(0) = 0 exactly; the closed form is already real at the
         # origin, so this only removes rounding noise
-        value = value + BivarPoly.constant(-1j * value.coefficient(0, 0).imag)
-        if abs(value.coefficient(0, 0).imag) > 1e-6:
-            raise SimilarityNotRealAtZero("normalization failed")
+        c = schwarz_pompeiu_poly(coeff).c.copy()
+        c[0, 0] = c[0, 0].real
+        value = PolyAnalytic(c)
     else:
         raise ValueError(f"unknown similarity kind {kind!r}")
-    if not value.dbar().almost_equal(coeff, 1e-12 * max(1.0, coeff.max_coeff())):
+    if not ((value.dbar() - coeff).max_coeff()
+            <= 1e-12 * max(1.0, coeff.max_coeff())):
         raise AssertionError("antiderivative property lost; table bug")
     return SimilarityFactor(kind=kind, value=value, source=coeff)

@@ -14,129 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import BoundaryDistribution
 from .disk import PolarGrid
 from .errors import IllConditioned, NonFinite, ProductNotIdentity, StencilOutsideDisk
-from .integral import BivarPoly, SimilarityFactor
-
-
-def _carray(z):
-    if hasattr(z, "z"):
-        z = z.z
-    return np.asarray(z, dtype=complex)
-
-
-@dataclass(frozen=True, eq=False)
-class PolyAnalytic:
-    """sum_k conj(z)^k f_k(z): row k of the complex array ``c[k, m]`` holds the
-    coefficients of the holomorphic part f_k, and one row is a holomorphic
-    series.  The array is read-only and keeps the width it is built with."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.c, dtype=complex, ndmin=2)
-        if c.ndim != 2:
-            raise ValueError(f"coefficients must form a 2-D array, got {c.ndim}-D")
-        if c.size == 0:
-            c = np.zeros((1, 1), dtype=complex)
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
-
-    @classmethod
-    def zero(cls) -> "PolyAnalytic":
-        return cls([[0j]])
-
-    @classmethod
-    def constant(cls, c) -> "PolyAnalytic":
-        return cls([[complex(c)]])
-
-    @classmethod
-    def holomorphic(cls, coeffs) -> "PolyAnalytic":
-        """The series sum_m coeffs[m] z^m, coefficients by ascending power."""
-        return cls([coeffs])
-
-    @property
-    def order(self) -> int:
-        return self.c.shape[0]
-
-    @property
-    def degree(self) -> int:
-        """Highest power of z the array holds, zero coefficients included."""
-        return self.c.shape[1] - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.c.any()
-
-    def __call__(self, z):
-        """Horner in z per row, in numpy.polynomial.polyval's operation
-        order, then a running power of conj(z); ``solution_grid.csv`` pins
-        this order bit for bit."""
-        arr = _carray(z)
-        zbar = np.conjugate(arr)
-        out = np.zeros(arr.shape, dtype=complex)
-        power = np.ones(arr.shape, dtype=complex)
-        for row in self.c:
-            value = row[-1] + arr * 0
-            for a in row[-2::-1]:
-                value = a + value * arr
-            out = out + power * value
-            power = power * zbar
-        if out.shape == ():
-            return complex(out)
-        return out
-
-    def dbar(self) -> "PolyAnalytic":
-        """Derivative in conj(z): drops row 0 and scales row k by k."""
-        if self.order == 1:
-            return PolyAnalytic.zero()
-        k = np.arange(1, self.order, dtype=complex)
-        return PolyAnalytic(self.c[1:] * k[:, None])
-
-    def dbar_stack(self, n: int) -> tuple["PolyAnalytic", ...]:
-        """dbar^k F for k = 0..n-1; e^s times it is the shifted stack of e^s F."""
-        stack = [self]
-        for _ in range(n - 1):
-            stack.append(stack[-1].dbar())
-        return tuple(stack)
-
-    def shifted(self, count: int, scale=1.0) -> "PolyAnalytic":
-        """scale * conj(z)^count * self."""
-        return PolyAnalytic(np.pad(self.c * complex(scale), ((count, 0), (0, 0))))
-
-    def __add__(self, other):
-        if not isinstance(other, PolyAnalytic):
-            return NotImplemented
-        rows, width = np.maximum(self.c.shape, other.c.shape)
-        a, b = (np.pad(c, ((0, rows - c.shape[0]), (0, width - c.shape[1])))
-                for c in (self.c, other.c))
-        return PolyAnalytic(a + b)
-
-    def scale(self, c) -> "PolyAnalytic":
-        return PolyAnalytic(self.c * complex(c))
-
-    @property
-    def max_frequency(self) -> int:
-        """Largest |m - k| over nonzero terms conj(z)^k z^m: the top frequency on rings."""
-        k, m = np.nonzero(self.c)
-        return int(np.abs(m - k).max(initial=0))
-
-    def boundary_distribution(self) -> BoundaryDistribution:
-        """On |z| = 1, conj(z)^k z^m = e^{i(m-k)theta}; collect by frequency.
-
-        The nonzero terms are summed row by row, one bincount for the real
-        and one for the imaginary parts, offset so that q = m - k >= 1 - order.
-        """
-        k, m = np.nonzero(self.c)
-        a = self.c[k, m]
-        q = m - k + (self.order - 1)
-        sums = np.bincount(q, a.real) + 1j * np.bincount(q, a.imag)
-        return BoundaryDistribution({n - (self.order - 1): sums[n]
-                                     for n in set(q.tolist())})
-
-    def max_coeff(self) -> float:
-        return float(np.abs(self.c).max())
+from .integral import PolyAnalytic, SimilarityFactor
 
 
 @dataclass(frozen=True)
@@ -147,7 +27,7 @@ class MetaExpr:
     poly: PolyAnalytic
 
     @property
-    def coefficient(self) -> BivarPoly:
+    def coefficient(self) -> PolyAnalytic:
         return self.factor.source
 
     @property
@@ -155,8 +35,7 @@ class MetaExpr:
         return self.poly.order
 
     def __call__(self, z):
-        arr = _carray(z)
-        out = np.exp(self.factor.value(arr)) * self.poly(arr)
+        out = np.exp(self.factor(z)) * self.poly(z)
         if np.ndim(out) == 0:
             return complex(out)
         return out
@@ -166,13 +45,9 @@ class MetaExpr:
         return MetaExpr(self.factor, self.poly.dbar())
 
     def dbar(self) -> "MetaExpr":
-        """Plain d/d conj(z): the product rule brings the coefficient back in,
-        each term a z^m conj(z)^k of A as a shift of F's array."""
+        """Plain d/d conj(z): the product rule brings the coefficient back in."""
         F = self.poly
-        out = F.dbar()
-        for (m, k), a in self.coefficient.terms.items():
-            out = out + PolyAnalytic(np.pad(F.c * a, ((k, 0), (m, 0))))
-        return MetaExpr(self.factor, out)
+        return MetaExpr(self.factor, F.dbar() + self.coefficient * F)
 
     def dbar_shift_power(self, k: int) -> "MetaExpr":
         """(d/d conj(z) - A)^k w = e^{s} * (d/d conj(z))^k F."""
@@ -181,6 +56,8 @@ class MetaExpr:
 
 def derivative_stack(w: MetaExpr, n: int) -> tuple[MetaExpr, ...]:
     """Plain conj(z)-derivatives d^k w for k = 0..n-1 (product rule applied)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     stack = [w]
     for _ in range(n - 1):
         stack.append(stack[-1].dbar())
@@ -206,9 +83,9 @@ class TriangularOperatorMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def entry(self, k: int, j: int) -> BivarPoly:
+    def entry(self, k: int, j: int) -> PolyAnalytic:
         if j > k:
-            return BivarPoly.zero()
+            return PolyAnalytic.zero()
         return self.entries[k][j]
 
     def __matmul__(self, other: "TriangularOperatorMatrix"):
@@ -218,7 +95,7 @@ class TriangularOperatorMatrix:
         for k in range(self.size):
             row = []
             for j in range(k + 1):
-                acc = BivarPoly.zero()
+                acc = PolyAnalytic.zero()
                 for l in range(j, k + 1):
                     acc = acc + self.entry(k, l) * other.entry(l, j)
                 row.append(acc)
@@ -227,10 +104,10 @@ class TriangularOperatorMatrix:
 
     def deviation_from_identity(self) -> float:
         worst = 0.0
-        one = BivarPoly.constant(1.0)
+        one = PolyAnalytic.constant(1.0)
         for k in range(self.size):
             for j in range(k + 1):
-                gap = self.entry(k, j) - (one if j == k else BivarPoly.zero())
+                gap = self.entry(k, j) - (one if j == k else PolyAnalytic.zero())
                 worst = max(worst, gap.max_coeff())
         return worst
 
@@ -239,19 +116,19 @@ class TriangularOperatorMatrix:
         return invert_unitriangular(self)
 
 
-def derivative_matrix(coeff: BivarPoly, n: int) -> TriangularOperatorMatrix:
+def derivative_matrix(coeff: PolyAnalytic, n: int) -> TriangularOperatorMatrix:
     """Rows M[k] with d^k (e^s F) = e^s sum_j M[k][j] d^j F, built by recurrence.
 
     M[0][0] = 1 and M[k+1][j] = dbar M[k][j] + A * M[k][j] + M[k][j-1].
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rows = [(BivarPoly.constant(1.0),)]
+    rows = [(PolyAnalytic.constant(1.0),)]
     for k in range(n - 1):
         prev = rows[k]
         row = []
         for j in range(k + 2):
-            acc = BivarPoly.zero()
+            acc = PolyAnalytic.zero()
             if j <= k:
                 acc = acc + prev[j].dbar() + coeff * prev[j]
             if j >= 1:
@@ -265,15 +142,15 @@ def invert_unitriangular(matrix: TriangularOperatorMatrix,
                          tol: float = 1e-12) -> TriangularOperatorMatrix:
     """Forward substitution; both products are checked against the identity."""
     n = matrix.size
-    rows: list[tuple[BivarPoly, ...]] = []
+    rows: list[tuple[PolyAnalytic, ...]] = []
     for k in range(n):
         row = []
         for j in range(k):
-            acc = BivarPoly.zero()
+            acc = PolyAnalytic.zero()
             for l in range(j, k):
                 acc = acc + matrix.entry(k, l) * rows[l][j]
             row.append(acc.scale(-1.0))
-        row.append(BivarPoly.constant(1.0))
+        row.append(PolyAnalytic.constant(1.0))
         rows.append(tuple(row))
     inverse = TriangularOperatorMatrix(rows)
     left = (inverse @ matrix).deviation_from_identity()
@@ -285,7 +162,7 @@ def invert_unitriangular(matrix: TriangularOperatorMatrix,
     return inverse
 
 
-def pde_residual(w, coeff: BivarPoly, n: int, grid: PolarGrid | None = None,
+def pde_residual(w, coeff: PolyAnalytic, n: int, grid: PolarGrid | None = None,
                  h: float | None = None) -> float:
     """max over the grid of |(d/d conj(z) - A)^n w|.
 
@@ -297,8 +174,9 @@ def pde_residual(w, coeff: BivarPoly, n: int, grid: PolarGrid | None = None,
     grid = grid or PolarGrid.mesh()
     pts = grid.points().ravel()
 
-    if isinstance(w, MetaExpr) and isinstance(coeff, BivarPoly) \
-            and w.coefficient.almost_equal(coeff, 1e-12 * max(1.0, coeff.max_coeff())):
+    if isinstance(w, MetaExpr) and isinstance(coeff, PolyAnalytic) and (
+            (w.coefficient - coeff).max_coeff()
+            <= 1e-12 * max(1.0, coeff.max_coeff())):
         out = w.dbar_shift_power(n)
         if out.poly.is_zero:
             return 0.0

@@ -30,8 +30,8 @@ import numpy as np
 from .boundary import TestFunction, alias_free_n_theta, pairing_limits
 from .disk import TWO_PI, PolarGrid, RadialSequence
 from .errors import PairingMismatch
-from .integral import BivarPoly, SimilarityFactor, similarity_factor
-from .meta import MetaExpr, PolyAnalytic, pde_residual
+from .integral import PolyAnalytic, SimilarityFactor, similarity_factor
+from .meta import MetaExpr, pde_residual
 from .report import Report
 
 FACTOR_KINDS = ("cauchy", "schwarz")
@@ -46,7 +46,7 @@ class SchwarzProblem:
     """
 
     n: int
-    coeff: BivarPoly
+    coeff: PolyAnalytic
     levels: tuple[tuple[PolyAnalytic, float], ...]
     factor_kind: str = "cauchy"
 
@@ -200,7 +200,7 @@ def _sampled_pairings(factor: SimilarityFactor | None, g: PolyAnalytic, shift,
     n_theta = alias_free_n_theta(g.max_frequency + max(
         (phi.max_frequency for phi in tests), default=0), n_theta)
     weight = np.ones_like if factor is None else (
-        lambda z: np.exp(factor.value(z)))
+        lambda z: np.exp(factor(z)))
     return pairing_limits(lambda z: np.real(weight(z) * (g(z) + shift)),
                           tests, rs, n_theta)
 

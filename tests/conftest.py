@@ -8,10 +8,9 @@ scales without re-measuring.
 """
 
 import numpy as np
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from metadisk import BivarPoly
-from metadisk.meta import PolyAnalytic
+from metadisk import PolyAnalytic
 from metadisk.schwarz import SchwarzProblem
 
 settings.register_profile("suite", deadline=None, derandomize=True,
@@ -29,7 +28,28 @@ def random_bivar(rng, degree, scale=COEFF_SCALE):
         for k in range(degree + 1 - m):
             c = complex(rng.standard_normal(), rng.standard_normal())
             terms[(m, k)] = scale * c / (1 + m + k) ** 2
-    return BivarPoly(terms)
+    return PolyAnalytic.from_terms(terms)
+
+
+# coefficient parts: hypothesis' own floats, signed zeros, and normal draws,
+# whose sums round where small binary fractions would add exactly
+_part = st.one_of(
+    st.floats(-4.0, 4.0), st.sampled_from((0.0, -0.0)),
+    st.integers(0, 2 ** 32 - 1).map(
+        lambda seed: float(np.random.default_rng(seed).standard_normal())))
+
+
+@st.composite
+def term_lists(draw):
+    """((m, k), c) pairs in shuffled order, with repeated keys, -0.0 parts,
+    exact zeros and terms that cancel."""
+    keys = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    pairs = draw(st.lists(st.tuples(keys, st.builds(complex, _part, _part)),
+                          max_size=12))
+    if pairs:
+        pairs += [(mk, -c) for mk, c in draw(st.lists(st.sampled_from(pairs),
+                                                        max_size=3))]
+    return draw(st.permutations(pairs))
 
 
 def random_holo(rng, degree, scale=DATA_SCALE):

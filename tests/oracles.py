@@ -1,0 +1,245 @@
+"""Test-only oracles: quadrature and the dict reference for the polynomial tables.
+
+Quadrature certifies the closed-form area-integral tables by an independent
+route.  The dict functions are the earlier dict-backed polynomial code: a
+polynomial is a {(m, k): c} dict, and every function here adds its terms in
+the same order that code did, so it is the bit-for-bit reference for
+``PolyAnalytic``'s tables, its monomial sum and the terms written to files.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from metadisk.disk import TWO_PI, as_complex
+from metadisk.errors import NonConvergent
+
+_PI = math.pi
+
+
+@lru_cache(maxsize=32)
+def _gauss_on_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Legendre on (0, 1); nodes are strictly interior, so integrands are
+    # never evaluated at the singular center or on the clipped boundary.
+    t, w = np.polynomial.legendre.leggauss(n)
+    return (t + 1.0) / 2.0, w / 2.0
+
+
+def _polar_integral(g, center: complex, n_radial: int, n_angular: int) -> complex:
+    phi = np.arange(n_angular) * (TWO_PI / n_angular)
+    rays = np.exp(1j * phi)
+    # distance from the center to the unit circle along each ray
+    beta = (np.conjugate(center) * rays).real
+    reach = -beta + np.sqrt(beta * beta + 1.0 - abs(center) ** 2)
+    x, wx = _gauss_on_unit(n_radial)
+    rho = x[:, None] * reach[None, :]
+    nodes = center + rho * rays[None, :]
+    vals = np.asarray(g(nodes), dtype=complex)
+    # area element rho drho dphi; the factor rho tames 1/|zeta - center|
+    weights = (wx[:, None] * reach[None, :]) * rho * (TWO_PI / n_angular)
+    return complex(np.sum(vals * weights))
+
+
+def disk_quadrature(g, singularity=None, n_radial: int = 512,
+                    n_angular: int = 512, tol: float | None = None) -> complex:
+    """Integral of ``g`` over the unit disk with respect to area measure.
+
+    When ``singularity`` is given, the polar coordinates are centered there so
+    the Jacobian cancels an integrable 1/|zeta - singularity| factor; rays are
+    clipped to the disk.  With ``tol`` set, the result is compared against a
+    half-resolution pass and NonConvergent is raised if the two differ by more
+    than ``tol``.
+
+    Parameters
+    ----------
+    g : callable, must broadcast over complex arrays
+    singularity : interior point used as the polar center, default the origin
+    n_radial, n_angular : node counts (Gauss-Legendre radial, uniform angular)
+    tol : optional absolute refinement tolerance
+    """
+    center = 0j if singularity is None else as_complex(singularity)
+    if abs(center) >= 1.0:
+        raise ValueError("singularity must be an interior point")
+    fine = _polar_integral(g, center, n_radial, n_angular)
+    if tol is not None:
+        coarse = _polar_integral(
+            g, center, max(8, n_radial // 2), max(8, n_angular // 2)
+        )
+        if not (abs(fine - coarse) <= tol):   # also trips on NaN
+            raise NonConvergent(
+                f"refinement gap {abs(fine - coarse):.3e} exceeds tol {tol:.3e}"
+            )
+    return fine
+
+
+def teodorescu_quadrature_oracle(f, z, n_radial: int = 512, n_angular: int = 512,
+                                 tol: float | None = None) -> complex:
+    """The same operator evaluated by singularity-centered quadrature.
+
+    Independent of the closed-form table; used to certify it.  ``f`` may be a
+    polynomial or any broadcasting callable; ``z`` must be interior.
+    """
+    zc = as_complex(z)
+
+    def integrand(zeta):
+        return np.asarray(f(zeta), dtype=complex) / (zeta - zc)
+
+    area = disk_quadrature(integrand, singularity=zc, n_radial=n_radial,
+                           n_angular=n_angular, tol=tol)
+    return -area / _PI
+
+
+def schwarz_pompeiu_quadrature_oracle(f, z, n_radial: int = 128,
+                                      n_angular: int = 256,
+                                      tol: float | None = None) -> complex:
+    """The Schwarz-Pompeiu integral by quadrature, independent of the table.
+
+    Used to certify the table.  ``f`` may be a polynomial or any broadcasting
+    callable; ``z`` must be interior.  Evaluates  -1/(2 pi) Int_D [ f(t)/t * (t+z)/(t-z)
+                                 + conj(f(t))/conj(t) * (1+z*conj(t))/(1-z*conj(t)) ] dA.
+
+    The kernel is split exactly into integrable pieces before quadrature:
+
+        f/t * (t+z)/(t-z)                    = 2 f/(t-z) - f/t
+        conj(f)/conj(t) * (1+z ct)/(1-z ct)  = conj(f)/conj(t) + 2 z conj(f)/(1-z ct)
+
+    and each singular piece is integrated in polar coordinates centered on its
+    own singularity (z, the origin, the origin; the last piece has its pole at
+    1/conj(z), outside the closed disk for interior z).
+    """
+    zc = as_complex(z)
+    quad = dict(n_radial=n_radial, n_angular=n_angular, tol=tol)
+
+    def fv(t):
+        return np.asarray(f(t), dtype=complex)
+
+    cauchy_part = disk_quadrature(lambda t: 2.0 * fv(t) / (t - zc),
+                                  singularity=zc, **quad)
+    center_part = disk_quadrature(lambda t: -fv(t) / t, singularity=0j, **quad)
+    mirror_part = disk_quadrature(lambda t: np.conjugate(fv(t)) / np.conjugate(t),
+                                  singularity=0j, **quad)
+    herglotz_part = disk_quadrature(
+        lambda t: 2.0 * zc * np.conjugate(fv(t)) / (1.0 - zc * np.conjugate(t)),
+        singularity=0j, **quad)
+    total = cauchy_part + center_part + mirror_part + herglotz_part
+    return -total / (2.0 * _PI)
+
+
+def _normalized(terms: dict) -> dict:
+    """The dict constructor: 0j + c for every nonzero c, so -0.0 parts become
+    0.0, and exact zeros dropped."""
+    return {(int(m), int(k)): 0j + complex(c)
+            for (m, k), c in terms.items() if complex(c) != 0}
+
+
+def dict_terms(pairs) -> dict:
+    """((m, k), c) pairs with repeated keys added in input order, keys sorted."""
+    out: dict = {}
+    for mk, c in pairs:
+        out[mk] = out.get(mk, 0j) + complex(c)
+    return _normalized(dict(sorted(out.items())))
+
+
+def dict_eval(terms: dict, z):
+    """Monomials in sorted (m, k) order times precomputed powers of z and conj(z)."""
+    arr = np.asarray(z, dtype=complex)
+    out = np.zeros(arr.shape, dtype=complex)
+    if terms:
+        zp, wp = [np.ones_like(arr)], [np.ones_like(arr)]
+        zbar = np.conjugate(arr)
+        for _ in range(max(m for m, _ in terms)):
+            zp.append(zp[-1] * arr)
+        for _ in range(max(k for _, k in terms)):
+            wp.append(wp[-1] * zbar)
+        for (m, k), c in sorted(terms.items()):
+            out = out + c * zp[m] * wp[k]
+    if out.shape == ():
+        return complex(out)
+    return out
+
+
+def dict_teodorescu(terms: dict) -> dict:
+    out: dict = {}
+
+    def add(m, k, c):
+        out[(m, k)] = out.get((m, k), 0j) + c
+
+    for (m, k), c in terms.items():
+        w = c / (k + 1)
+        add(m, k + 1, w)
+        if m >= k + 1:
+            add(m - k - 1, 0, -w)
+    return _normalized(out)
+
+
+def dict_schwarz_pompeiu(terms: dict) -> dict:
+    out = dict_teodorescu(terms)
+
+    def add(m, k, c):
+        out[(m, k)] = out.get((m, k), 0j) + c
+
+    for (m, k), c in terms.items():
+        if m == k + 1:
+            add(0, 0, 1j * c.imag / (k + 1))
+        if k >= m:
+            add(k - m + 1, 0, -c.conjugate() / (k + 1))
+    return _normalized(out)
+
+
+def dict_similarity(terms: dict, kind: str) -> dict:
+    """The exponent; the schwarz kind adds -i Im of its constant term."""
+    if kind == "cauchy":
+        return dict_teodorescu(terms)
+    value = dict_schwarz_pompeiu(terms)
+    return dict_add(value, _normalized({(0, 0): -1j * value.get((0, 0), 0j).imag}))
+
+
+def dict_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for mk, c in b.items():
+        out[mk] = out.get(mk, 0j) + c
+    return _normalized(out)
+
+
+def dict_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (m1, k1), c1 in a.items():
+        for (m2, k2), c2 in b.items():
+            key = (m1 + m2, k1 + k2)
+            out[key] = out.get(key, 0j) + c1 * c2
+    return _normalized(out)
+
+
+def dict_dbar(a: dict) -> dict:
+    return _normalized({(m, k - 1): k * c for (m, k), c in a.items() if k > 0})
+
+
+def dict_derivative_matrix(coeff: dict, n: int) -> list[list[dict]]:
+    """M[0][0] = 1 and M[k+1][j] = dbar M[k][j] + A M[k][j] + M[k][j-1]."""
+    rows = [[{(0, 0): 1 + 0j}]]
+    for k in range(n - 1):
+        prev = rows[k]
+        row = []
+        for j in range(k + 2):
+            acc: dict = {}
+            if j <= k:
+                acc = dict_add(dict_add(acc, dict_dbar(prev[j])),
+                               dict_mul(coeff, prev[j]))
+            if j >= 1:
+                acc = dict_add(acc, prev[j - 1])
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def dict_to_data(terms: dict) -> dict:
+    return {"terms": [{"m": m, "k": k, "re": c.real, "im": c.imag}
+                      for (m, k), c in sorted(terms.items())]}
+
+
+def dict_from_data(data: dict) -> dict:
+    return _normalized({(t["m"], t["k"]): complex(t["re"], t["im"])
+                        for t in data["terms"]})

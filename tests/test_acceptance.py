@@ -13,16 +13,15 @@ import numpy as np
 import pytest
 
 from conftest import interior_points, random_bivar, random_meta, random_problem
+from oracles import teodorescu_quadrature_oracle
 from metadisk import formats
 from metadisk.boundary import (TestFunction, growth_order, hardy_norm,
                                lp_boundary_convergence, meta_hardy_norm,
                                pairing_limits)
 from metadisk.cli import main
 from metadisk.disk import PolarGrid, RadialSequence, wirtinger_dbar
-from metadisk.integral import (BivarPoly, similarity_factor, teodorescu,
-                               teodorescu_quadrature_oracle)
-from metadisk.meta import (PolyAnalytic, derivative_matrix, derivative_stack,
-                           pde_residual)
+from metadisk.integral import PolyAnalytic, similarity_factor, teodorescu
+from metadisk.meta import derivative_matrix, derivative_stack, pde_residual
 from metadisk.schwarz import SchwarzProblem, solve_meta, verify_solution
 
 GRID = PolarGrid.mesh(32, 64)
@@ -50,7 +49,7 @@ def test_criterion_1_transform_table_vs_oracle():
     worst = 0.0
     for m in range(5):
         for k in range(5):
-            f = BivarPoly.monomial(m, k, 1.0)
+            f = PolyAnalytic.from_terms({(m, k): 1.0})
             for z in points:
                 gap = abs(teodorescu_quadrature_oracle(f, z) - teodorescu(f, z))
                 worst = max(worst, gap)
@@ -98,7 +97,7 @@ def test_criterion_4_matrix_machinery():
         (M.entry(1, 0) + A.scale(-1.0)).max_coeff(),
         (M.entry(2, 0) + (A * A + A.dbar()).scale(-1.0)).max_coeff(),
         (M.entry(2, 1) + A.scale(-2.0)).max_coeff(),
-        max((M.entry(k, k) + BivarPoly.constant(-1.0)).max_coeff()
+        max((M.entry(k, k) + PolyAnalytic.constant(-1.0)).max_coeff()
             for k in range(4)),
     )
     product_gap = max((M @ M.inverse).deviation_from_identity(),
@@ -114,7 +113,7 @@ def test_criterion_4_matrix_machinery():
         f_stack = [w.poly]
         for _ in range(n - 1):
             f_stack.append(f_stack[-1].dbar())
-        weight = np.exp(w.factor.value(pts))
+        weight = np.exp(w.factor(pts))
         for k in range(n):
             rhs = sum(matrix.entry(k, j)(pts) * f_stack[j](pts)
                       for j in range(k + 1))
@@ -163,9 +162,9 @@ def test_criterion_6_smooth_variant():
     worst_reduction = 0.0
     for _ in range(5):
         base = random_problem(rng, coeff_degree=0)
-        plain = SchwarzProblem(n=base.n, coeff=BivarPoly.zero(),
+        plain = SchwarzProblem(n=base.n, coeff=PolyAnalytic.zero(),
                                levels=base.levels)
-        smooth = SchwarzProblem(n=base.n, coeff=BivarPoly.zero(),
+        smooth = SchwarzProblem(n=base.n, coeff=PolyAnalytic.zero(),
                                 levels=base.levels, factor_kind="schwarz")
         wa = solve_meta(plain, verify=False).w
         wb = solve_meta(smooth, verify=False).w
@@ -226,7 +225,7 @@ def test_criterion_8_hardy_norms(batch):
 def test_criterion_9_cli_round_trip(tmp_path):
     problem = SchwarzProblem(
         n=2,
-        coeff=BivarPoly.constant(1.0),
+        coeff=PolyAnalytic.constant(1.0),
         levels=((PolyAnalytic.constant(1.0), 0.0),
                 (PolyAnalytic.zero(), 2.0)),
     )

@@ -13,9 +13,8 @@ from metadisk.boundary import (BoundaryDistribution, TestFunction,
                                pairing_limits, poisson_extend)
 from metadisk.disk import RadialSequence
 from metadisk.errors import Divergent
-from metadisk.integral import BivarPoly
-from metadisk.meta import MetaExpr, PolyAnalytic
-from metadisk.integral import similarity_factor
+from metadisk.integral import PolyAnalytic, SimilarityFactor, similarity_factor
+from metadisk.meta import MetaExpr
 from metadisk.schwarz import (SchwarzProblem, _unfolded_data,
                               default_test_basis, solve_meta,
                               verify_boundary_conditions)
@@ -189,16 +188,16 @@ def test_hardy_norm_zero_and_unbounded():
 
 def test_meta_hardy_norm_examples():
     one = PolyAnalytic.constant(1.0)
-    w = MetaExpr(similarity_factor(BivarPoly.constant(1.0), "cauchy"), one)
+    w = MetaExpr(similarity_factor(PolyAnalytic.constant(1.0), "cauchy"), one)
     total = meta_hardy_norm(w, 2.0, 2)
     single = hardy_norm(lambda z: np.exp(np.conjugate(z)), 2.0)
     assert float(total) == pytest.approx(2.0 * float(single), rel=1e-9)
 
-    zero = MetaExpr(similarity_factor(BivarPoly.zero(), "cauchy"),
+    zero = MetaExpr(similarity_factor(PolyAnalytic.zero(), "cauchy"),
                     PolyAnalytic.zero())
     assert float(meta_hardy_norm(zero, 2.0, 1)) == 0.0
 
-    zbar = MetaExpr(similarity_factor(BivarPoly.zero(), "cauchy"),
+    zbar = MetaExpr(similarity_factor(PolyAnalytic.zero(), "cauchy"),
                     PolyAnalytic([[0.0], [1.0]]))
     got = float(meta_hardy_norm(zbar, 1.0, 2))
     # sup of the first term is realized at the last radius, 2pi*(1 - 2^-17)
@@ -274,7 +273,7 @@ def _oracle_rows(sol, problem):
         if smooth:
             def real(g, shift=0j):
                 return _oracle_samples(
-                    lambda z: np.real(np.exp(factor.value(z)) * (g(z) + shift)))
+                    lambda z: np.real(np.exp(factor(z)) * (g(z) + shift)))
             const = 1j * problem.levels[n - 1 - k][1] - sol.constants[n - 1 - k]
             lhs_samples = real(lhs_poly)
             rhs_samples = real(unfolded, const)
@@ -339,7 +338,7 @@ def test_verify_evaluations_do_not_grow_with_the_basis(kind, monkeypatch):
         monkeypatch.setattr(cls, "__call__", counted)
 
     counting(PolyAnalytic, "poly")
-    counting(BivarPoly, "factor")
+    counting(SimilarityFactor, "factor")
     seen = []
     for top in (8, 120):  # 17 and 241 test functions
         tests = tuple(TestFunction.harmonic(m) for m in range(-top, top + 1))

@@ -1,13 +1,18 @@
-"""Grid CSV writers: byte-identity with the per-row repr loop, shape checks."""
+"""Grid CSV writers: byte-identity with the per-row repr loop, shape checks;
+polynomial terms: byte-identity with the dict reference."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import term_lists
 from metadisk import formats
 from metadisk.disk import PolarGrid
-from metadisk.integral import BivarPoly, teodorescu_poly
+from metadisk.integral import PolyAnalytic, teodorescu_poly
+from oracles import dict_from_data, dict_to_data
 
 SPECIAL = (-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
            -5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 1.5e-05, 1e22,
@@ -79,8 +84,9 @@ def test_grid_csv_matches_oracle_on_every_special_float(tmp_path, k):
 
 def test_teodorescu_grid_matches_oracle_at_benchmark_size(tmp_path):
     grid = PolarGrid.mesh(256, 512)
-    f = BivarPoly({(0, 0): 0.7 - 0.2j, (2, 1): 0.3 + 0.7j, (0, 3): -1.1 + 0.2j})
-    values = teodorescu_poly(f)(grid.points())
+    f = PolyAnalytic.from_terms({(0, 0): 0.7 - 0.2j, (2, 1): 0.3 + 0.7j,
+                                 (0, 3): -1.1 + 0.2j})
+    values = teodorescu_poly(f).monomial_sum(grid.points())
     ours, oracle = write_both(tmp_path / "transform.csv", grid, [values])
     assert ours.count(b"\n") == 1 + 256 * 512
     assert ours == oracle
@@ -100,3 +106,14 @@ def test_grid_csv_rejects_values_not_shaped_like_the_grid(tmp_path, write,
         write(path, PolarGrid.mesh(4, 8), *arrays)
     assert bad_shape in str(err.value) and "(4, 8)" in str(err.value)
     assert not path.exists()
+
+
+@given(term_lists())
+def test_terms_round_trip_writes_the_dict_bytes(pairs):
+    # repeated keys keep their last coefficient on reading, as before
+    data = {"terms": [{"m": m, "k": k, "re": c.real, "im": c.imag}
+                      for (m, k), c in pairs]}
+    ours = formats.bivar_to_data(formats.bivar_from_data(data))
+    want = dict_to_data(dict_from_data(data))
+    assert (json.dumps(ours, sort_keys=True, indent=2)
+            == json.dumps(want, sort_keys=True, indent=2))

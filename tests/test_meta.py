@@ -9,12 +9,14 @@ from hypothesis import given, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from conftest import (interior_points, random_bivar, random_holo, random_meta,
-                      stack_parts)
+                      stack_parts, term_lists)
+from metadisk.boundary import meta_hardy_norm
+from oracles import dict_derivative_matrix, dict_eval, dict_terms
 from metadisk.boundary import BoundaryDistribution
 from metadisk.disk import PolarGrid, RadialSequence, wirtinger_dbar
 from metadisk.errors import IllConditioned, ProductNotIdentity, StencilOutsideDisk
-from metadisk.integral import BivarPoly, similarity_factor
-from metadisk.meta import (MetaExpr, PolyAnalytic, TriangularOperatorMatrix,
+from metadisk.integral import PolyAnalytic, similarity_factor
+from metadisk.meta import (MetaExpr, TriangularOperatorMatrix,
                            decompose_samples, derivative_matrix,
                            derivative_stack, invert_unitriangular,
                            pde_residual, poly_decompose)
@@ -96,19 +98,21 @@ def test_poly_analytic_matches_per_part_oracle(c):
 
 
 def test_poly_analytic_matches_bivar_poly():
-    # the array c[k, m] and the dict {(m, k): c} hold the same function
+    # the array c[k, m] and the dict {(m, k): c} hold the same function; the
+    # monomial sum adds the dict's terms in the dict reference's order
     rng = np.random.default_rng(23)
     F = stack_parts([random_holo(rng, 4, scale=1.0) for _ in range(3)])
-    bivar = BivarPoly({(m, k): a for (k, m), a in np.ndenumerate(F.c)})
+    terms = dict_terms(((m, k), a) for (k, m), a in np.ndenumerate(F.c))
     z = 0.4 + 0.1j
-    assert bivar(z) == pytest.approx(F(z))
+    assert dict_eval(terms, z) == pytest.approx(F(z))
+    assert F.monomial_sum(z) == dict_eval(terms, z)
     assert F.order == 3
 
 
 @pytest.mark.parametrize("coeff, parts, z, want", [
-    (BivarPoly.constant(1.0), [[1.0]], 0j, 1.0),
-    (BivarPoly.zero(), [[0.0], [1.0]], 0.3 + 0.4j, 0.3 - 0.4j),
-    (BivarPoly.constant(1.0), [[2.0j], [1.0]], 0.5 + 0j,
+    (PolyAnalytic.constant(1.0), [[1.0]], 0j, 1.0),
+    (PolyAnalytic.zero(), [[0.0], [1.0]], 0.3 + 0.4j, 0.3 - 0.4j),
+    (PolyAnalytic.constant(1.0), [[2.0j], [1.0]], 0.5 + 0j,
      math.exp(0.5) * (2.0j + 0.5)),
 ])
 def test_meta_eval_examples(coeff, parts, z, want):
@@ -129,7 +133,7 @@ def test_product_rule_matches_finite_differences(kind):
 
 
 def test_dbar_shift_examples():
-    one = BivarPoly.constant(1.0)
+    one = PolyAnalytic.constant(1.0)
     w = expr(one, [[0.0], [1.0]])  # e^zbar * zbar
     shifted = w.dbar_shift()
     z = 0.25 - 0.1j
@@ -142,11 +146,11 @@ def test_dbar_shift_examples():
 
 
 def test_pde_residual_exact_and_order():
-    one = BivarPoly.constant(1.0)
+    one = PolyAnalytic.constant(1.0)
     w = expr(one, [[2.0j], [1.0]])  # e^zbar (2i + zbar)
     assert pde_residual(w, one, 2, GRID) < 1e-12
 
-    zero = BivarPoly.zero()
+    zero = PolyAnalytic.zero()
     small = PolarGrid.mesh(8, 16, r_min=0.1, r_max=0.7)
     r2 = pde_residual(lambda z: np.conjugate(z) ** 2, zero, 2, small)
     assert r2 == pytest.approx(2.0, abs=1e-6)
@@ -175,29 +179,44 @@ def test_pde_residual_order_minimality():
 def test_pde_residual_stencil_guard():
     tight = PolarGrid.mesh(4, 8, r_min=0.9, r_max=0.99995)
     with pytest.raises(StencilOutsideDisk):
-        pde_residual(lambda z: np.conjugate(z), BivarPoly.zero(), 1, tight)
+        pde_residual(lambda z: np.conjugate(z), PolyAnalytic.zero(), 1, tight)
+
+
+def _equal(p, q):
+    """Equal coefficients, whatever the widths of the two arrays."""
+    return (p - q).is_zero
 
 
 def test_matrix_rows_match_hand_expansion():
     rng = np.random.default_rng(41)
     A = random_bivar(rng, 2, scale=0.8)
     M = derivative_matrix(A, 4)
-    assert M.entry(1, 0) == A
-    assert M.entry(1, 1) == BivarPoly.constant(1.0)
+    assert _equal(M.entry(1, 0), A)
+    assert _equal(M.entry(1, 1), PolyAnalytic.constant(1.0))
     gap = (M.entry(2, 0) + (A * A + A.dbar()).scale(-1.0)).max_coeff()
     assert gap == 0.0
-    assert M.entry(2, 1) == A.scale(2.0)
+    assert _equal(M.entry(2, 1), A.scale(2.0))
     for k in range(4):
-        assert M.entry(k, k) == BivarPoly.constant(1.0)
+        assert _equal(M.entry(k, k), PolyAnalytic.constant(1.0))
+
+
+@given(term_lists(), st.integers(1, 4))
+def test_derivative_matrix_matches_dict_products(pairs, n):
+    M = derivative_matrix(PolyAnalytic.from_terms(pairs), n)
+    want = dict_derivative_matrix(dict_terms(pairs), n)
+    for k in range(n):
+        for j in range(k + 1):
+            ref = PolyAnalytic.from_terms(want[k][j])
+            gap = (M.entry(k, j) - ref).max_coeff()
+            assert gap <= 1e-13 * max(1.0, ref.max_coeff())
 
 
 def test_matrix_zero_coeff_is_identity():
-    M = derivative_matrix(BivarPoly.zero(), 4)
+    M = derivative_matrix(PolyAnalytic.zero(), 4)
     for k in range(4):
         for j in range(k + 1):
             want = 1.0 if j == k else 0.0
-            assert M.entry(k, j) == BivarPoly.constant(want) or (
-                want == 0.0 and M.entry(k, j).is_zero)
+            assert _equal(M.entry(k, j), PolyAnalytic.constant(want))
 
 
 def test_matrix_inverse_entries():
@@ -206,7 +225,7 @@ def test_matrix_inverse_entries():
     M2 = derivative_matrix(A, 2)
     N2 = M2.inverse
     assert (N2.entry(1, 0) + A).max_coeff() < 1e-12
-    assert N2.entry(1, 1) == BivarPoly.constant(1.0)
+    assert _equal(N2.entry(1, 1), PolyAnalytic.constant(1.0))
 
     M3 = derivative_matrix(A, 3)
     N3 = M3.inverse
@@ -217,16 +236,16 @@ def test_matrix_inverse_entries():
 
 
 def test_matrix_inverse_guard():
-    A = BivarPoly.constant(1.0)
+    A = PolyAnalytic.constant(1.0)
     rows = [list(r) for r in derivative_matrix(A, 3).entries]
-    rows[2][2] = BivarPoly.constant(1.0 + 1e-3)
+    rows[2][2] = PolyAnalytic.constant(1.0 + 1e-3)
     broken = TriangularOperatorMatrix(tuple(tuple(r) for r in rows))
     with pytest.raises(ProductNotIdentity):
         invert_unitriangular(broken)
 
 
 def test_derivative_stack_examples():
-    one = BivarPoly.constant(1.0)
+    one = PolyAnalytic.constant(1.0)
     w = expr(one, [[1.0]])
     stack = derivative_stack(w, 2)
     z = 0.3 + 0.3j
@@ -234,10 +253,23 @@ def test_derivative_stack_examples():
     assert stack[0](z) == pytest.approx(e)
     assert stack[1](z) == pytest.approx(e)
 
-    zbar = expr(BivarPoly.zero(), [[0.0], [1.0]])
+    zbar = expr(PolyAnalytic.zero(), [[0.0], [1.0]])
     stack = derivative_stack(zbar, 2)
     assert stack[0](z) == pytest.approx(np.conjugate(z))
     assert stack[1](z) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_derivative_stacks_reject_orders_below_one(n):
+    w = expr(PolyAnalytic.constant(1.0), [[1.0], [0.5]])
+    with pytest.raises(ValueError):
+        derivative_stack(w, n)
+    with pytest.raises(ValueError):
+        w.poly.dbar_stack(n)
+    with pytest.raises(ValueError):
+        meta_hardy_norm(w, 2.0, n)
+    with pytest.raises(ValueError):
+        derivative_matrix(w.coefficient, n)
 
 
 def test_derivative_stack_matches_matrix():
@@ -251,14 +283,14 @@ def test_derivative_stack_matches_matrix():
         f_stack = [w.poly]
         for _ in range(n - 1):
             f_stack.append(f_stack[-1].dbar())
-        weight = np.exp(w.factor.value(pts))
+        weight = np.exp(w.factor(pts))
         for k in range(n):
             rhs = sum(M.entry(k, j)(pts) * f_stack[j](pts) for j in range(k + 1))
             assert np.max(np.abs(stack[k](pts) - weight * rhs)) < 1e-10
 
 
 def test_poly_decompose_examples():
-    target = BivarPoly({(0, 1): 1.0, (2, 0): 3.0})  # zbar + 3 z^2
+    target = PolyAnalytic.from_terms({(0, 1): 1.0, (2, 0): 3.0})  # zbar + 3 z^2
     fit = poly_decompose(decompose_samples(target), 2, degree=2)
     assert fit.residual < 1e-10
     f0, f1 = fit.poly.c
@@ -283,7 +315,7 @@ def test_poly_decompose_round_trip():
     w = MetaExpr(psi, F)
     grid = PolarGrid.mesh(10, 24, r_min=0.1, r_max=0.9)
     pts = grid.points()
-    fit = poly_decompose(grid.with_values(w(pts) / np.exp(psi.value(pts))),
+    fit = poly_decompose(grid.with_values(w(pts) / np.exp(psi(pts))),
                          3, degree=6)
     rebuilt = MetaExpr(psi, fit.poly)
     held = PolarGrid.mesh(7, 18, r_min=0.15, r_max=0.85).points()

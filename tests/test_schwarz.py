@@ -16,8 +16,8 @@ from metadisk.boundary import TestFunction
 from metadisk.boundary import meta_hardy_norm
 from metadisk.disk import PolarGrid, RadialSequence
 from metadisk.errors import AliasedSampling, MetadiskError, PairingMismatch
-from metadisk.integral import BivarPoly
-from metadisk.meta import MetaExpr, PolyAnalytic
+from metadisk.integral import PolyAnalytic
+from metadisk.meta import MetaExpr
 from metadisk.schwarz import (SchwarzProblem, chain_from_top,
                               default_test_basis, imag_mean_constant,
                               solve_meta, solve_poly_chain,
@@ -29,13 +29,13 @@ POINTS = [0.3 + 0.2j, -0.5 + 0.1j, 0.7j, 0.25]
 def constant_problem(n=1, value=1.0, c=0.0, coeff=None, kind="cauchy"):
     levels = [(PolyAnalytic.constant(value), 0.0) for _ in range(n)]
     levels[-1] = (levels[-1][0], c)
-    return SchwarzProblem(n=n, coeff=coeff or BivarPoly.zero(),
+    return SchwarzProblem(n=n, coeff=coeff or PolyAnalytic.zero(),
                           levels=tuple(levels), factor_kind=kind)
 
 
 WORKED = SchwarzProblem(
     n=2,
-    coeff=BivarPoly.constant(1.0),
+    coeff=PolyAnalytic.constant(1.0),
     levels=((PolyAnalytic.constant(1.0), 0.0), (PolyAnalytic.zero(), 2.0)),
 )
 
@@ -61,7 +61,7 @@ def test_chain_constant_data():
 
 
 def test_chain_identity_data():
-    problem = SchwarzProblem(n=1, coeff=BivarPoly.zero(),
+    problem = SchwarzProblem(n=1, coeff=PolyAnalytic.zero(),
                              levels=((PolyAnalytic.holomorphic((0.0, 1.0)), 0.0),))
     f1 = solve_poly_chain(problem).chain[0]
     for z in POINTS:
@@ -98,7 +98,7 @@ def test_chain_from_top_matches_recursion():
 def test_solve_meta_zero_coeff_reduces_to_chain():
     rng = np.random.default_rng(67)
     problem = random_problem(rng, coeff_degree=0)
-    problem = SchwarzProblem(n=problem.n, coeff=BivarPoly.zero(),
+    problem = SchwarzProblem(n=problem.n, coeff=PolyAnalytic.zero(),
                              levels=problem.levels)
     sol = solve_meta(problem, verify=False)
     top = solve_poly_chain(problem).chain[-1]
@@ -115,7 +115,7 @@ def test_solve_meta_worked_example():
 
 
 def test_solve_meta_linear_coeff():
-    problem = constant_problem(coeff=BivarPoly.monomial(1, 0, 1.0))
+    problem = constant_problem(coeff=PolyAnalytic.from_terms({(1, 0): 1.0}))
     sol = solve_meta(problem, verify=False)
     for z in POINTS:
         want = np.exp(z * np.conjugate(z) - 1.0)
@@ -130,15 +130,15 @@ def test_problem_rejects_unknown_factor_kind():
 
 def test_problem_rejects_level_data_that_is_not_holomorphic():
     with pytest.raises(ValueError, match="holomorphic"):
-        SchwarzProblem(n=1, coeff=BivarPoly.zero(),
+        SchwarzProblem(n=1, coeff=PolyAnalytic.zero(),
                        levels=((PolyAnalytic([[1.0], [1.0]]), 0.0),))
 
 
 def test_smooth_variant_zero_coeff_identical():
     rng = np.random.default_rng(71)
     base = random_problem(rng, coeff_degree=0)
-    pa = SchwarzProblem(n=base.n, coeff=BivarPoly.zero(), levels=base.levels)
-    pb = SchwarzProblem(n=base.n, coeff=BivarPoly.zero(), levels=base.levels,
+    pa = SchwarzProblem(n=base.n, coeff=PolyAnalytic.zero(), levels=base.levels)
+    pb = SchwarzProblem(n=base.n, coeff=PolyAnalytic.zero(), levels=base.levels,
                         factor_kind="schwarz")
     wa = solve_meta(pa, verify=False).w
     wb = solve_meta(pb, verify=False).w
@@ -147,7 +147,7 @@ def test_smooth_variant_zero_coeff_identical():
 
 
 def test_smooth_variant_single_level():
-    problem = constant_problem(c=1.0, coeff=BivarPoly.constant(1.0),
+    problem = constant_problem(c=1.0, coeff=PolyAnalytic.constant(1.0),
                                kind="schwarz")
     sol = solve_meta(problem)
     assert sol.report.overall_pass
@@ -156,7 +156,7 @@ def test_smooth_variant_single_level():
     assert scale.real > 0
     assert sol.w(0j).imag == pytest.approx(scale.real)
     z = 0.2 + 0.4j
-    psi = sol.w.factor.value(z)
+    psi = sol.w.factor(z)
     assert sol.w(z) == pytest.approx(np.exp(psi) * (1.0 + 1.0j))
 
 
@@ -271,7 +271,7 @@ def test_angular_grid_follows_the_test_basis(degree):
 
 def test_unstabilized_pairing_fails_its_check():
     # on three radii the extrapolant of the z^5 pairings has not settled
-    problem = SchwarzProblem(n=1, coeff=BivarPoly.zero(),
+    problem = SchwarzProblem(n=1, coeff=PolyAnalytic.zero(),
                              levels=((PolyAnalytic.holomorphic((0, 0, 0, 0, 0, 1.0)), 0.0),))
     loose = {"boundary_pairing_max": 1.0}
     sol = solve_meta(problem, rs=RadialSequence(depth=2), thresholds=loose)
