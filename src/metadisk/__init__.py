@@ -52,7 +52,6 @@ from .meta import (
 from .report import Check, Report
 from .schwarz import (
     BoundaryReport,
-    ChainResult,
     SchwarzProblem,
     SchwarzSolution,
     chain_from_top,

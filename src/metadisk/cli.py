@@ -81,49 +81,49 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command takes only the flags it reads; an omitted flag keeps
+    RunConfig's default."""
     parser = argparse.ArgumentParser(
         prog="metadisk",
         description="Meta-analytic functions and Schwarz problems on the unit disk",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "verify", "transform", "poisson", "decompose"):
-        cmd = sub.add_parser(name)
+        cmd = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         cmd.add_argument("--config", required=True, help="input file (JSON)")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--grid", type=_parse_grid, default=(32, 64),
-                         metavar="NRxNT", help="sampling grid, default 32x64")
-        cmd.add_argument("--degree", type=int, default=16,
-                         help="truncation degree for fits, default 16")
-        cmd.add_argument("--radial-depth", type=int, default=16,
-                         help="radial sequence depth, default 16")
-        cmd.add_argument("--tol", action="append", default=[],
-                         metavar="NAME=VALUE",
-                         help="override a named tolerance (repeatable)")
+        if name == "decompose":
+            cmd.add_argument("--degree", type=int,
+                             help="truncation degree for fits, default 16")
+        else:
+            cmd.add_argument("--grid", type=_parse_grid, metavar="NRxNT",
+                             help="sampling grid, default 32x64")
+        if name in ("solve", "verify"):
+            cmd.add_argument("--radial-depth", type=int,
+                             help="radial sequence depth, default 16")
+            cmd.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                             help="override a named tolerance (repeatable)")
     return parser
 
 
 def make_config(args) -> RunConfig:
+    options = vars(args).copy()
     tolerances = {}
-    for item in args.tol:
+    for item in options.pop("tol", ()):
         name, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
         tolerances[name] = float(value)
-    return RunConfig(
-        command=args.command,
-        config_path=Path(args.config),
-        out_dir=Path(args.out),
-        grid=tuple(args.grid),
-        tolerances=tolerances,
-        degree=args.degree,
-        radial_depth=args.radial_depth,
-    )
+    return RunConfig(command=options.pop("command"),
+                     config_path=Path(options.pop("config")),
+                     out_dir=Path(options.pop("out")),
+                     tolerances=tolerances, **options)
 
 
 def _write_report(out_dir: Path, report: Report, boundary) -> None:
     data = report.to_dict()
     if boundary is not None:
-        data["boundary_rows"] = boundary.to_rows()
+        data["boundary"] = formats.boundary_to_data(boundary)
     formats.save_json(out_dir / "report.json", data)
 
 

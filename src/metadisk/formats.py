@@ -20,7 +20,7 @@ from .boundary import BoundaryDistribution
 from .disk import PolarGrid
 from .integral import PolyAnalytic, similarity_factor
 from .meta import MetaExpr
-from .schwarz import SchwarzProblem, SchwarzSolution
+from .schwarz import BoundaryReport, SchwarzProblem, SchwarzSolution
 
 COMPLEX_PAIR = {
     "type": "array",
@@ -271,13 +271,28 @@ def solution_from_data(data: dict):
     return w, constants, problem
 
 
+def boundary_to_data(boundary: BoundaryReport) -> dict:
+    """The test labels once, then each (level x test) array nested by level."""
+    return {"tests": list(boundary.tests),
+            "lhs": boundary.lhs[..., None].view(float).tolist(),
+            "rhs": boundary.rhs[..., None].view(float).tolist(),
+            "residual": boundary.residual.tolist(),
+            "stabilized": boundary.stabilized.tolist(),
+            "tail_residual": boundary.tail_residual.tolist()}
+
+
 def save_json(path, data) -> None:
     text = json.dumps(data, sort_keys=True, indent=2)
     Path(path).write_text(text + "\n")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """Parse a JSON input file; NaN and +-Infinity raise ValueError."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
 
 
 def _write_grid_csv(path, header: str, grid: PolarGrid, *arrays) -> None:

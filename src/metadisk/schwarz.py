@@ -75,54 +75,36 @@ class SchwarzProblem:
         return max(h.degree for h, _ in self.levels)
 
 
-@dataclass(frozen=True)
-class ChainResult:
-    chain: tuple[PolyAnalytic, ...]
-    constants: tuple[complex, ...]
+@dataclass(frozen=True, eq=False)
+class BoundaryReport:
+    """Both sides of every boundary condition paired with every test.
 
+    Each array has one row per level k and one column per test label;
+    ``stabilized`` and ``tail_residual`` summarize the radial extrapolations
+    behind a cell (an exact side has none).
+    """
 
-@dataclass(frozen=True)
-class BoundaryRow:
-    """One condition paired with one test; ``stabilized`` and ``tail_residual``
-    summarize the radial extrapolations behind it (an exact side has none)."""
-
-    level: int
-    test: str
-    lhs: complex
-    rhs: complex
-    stabilized: bool = True
-    tail_residual: float = 0.0
+    tests: tuple[str, ...]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    stabilized: np.ndarray
+    tail_residual: np.ndarray
 
     @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-@dataclass(frozen=True)
-class BoundaryReport:
-    rows: tuple[BoundaryRow, ...]
+    def residual(self) -> np.ndarray:
+        """|lhs - rhs| by libm's hypot, as Python's abs of a complex takes it;
+        np.abs of a complex array can differ from that in the last bit."""
+        gap = self.lhs - self.rhs
+        return np.hypot(gap.real, gap.imag)
 
     @property
     def max_residual(self) -> float:
-        return max((row.residual for row in self.rows), default=0.0)
+        return float(self.residual.max(initial=0.0))
 
-    def worst(self) -> BoundaryRow:
-        return max(self.rows, key=lambda row: row.residual)
-
-    def passes(self, threshold: float = 1e-6) -> bool:
-        return self.max_residual < threshold
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "level": row.level,
-                "test": row.test,
-                "lhs": [row.lhs.real, row.lhs.imag],
-                "rhs": [row.rhs.real, row.rhs.imag],
-                "residual": row.residual,
-            }
-            for row in self.rows
-        ]
+    def worst(self) -> tuple[int, str]:
+        """(level, test label) of the largest residual."""
+        k, j = np.unravel_index(np.argmax(self.residual), self.lhs.shape)
+        return int(k), self.tests[j]
 
 
 @dataclass(frozen=True)
@@ -153,11 +135,12 @@ def imag_mean_constant(h: PolyAnalytic, tol: float = 1e-8) -> complex:
     return 1j * a0.imag
 
 
-def solve_poly_chain(problem: SchwarzProblem) -> ChainResult:
+def solve_poly_chain(problem: SchwarzProblem):
     """Bottom-up chain construction; the coefficient A plays no role here.
 
     The Poisson pairing of h with the kernel reproduces h(z) exactly for
-    series data, so the boundary term is h itself.
+    series data, so the boundary term is h itself.  Returns the chain
+    (f_1, ..., f_n) and the origin constant of each level.
     """
     members: list[PolyAnalytic] = []
     constants: list[complex] = []
@@ -169,7 +152,7 @@ def solve_poly_chain(problem: SchwarzProblem) -> ChainResult:
             scale = -((-1.0) ** step) / math.factorial(step)
             f = f + members[k - step].shifted(step, scale)
         members.append(f)
-    return ChainResult(chain=tuple(members), constants=tuple(constants))
+    return tuple(members), tuple(constants)
 
 
 def chain_from_top(poly: PolyAnalytic, n: int) -> tuple[PolyAnalytic, ...]:
@@ -222,7 +205,7 @@ def verify_boundary_conditions(sol: SchwarzSolution, problem: SchwarzProblem,
 
     Each sampled function is evaluated once and paired with every test at
     once, on its alias-free grid when ``n_theta`` is None (AliasedSampling if
-    an explicit one would alias).
+    an explicit one would alias).  Level k's arrays become row k of the table.
     """
     tests = tuple(tests) if tests is not None else default_test_basis(problem)
     rs = rs or RadialSequence()
@@ -230,7 +213,7 @@ def verify_boundary_conditions(sol: SchwarzSolution, problem: SchwarzProblem,
     smooth = problem.factor_kind == "schwarz"
     factor = sol.w.factor if smooth else None
     lhs_polys = sol.w.poly.dbar_stack(n)
-    rows: list[BoundaryRow] = []
+    levels = []
     for k in range(n):
         const = 1j * problem.levels[n - 1 - k][1] - sol.constants[n - 1 - k]
         data = _unfolded_data(problem, sol.chain, k)
@@ -239,11 +222,10 @@ def verify_boundary_conditions(sol: SchwarzSolution, problem: SchwarzProblem,
         rhs, residual, stable = (
             _sampled_pairings(factor, data, const, tests, rs, n_theta)
             if smooth else _exact_pairings(data, tests))
-        stable = (stable & lhs_stable).tolist()
-        residual = np.maximum(residual, lhs_residual).tolist()
-        rows.extend(BoundaryRow(k, phi.label, *values) for phi, values in zip(
-            tests, zip(lhs.tolist(), rhs.tolist(), stable, residual)))
-    return BoundaryReport(rows=tuple(rows))
+        levels.append((lhs, rhs, stable & lhs_stable,
+                       np.maximum(residual, lhs_residual)))
+    return BoundaryReport(tuple(phi.label for phi in tests),
+                          *(np.array(column) for column in zip(*levels)))
 
 
 def _negative_control(sol: SchwarzSolution, problem: SchwarzProblem,
@@ -331,7 +313,7 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
     report.add("boundary_pairing_max", boundary.max_residual,
                limits["boundary_pairing_max"])
     report.add("boundary_unstabilized",
-               sum(not row.stabilized for row in boundary.rows),
+               np.count_nonzero(~boundary.stabilized),
                limits["boundary_unstabilized"])
     report.timings["boundary"] = perf_counter() - t
 
@@ -360,11 +342,11 @@ def solve_meta(problem: SchwarzProblem, verify: bool = True,
     """
     t0 = perf_counter()
     factor = similarity_factor(problem.coeff, problem.factor_kind)
-    result = solve_poly_chain(problem)
+    chain, constants = solve_poly_chain(problem)
     report = Report()
     report.timings["construct"] = perf_counter() - t0
-    sol = SchwarzSolution(w=MetaExpr(factor, result.chain[-1]),
-                          chain=result.chain, constants=result.constants,
+    sol = SchwarzSolution(w=MetaExpr(factor, chain[-1]),
+                          chain=chain, constants=constants,
                           report=report, boundary=None, problem=problem)
     if not verify:
         return sol

@@ -7,6 +7,7 @@ twenty randomized problems drawn with seed 7 from the conftest generators.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -243,10 +244,17 @@ def test_criterion_9_cli_round_trip(tmp_path):
                      == (out2 / "solution_grid.csv").read_bytes())
     identical_json = ((out1 / "solution.json").read_bytes()
                       == (out2 / "solution.json").read_bytes())
+    reports = []
+    for out in (out1, out2):
+        report = json.loads((out / "report.json").read_text())
+        del report["timings"]
+        reports.append(report)
+    identical_report = reports[0] == reports[1]
 
     ok = (solve_code == 0 and verify_code == 0 and rerun_code == 0
-          and identical_csv and identical_json)
+          and identical_csv and identical_json and identical_report)
     _verdict(9, ok, f"solve exit {solve_code}, verify exit {verify_code}, "
                     f"rerun exit {rerun_code}, CSV byte-identical: "
                     f"{identical_csv}, solution.json byte-identical: "
-                    f"{identical_json}")
+                    f"{identical_json}, report.json equal without timings: "
+                    f"{identical_report}")

@@ -314,12 +314,16 @@ def test_spectral_rows_match_scalar_oracle():
         sol = solve_meta(problem, verify=False)
         report = verify_boundary_conditions(sol, problem)
         want = _oracle_rows(sol, problem)
-        assert len(report.rows) == len(want)
-        for row, (k, label, lhs, rhs, stabilized) in zip(report.rows, want):
-            assert (row.level, row.test) == (k, label)
-            assert abs(row.lhs - lhs) <= 1e-12
-            assert abs(row.rhs - rhs) <= 1e-12
-            assert row.stabilized == stabilized
+        n, width = problem.n, len(report.tests)
+        assert report.lhs.shape == report.rhs.shape == (n, width)
+        assert report.stabilized.shape == report.tail_residual.shape == (n, width)
+        assert n * width == len(want)
+        for cell, (k, label, lhs, rhs, stabilized) in enumerate(want):
+            j = cell % width
+            assert (cell // width, report.tests[j]) == (k, label)
+            assert abs(report.lhs[k, j] - lhs) <= 1e-12
+            assert abs(report.rhs[k, j] - rhs) <= 1e-12
+            assert report.stabilized[k, j] == stabilized
 
 
 @pytest.mark.parametrize("kind", ["cauchy", "schwarz"])

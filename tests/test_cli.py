@@ -166,6 +166,78 @@ def test_usage_error_exits_two():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--degree", "2"],
+    ["verify", "--degree", "2"],
+    ["transform", "--tol", "pde_residual=1"],
+    ["poisson", "--radial-depth", "4"],
+    ["decompose", "--grid", "8x8"],
+])
+def test_flags_a_command_does_not_read_exit_two(argv):
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], "--config", "x.json", *argv[1:]])
+    assert err.value.code == 2
+
+
+def _with_nan_coefficient(data):
+    data["A"]["terms"][0]["re"] = float("nan")
+
+
+def _with_infinite_level(data):
+    data["levels"][0]["h"]["coeffs"][0][1] = float("inf")
+
+
+def _with_nan_part(data):
+    data["parts"][0]["coeffs"][0][0] = float("nan")
+
+
+@pytest.mark.parametrize("command, corrupt", [
+    ("solve", _with_nan_coefficient),
+    ("solve", _with_infinite_level),
+    ("verify", _with_nan_part),
+])
+def test_non_finite_numbers_exit_one(tmp_path, capsys, command, corrupt):
+    cfg = write_problem(tmp_path / "problem.json")
+    if command == "verify":
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 0
+        cfg = tmp_path / "run" / "solution.json"
+    data = json.loads(cfg.read_text())
+    corrupt(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))  # json writes NaN and Infinity bare
+    capsys.readouterr()
+    code = main([command, "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_holds_the_boundary_table(tmp_path):
+    # three radii leave the z^5 pairings unsettled (see test_schwarz)
+    problem = SchwarzProblem(
+        n=1, coeff=PolyAnalytic.zero(),
+        levels=((PolyAnalytic.holomorphic((0, 0, 0, 0, 0, 1.0)), 0.0),))
+    cfg = write_problem(tmp_path / "problem.json", problem)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out),
+                 "--radial-depth", "2", "--tol", "boundary_pairing_max=1"]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert "boundary_rows" not in report
+    table = report["boundary"]
+    shape = (problem.n, len(table["tests"]))
+    assert table["tests"][0] == "harmonic[-10]" and shape == (1, 21)
+    for key in ("lhs", "rhs", "residual", "stabilized", "tail_residual"):
+        assert np.shape(table[key])[:2] == shape, key
+    assert table["residual"] == [
+        [abs(complex(*lhs) - complex(*rhs)) for lhs, rhs in zip(*level)]
+        for level in zip(table["lhs"], table["rhs"])]
+    checks = {c["name"]: c for c in report["checks"]}
+    unstable = np.logical_not(table["stabilized"])
+    assert checks["boundary_unstabilized"]["value"] == unstable.sum() == 2
+    assert np.all(np.array(table["tail_residual"])[unstable] > 0.1)
+
+
 def test_transform_teodorescu(tmp_path):
     cfg = tmp_path / "transform.json"
     formats.save_json(cfg, {"operator": "teodorescu",
