@@ -21,12 +21,11 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
-from jsonschema.exceptions import ValidationError
 
 from . import formats
 from .boundary import poisson_extend
 from .disk import PolarGrid, RadialSequence
-from .errors import MetadiskError
+from .errors import MetadiskError, SchemaViolation
 from .integral import schwarz_pompeiu_poly, teodorescu_poly
 from .meta import poly_decompose
 from .report import Report
@@ -124,7 +123,7 @@ def _write_report(out_dir: Path, report: Report, boundary) -> None:
     data = report.to_dict()
     if boundary is not None:
         data["boundary"] = formats.boundary_to_data(boundary)
-    formats.save_json(out_dir / "report.json", data)
+    formats.save_json(out_dir / "report.json", data, indent=None)
 
 
 def _sample_solution(sol: SchwarzSolution, grid: PolarGrid):
@@ -207,7 +206,7 @@ def run_decompose(config: RunConfig) -> int:
     if not samples_path.is_absolute():
         samples_path = config.config_path.parent / samples_path
     samples = formats.read_values_csv(samples_path)
-    fit = poly_decompose(samples, n=data["order"], degree=config.degree)
+    fit = poly_decompose(samples, n=int(data["order"]), degree=config.degree)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     formats.save_json(config.out_dir / "decomposition.json", {
         "parts": formats.parts_to_data(fit.poly),
@@ -238,7 +237,7 @@ def main(argv=None) -> int:
     except MetadiskError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
+    except SchemaViolation as exc:
         print(f"schema error: {exc.message}", file=sys.stderr)
         return 1
     except (json.JSONDecodeError, ValueError, OSError) as exc:

@@ -35,3 +35,17 @@ class PairingMismatch(MetadiskError):
 
 class AliasedSampling(MetadiskError):
     """An explicit angular grid is too coarse for the frequencies it must pair."""
+
+
+class SchemaViolation(ValueError):
+    """An input document does not match its JSON schema.
+
+    Bad input, not a numerical failure, so not a MetadiskError.  ``message``
+    and ``path`` (the keys and indices from the document's root to the
+    offending value) read as jsonschema's best match reads them.
+    """
+
+    def __init__(self, message: str, path: tuple):
+        super().__init__(message)
+        self.message = message
+        self.path = path

@@ -1,23 +1,27 @@
 """File formats: JSON schemas for problems and solutions, CSV for sampled grids.
 
+Input documents are checked against the schemas here, with the Draft
+2020-12 semantics and messages of jsonschema, which the tests use as oracle.
+
 Complex numbers are stored as [re, im] pairs.  All JSON is written with
 sorted keys and all floats via repr, so identical inputs produce
-byte-identical files.  A grid CSV has a header, then one row per grid point,
-ring by ring: r, theta, then the real and imaginary part of each sampled
-array, every float in Python's shortest round-trip repr (nan, inf, -0.0).
+byte-identical files; report.json is written compact, the others with a
+2-space indent.  A grid CSV has a header, then one row per grid point, ring
+by ring: r, theta, then the real and imaginary part of each sampled array,
+every float in Python's shortest round-trip repr (nan, inf, -0.0).
 """
 
 from __future__ import annotations
 
 import json
+from numbers import Number
 from pathlib import Path
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .boundary import BoundaryDistribution
 from .disk import PolarGrid
+from .errors import SchemaViolation
 from .integral import PolyAnalytic, similarity_factor
 from .meta import MetaExpr
 from .schwarz import BoundaryReport, SchwarzProblem, SchwarzSolution
@@ -128,22 +132,95 @@ VALUE_CSV_HEADER = "r,theta,re_value,im_value"
 SOLUTION_CSV_HEADER = "r,theta,re_w,im_w,re_residual,im_residual"
 
 
-# id(schema) -> (schema, validator); holding the schema keeps its id unique.
-_VALIDATORS: dict[int, tuple] = {}
+def _is_number(x) -> bool:
+    # the exact-type test first: isinstance against the Number ABC is slower
+    return type(x) in (int, float) or (isinstance(x, Number)
+                                       and not isinstance(x, bool))
 
 
-def check_schema(data, schema) -> None:
-    """Raise the best-matching jsonschema.ValidationError if data does not match.
+def _is_integer(x) -> bool:
+    if isinstance(x, float):
+        return x.is_integer()
+    return isinstance(x, int) and not isinstance(x, bool)
 
-    Each schema's validator is built once, on first use.  Unlike
-    ``jsonschema.validate`` it does not re-check the schema against its
-    metaschema on every call; the tests check every ``*_SCHEMA`` once.
+
+# Draft 2020-12 types: 1.0 is an integer, True is not a number, NaN is one.
+_IS_TYPE = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": _is_number,
+    "integer": _is_integer,
+}
+
+
+def _schema_errors(instance, schema: dict, path: tuple, errors: list) -> None:
+    """Append (path, message) for each way ``instance`` breaks ``schema``.
+
+    Errors come in the order jsonschema's Draft 2020-12 validator yields
+    them, keyword by keyword in schema order, with its messages.  Only the
+    keywords of this module's schemas are known; any other raises.
     """
-    if id(schema) not in _VALIDATORS:
-        _VALIDATORS[id(schema)] = (schema, validator_for(schema)(schema))
-    error = best_match(_VALIDATORS[id(schema)][1].iter_errors(data))
-    if error is not None:
-        raise error
+    for keyword, value in schema.items():
+        if keyword == "type":
+            if not _IS_TYPE[value](instance):
+                errors.append((path, f"{instance!r} is not of type {value!r}"))
+        elif keyword == "properties":
+            if isinstance(instance, dict):
+                for name, subschema in value.items():
+                    if name in instance:
+                        _schema_errors(instance[name], subschema,
+                                       path + (name,), errors)
+        elif keyword == "items":
+            if isinstance(instance, list):
+                for i, item in enumerate(instance):
+                    _schema_errors(item, value, path + (i,), errors)
+        elif keyword == "required":
+            if isinstance(instance, dict):
+                errors.extend((path, f"{name!r} is a required property")
+                              for name in value if name not in instance)
+        elif keyword == "additionalProperties" and value is False:
+            if isinstance(instance, dict):
+                extras = sorted((name for name in instance
+                                 if name not in schema.get("properties", {})),
+                                key=str)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    errors.append((path, "Additional properties are not "
+                                   f"allowed ({', '.join(map(repr, extras))} "
+                                   f"{verb} unexpected)"))
+        elif keyword == "minItems":
+            if isinstance(instance, list) and len(instance) < value:
+                errors.append((path, f"{instance!r} " + (
+                    "should be non-empty" if value == 1 else "is too short")))
+        elif keyword == "maxItems":
+            if isinstance(instance, list) and len(instance) > value:
+                errors.append((path, f"{instance!r} " + (
+                    "is expected to be empty" if value == 0 else "is too long")))
+        elif keyword == "minimum":
+            if _is_number(instance) and instance < value:
+                errors.append((path, f"{instance!r} is less than the minimum "
+                               f"of {value!r}"))
+        elif keyword == "enum":
+            if instance not in value:
+                errors.append((path, f"{instance!r} is not one of {value!r}"))
+        else:
+            raise NotImplementedError(f"schema keyword {keyword!r}: {value!r}")
+
+
+def check_schema(data, schema: dict) -> None:
+    """Raise SchemaViolation if data does not match the schema.
+
+    Of several errors it reports the one ``jsonschema.exceptions.best_match``
+    picks: the shallowest, then the greatest path among equally deep ones,
+    then the first in schema keyword order.  The tests hold it to
+    ``jsonschema.validate`` on drawn documents.
+    """
+    errors: list = []
+    _schema_errors(data, schema, (), errors)
+    if errors:
+        path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+        raise SchemaViolation(message, path)
 
 
 def complex_pair(c) -> list[float]:
@@ -165,7 +242,8 @@ def bivar_to_data(poly: PolyAnalytic) -> dict:
 def bivar_from_data(data: dict) -> PolyAnalytic:
     """A repeated (m, k) keeps its last coefficient."""
     return PolyAnalytic.from_terms({
-        (t["m"], t["k"]): complex(t["re"], t["im"]) for t in data["terms"]
+        (int(t["m"]), int(t["k"])): complex(t["re"], t["im"])
+        for t in data["terms"]
     })
 
 
@@ -200,12 +278,9 @@ def parts_from_data(parts: list[dict]) -> PolyAnalytic:
 def boundary_from_data(data: dict) -> BoundaryDistribution:
     check_schema(data, BOUNDARY_DATA_SCHEMA)
     coeffs = [pair_complex(v) for v in data["coeffs"]]
-    if data["type"] == "holo_series":
-        start = data.get("min_index", 0)
-        if start != 0:
-            raise ValueError("holo_series data starts at frequency 0")
-    else:
-        start = data.get("min_index", 0)
+    start = int(data.get("min_index", 0))
+    if data["type"] == "holo_series" and start != 0:
+        raise ValueError("holo_series data starts at frequency 0")
     return BoundaryDistribution({start + i: c for i, c in enumerate(coeffs)})
 
 
@@ -222,13 +297,13 @@ def problem_to_data(problem: SchwarzProblem) -> dict:
 
 def problem_from_data(data: dict) -> SchwarzProblem:
     check_schema(data, PROBLEM_SCHEMA)
-    if len(data["levels"]) != data["n"]:
+    n = int(data["n"])
+    if len(data["levels"]) != n:
         raise ValueError(
-            f"problem declares n={data['n']} but carries "
-            f"{len(data['levels'])} levels"
+            f"problem declares n={n} but carries {len(data['levels'])} levels"
         )
     return SchwarzProblem(
-        n=data["n"],
+        n=n,
         coeff=bivar_from_data(data["A"]),
         levels=tuple(
             (holo_from_data(level["h"]), level["c"]) for level in data["levels"]
@@ -281,8 +356,10 @@ def boundary_to_data(boundary: BoundaryReport) -> dict:
             "tail_residual": boundary.tail_residual.tolist()}
 
 
-def save_json(path, data) -> None:
-    text = json.dumps(data, sort_keys=True, indent=2)
+def save_json(path, data, indent: int | None = 2) -> None:
+    """``indent=None`` writes one compact line through json's C encoder."""
+    separators = (",", ":") if indent is None else None
+    text = json.dumps(data, sort_keys=True, indent=indent, separators=separators)
     Path(path).write_text(text + "\n")
 
 

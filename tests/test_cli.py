@@ -15,6 +15,7 @@ from metadisk import cli, formats
 from metadisk.boundary import BoundaryDistribution
 from metadisk.cli import RunConfig, _parse_grid, main
 from metadisk.disk import PolarGrid
+from metadisk.errors import SchemaViolation
 from metadisk.integral import PolyAnalytic
 from metadisk.schwarz import SchwarzProblem
 
@@ -160,6 +161,57 @@ def test_schema_violation_exits_one(tmp_path):
     assert main(["solve", "--config", str(missing), "--out", str(tmp_path)]) == 1
 
 
+def _outputs(out: Path, command: str, data: dict, *flags) -> dict:
+    """Run one command on ``data``; its files, report.json parsed and
+    without timings."""
+    cfg = out.with_suffix(".json")
+    formats.save_json(cfg, data)
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
+    files = {f.name: f.read_bytes() for f in out.iterdir()}
+    if "report.json" in files:
+        report = json.loads(files["report.json"])
+        report.pop("timings")
+        files["report.json"] = report
+    return files
+
+
+def _floated(data, keys=("n", "m", "k", "order", "min_index")):
+    """A copy of a JSON document with every integer under ``keys`` as a float."""
+    if isinstance(data, list):
+        return [_floated(v, keys) for v in data]
+    if isinstance(data, dict):
+        return {k: float(v) if k in keys and isinstance(v, int)
+                else _floated(v, keys) for k, v in data.items()}
+    return data
+
+
+def test_integer_valued_floats_read_as_integers(tmp_path):
+    # Draft 2020-12 counts 2.0 as an integer, so the schema lets it through
+    coeff = PolyAnalytic.from_terms({(0, 0): 1.0, (2, 1): 0.05j})
+    problem = formats.problem_to_data(
+        SchwarzProblem(n=2, coeff=coeff, levels=WORKED.levels))
+    grid = PolarGrid.rings(np.array([0.3, 0.5, 0.7, 0.9]), 16)
+    formats.write_values_csv(tmp_path / "samples.csv", grid,
+                             np.conjugate(grid.points()))
+    cases = [
+        ("solve", problem, ()),
+        ("transform", {"operator": "teodorescu", "f": problem["A"]},
+         ("--grid", "4x8")),
+        ("poisson", {"type": "fourier", "coeffs": [[1.0, 0.0], [0.0, 1.0]],
+                     "min_index": -1}, ("--grid", "4x8")),
+        ("decompose", {"order": 2, "samples": "samples.csv"},
+         ("--degree", "2")),
+    ]
+    for command, data, flags in cases:
+        want = _outputs(tmp_path / f"{command}-int", command, data, *flags)
+        got = _outputs(tmp_path / f"{command}-float", command, _floated(data),
+                       *flags)
+        assert got == want, command
+    solution = json.loads((tmp_path / "solve-int" / "solution.json").read_text())
+    assert (_outputs(tmp_path / "verify-float", "verify", _floated(solution))
+            == _outputs(tmp_path / "verify-int", "verify", solution))
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["solve", "--config", "x.json", "--grid", "bogus"])
@@ -222,7 +274,10 @@ def test_report_holds_the_boundary_table(tmp_path):
     out = tmp_path / "run"
     assert main(["solve", "--config", str(cfg), "--out", str(out),
                  "--radial-depth", "2", "--tol", "boundary_pairing_max=1"]) == 2
-    report = json.loads((out / "report.json").read_text())
+    text = (out / "report.json").read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True,
+                              separators=(",", ":")) + "\n"  # compact
     assert "boundary_rows" not in report
     table = report["boundary"]
     shape = (problem.n, len(table["tests"]))
@@ -376,7 +431,7 @@ def test_every_schema_is_valid_under_its_metaschema():
 
 def test_schema_errors_match_jsonschema_validate():
     bad = {"n": 1, "psi_kind": "cauchy", "levels": [{"h": {"coeffs": [[1]]}}]}
-    with pytest.raises(jsonschema.ValidationError) as ours:
+    with pytest.raises(SchemaViolation) as ours:
         formats.check_schema(bad, formats.PROBLEM_SCHEMA)
     with pytest.raises(jsonschema.ValidationError) as reference:
         jsonschema.validate(bad, formats.PROBLEM_SCHEMA)
@@ -422,6 +477,18 @@ def test_import_leaves_numpy_polynomial_unloaded():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.stdout.split() == ["False"], done.stderr
+
+
+def test_import_leaves_jsonschema_unloaded():
+    # schemas are checked in-house; jsonschema is the tests' oracle only
+    script = ("import sys; import metadisk.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+              "('jsonschema', 'referencing', 'rpds', 'attrs')))")
+    src = str(Path(formats.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["[]"], done.stderr
 
 
 def test_solution_parts_are_written_trimmed(tmp_path):
