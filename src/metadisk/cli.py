@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import formats
 from .boundary import poisson_extend
 from .disk import PolarGrid, RadialSequence
-from .errors import MetadiskError, SchemaViolation
+from .errors import MetadiskError, NonFinite, SchemaViolation
 from .integral import schwarz_pompeiu_poly, teodorescu_poly
 from .meta import poly_decompose
 from .report import Report
@@ -174,6 +175,21 @@ def run_verify(config: RunConfig) -> int:
     return 0 if checked.report.overall_pass else 2
 
 
+def _finite(evaluate, what: str):
+    """``evaluate`` raising NonFinite where a value overflows, in place of
+    numpy's warnings; the first such point in ring order is named whichever
+    block of rings meets it."""
+    def checked(z):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = evaluate(z)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NonFinite(f"{what} at z={complex(z.flat[bad[0]])!r} "
+                            "is not finite")
+        return values
+    return checked
+
+
 def run_transform(config: RunConfig) -> int:
     data = formats.load_json(config.config_path)
     formats.check_schema(data, formats.TRANSFORM_CONFIG_SCHEMA)
@@ -183,9 +199,10 @@ def run_transform(config: RunConfig) -> int:
         table = teodorescu_poly(f)
     else:
         table = schwarz_pompeiu_poly(f)
-    values = table.monomial_sum(grid.points())
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    formats.write_values_csv(config.out_dir / "transform.csv", grid, values)
+    formats.write_values_csv(config.out_dir / "transform.csv", grid,
+                             _finite(table.monomial_sum,
+                                     f"{data['operator']} transform"))
     return 0
 
 
@@ -193,9 +210,10 @@ def run_poisson(config: RunConfig) -> int:
     data = formats.load_json(config.config_path)
     u = formats.boundary_from_data(data)
     grid = config.sampling_grid()
-    values = poisson_extend(u, grid.points())
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    formats.write_values_csv(config.out_dir / "poisson.csv", grid, values)
+    formats.write_values_csv(config.out_dir / "poisson.csv", grid,
+                             _finite(partial(poisson_extend, u),
+                                     "poisson extension"))
     return 0
 
 

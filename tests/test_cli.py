@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -263,6 +264,129 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, command, corrupt):
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out").exists()
+
+
+_HUGE = {"terms": [{"m": 0, "k": 0, "re": 1.7e308, "im": 0},
+                   {"m": 1, "k": 0, "re": 1.7e308, "im": 0}]}
+
+
+@pytest.mark.parametrize("command, data, grid", [
+    ("transform", {"operator": "teodorescu", "f": _HUGE}, "4x8"),
+    ("transform", {"operator": "schwarz_pompeiu", "f": _HUGE}, "4x8"),
+    ("poisson", {"type": "holo_series",
+                 "coeffs": [[1.7e308, 0], [1.7e308, 0]]}, "4x8"),
+    ("poisson", {"type": "holo_series",
+                 "coeffs": [[1.7e308, 0], [1.7e308, 0]]}, "64x512"),
+])
+def test_grid_values_that_overflow_exit_three(tmp_path, capsys, command,
+                                               data, grid):
+    cfg = tmp_path / "config.json"
+    formats.save_json(cfg, data)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise
+        code = main([command, "--config", str(cfg), "--out", str(out),
+                     "--grid", grid])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "is not finite" in err
+    assert list(out.iterdir()) == []
+
+
+_FAILING_WORKER = """
+import json, os, sys
+import numpy as np
+from metadisk import cli, formats
+from metadisk.errors import NonFinite
+
+formats._cpu_count = lambda: 4
+formats.MIN_POINTS_PER_WORKER = 1
+block, failure, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+extend = cli.poisson_extend
+
+def planted(u, z):
+    r = np.abs(z)
+    if r.min() < 0.06 if block == "first" else r.max() > 0.94:
+        if failure == "exit":
+            os._exit(7)
+        raise {"numerical": NonFinite, "value": ValueError}[failure]("planted")
+    return extend(u, z)
+
+cli.poisson_extend = planted
+code = cli.main(argv)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(json.dumps({"code": code, "reaped": reaped}))
+"""
+
+
+@pytest.mark.parametrize("block, failure, code, line", [
+    ("first", "numerical", 3, "numerical failure: planted"),
+    ("first", "value", 1, "error: planted"),
+    ("last", "numerical", 3, "numerical failure: planted"),
+    ("last", "value", 1, "error: planted"),
+    ("last", "exit", 1, "error: grid worker "),
+])
+def test_failing_block_leaves_no_csv_and_no_worker(tmp_path, block, failure,
+                                                   code, line):
+    # four blocks of 16 rings; each worker's text overfills its pipe, so a
+    # parent that reaped before closing the pipes would hang until the timeout
+    cfg = tmp_path / "boundary.json"
+    formats.save_json(cfg, {"type": "holo_series",
+                            "coeffs": [[0.5, 0.0], [1.0, -1.0]]})
+    out = tmp_path / "out"
+    src = str(Path(formats.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _FAILING_WORKER, block, failure, "poisson",
+         "--config", str(cfg), "--out", str(out), "--grid", "64x128"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert json.loads(done.stdout) == {"code": code, "reaped": True}, done.stderr
+    assert done.stderr.startswith(line)
+    assert list(out.iterdir()) == []
+
+
+_PINNED = """
+import os, sys
+from metadisk.cli import main
+
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+@pytest.mark.parametrize("command, data", [
+    ("transform", {"operator": "teodorescu", "f": {"terms": [
+        {"m": 0, "k": 1, "re": 0.3, "im": -0.7},
+        {"m": 2, "k": 1, "re": -1.1, "im": 0.2}]}}),
+    ("transform", {"operator": "schwarz_pompeiu", "f": {"terms": [
+        {"m": 1, "k": 2, "re": 0.9, "im": 0.4}]}}),
+    ("poisson", {"type": "fourier", "min_index": -3, "coeffs": [
+        [0.1, 0.2], [-0.3, 0.0], [0.5, 0.5], [1.0, 0.0], [0.2, -0.4],
+        [0.0, 0.3], [0.7, 0.1]]}),
+])
+def test_grid_commands_write_the_same_bytes_on_one_cpu(tmp_path, command,
+                                                       data):
+    cfg = tmp_path / "config.json"
+    formats.save_json(cfg, data)
+    src = str(Path(formats.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    files = []
+    for cpus in ("pinned", "all"):
+        out = tmp_path / cpus
+        subprocess.run([sys.executable, "-c", _PINNED, cpus, command,
+                        "--config", str(cfg), "--out", str(out),
+                        "--grid", "256x512"],
+                       env=env, check=True, timeout=120)
+        files.append(next(out.iterdir()).read_bytes())
+    assert files[0] == files[1]
+    assert files[0].count(b"\n") == 1 + 256 * 512
 
 
 def test_report_holds_the_boundary_table(tmp_path):

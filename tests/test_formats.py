@@ -2,6 +2,7 @@
 polynomial terms: byte-identity with the dict reference."""
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -33,20 +34,33 @@ def oracle_csv(header, grid, *arrays) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_both(path, grid, arrays):
+def write(path, grid, arrays) -> bytes:
     if len(arrays) == 1:
         formats.write_values_csv(path, grid, arrays[0])
-        header = formats.VALUE_CSV_HEADER
     else:
         formats.write_solution_csv(path, grid, *arrays)
-        header = formats.SOLUTION_CSV_HEADER
-    return path.read_bytes(), oracle_csv(header, grid, *arrays).encode()
+    return path.read_bytes()
+
+
+def write_both(path, grid, arrays):
+    header = (formats.VALUE_CSV_HEADER if len(arrays) == 1
+              else formats.SOLUTION_CSV_HEADER)
+    return write(path, grid, arrays), oracle_csv(header, grid, *arrays).encode()
+
+
+@contextmanager
+def forced_workers(count: int):
+    """Split every grid into ``count`` blocks of rings, or one per ring."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_cpu_count", lambda: count)
+        patch.setattr(formats, "MIN_POINTS_PER_WORKER", 1)
+        yield
 
 
 @st.composite
-def grids_with_values(draw):
-    n_radial = draw(st.integers(1, 9))
-    n_angular = 2 * draw(st.integers(4, 16))
+def grids_with_values(draw, max_rings=9, max_angles=32):
+    n_radial = draw(st.integers(1, max_rings))
+    n_angular = 2 * draw(st.integers(4, max_angles // 2))
     grid = PolarGrid.mesh(n_radial, n_angular,
                           r_min=draw(st.floats(0.001, 0.4)),
                           r_max=draw(st.floats(0.6, 0.999)))
@@ -105,6 +119,53 @@ def test_grid_csv_rejects_values_not_shaped_like_the_grid(tmp_path, write,
     with pytest.raises(ValueError) as err:
         write(path, PolarGrid.mesh(4, 8), *arrays)
     assert bad_shape in str(err.value) and "(4, 8)" in str(err.value)
+    assert not path.exists()
+
+
+@given(grids_with_values(max_rings=40, max_angles=64), st.integers(2, 4))
+def test_grid_csv_bytes_do_not_depend_on_the_worker_count(tmp_path_factory,
+                                                          case, workers):
+    grid, arrays = case
+    path = tmp_path_factory.mktemp("csv") / "grid.csv"
+    with forced_workers(1):
+        assert len(formats._ring_blocks(grid)) == 1
+        one = write(path, grid, arrays)
+    with forced_workers(workers):
+        n_rings = grid.radii.size
+        assert len(formats._ring_blocks(grid)) == min(workers, n_rings)
+        assert write(path, grid, arrays) == one
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 16])
+def test_values_function_is_sampled_block_by_block(tmp_path, workers):
+    grid = PolarGrid.mesh(13, 24)
+    table = teodorescu_poly(PolyAnalytic.from_terms(
+        {(0, 0): 0.7 - 0.2j, (2, 1): 0.3 + 0.7j, (0, 3): -1.1 + 0.2j}))
+    formats.write_values_csv(tmp_path / "arrays.csv", grid,
+                             table.monomial_sum(grid.points()))
+    with forced_workers(workers):
+        formats.write_values_csv(tmp_path / "blocks.csv", grid,
+                                 table.monomial_sum)
+    assert ((tmp_path / "blocks.csv").read_bytes()
+            == (tmp_path / "arrays.csv").read_bytes())
+
+
+@pytest.mark.parametrize("failing_ring, block, rows", [
+    (0, "0-2", 3), (5, "3-5", 3), (12, "9-12", 4)])
+def test_values_function_not_shaped_like_its_rings_leaves_no_file(
+        tmp_path, failing_ring, block, rows):
+    # four workers split 13 rings 3, 3, 3, 4; the parent formats the first
+    grid = PolarGrid.mesh(13, 24)
+    radius = grid.radii[failing_ring]
+
+    def values(z):
+        return z[:, :-1] if np.any(np.abs(z) == radius) else z
+
+    path = tmp_path / "grid.csv"
+    with forced_workers(4), pytest.raises(ValueError) as err:
+        formats.write_values_csv(path, grid, values)
+    assert str(err.value) == (f"values of shape ({rows}, 23) do not match "
+                              f"rings {block}'s shape ({rows}, 24)")
     assert not path.exists()
 
 
