@@ -549,7 +549,8 @@ def write_solution_csv(path, grid: PolarGrid, w_values, residuals) -> None:
 def read_values_csv(path) -> PolarGrid:
     """Parse a value-grid CSV back into a PolarGrid with values attached.
 
-    Rows come ring by ring, every ring at the first ring's angles in order.
+    Rows come ring by ring, every ring at the first ring's angles in order,
+    and hold finite numbers only.
     """
     lines = Path(path).read_text().strip().splitlines()
     if len(lines) < 2 or lines[0].strip() != VALUE_CSV_HEADER:
@@ -557,6 +558,10 @@ def read_values_csv(path) -> PolarGrid:
     data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     if data.shape[1] != 4:
         raise ValueError("expected four numbers per row")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"samples row {row + 1} is not finite: {lines[row + 1]}")
     r, theta = data[:, 0], data[:, 1]
     radii = r[np.concatenate(([True], r[1:] != r[:-1]))]
     n_theta, rem = divmod(len(r), radii.size)

@@ -240,38 +240,60 @@ def poly_decompose(samples: PolarGrid, n: int, degree: int = 16,
                    cond_limit: float = 1e10) -> DecompositionFit:
     """Recover holomorphic parts f_0..f_{n-1} from point values on a grid.
 
-    Fits sum_k conj(z)^k sum_m a_{k,m} z^m by least squares over the grid
-    values.  Needs at least twice as many samples as unknowns; raises
-    IllConditioned when the normal-equations condition number passes
-    ``cond_limit`` (nearly coincident radii do this).
+    Fits w = sum_k conj(z)^k sum_m a_{k,m} z^m by least squares over the
+    grid values, through the ring structure of the grid.  On a ring of radius
+    r the term conj(z)^k z^m is r^(k+m) e^{i(m-k)theta}, so with
+    E[j, f] = e^{i f theta_j} for the model frequencies f = -(n-1)..degree
+    and its thin QR E = Q T, each ring is projected onto those frequencies,
+    P = Q^H V^T, and one system is solved whose row (f', ring i) and column
+    (k, m) hold T[f', m-k] r_i^(k+m).  Q has orthonormal columns, so the
+    system has the least-squares solution and the singular values of the
+    dense design over all samples, with min(angles, frequencies) rows per
+    ring in place of one row per sample.
+
+    ``condition`` is the squared ratio of the largest to the smallest
+    singular value of the sample design, one row per sample and one column
+    per unknown (infinite when the system has fewer rows than unknowns, as
+    the design is then rank deficient); ``residual`` is max |fit(z) - value|
+    over the samples.
+
+    Needs at least twice as many samples as unknowns (ValueError).  Raises
+    IllConditioned when ``condition`` passes ``cond_limit`` (nearly
+    coincident radii do this, and so do fewer rings than min(n, degree + 1))
+    and NonFinite when the coefficients or the residual are not finite.
     """
     if samples.values is None:
         raise ValueError("samples grid carries no values")
     if n < 1:
         raise ValueError("n must be at least 1")
-    pts = samples.points().ravel()
-    vals = np.asarray(samples.values, dtype=complex).ravel()
     unknowns = n * (degree + 1)
-    if pts.size < 2 * unknowns:
+    if samples.values.size < 2 * unknowns:
         raise ValueError(
-            f"{pts.size} samples cannot determine {unknowns} coefficients "
-            "with margin; supply a denser grid or lower the degree"
+            f"{samples.values.size} samples cannot determine {unknowns} "
+            "coefficients with margin; supply a denser grid or lower the degree"
         )
-    zbar = np.conjugate(pts)
-    cols = []
-    for k in range(n):
-        zk = zbar ** k
-        power = np.ones_like(pts)
-        for _ in range(degree + 1):
-            cols.append(zk * power)
-            power = power * pts
-    design = np.stack(cols, axis=1)
-    sol, _, _, sv = np.linalg.lstsq(design, vals, rcond=None)
-    condition = float((sv[0] / sv[-1]) ** 2) if sv[-1] > 0 else math.inf
-    if condition > cond_limit:
-        raise IllConditioned(
-            f"normal equations condition {condition:.3e} exceeds {cond_limit:.1e}"
+    radii, angles = samples.radii, samples.angles
+    k = np.repeat(np.arange(n), degree + 1)
+    m = np.tile(np.arange(degree + 1), n)
+    freqs = np.arange(-(n - 1), degree + 1)
+    Q, T = np.linalg.qr(np.exp(1j * np.outer(angles, freqs)))
+    system = (T[:, None, m - k + n - 1]
+              * radii[None, :, None] ** (k + m)).reshape(-1, unknowns)
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = Q.conj().T @ samples.values.T
+        sol, _, _, sv = np.linalg.lstsq(system, projected.ravel(), rcond=None)
+        full_rank = sv.size == unknowns and sv[-1] > 0
+        condition = float((sv[0] / sv[-1]) ** 2) if full_rank else math.inf
+        if condition > cond_limit:
+            raise IllConditioned(
+                f"normal equations condition {condition:.3e} exceeds "
+                f"{cond_limit:.1e}"
+            )
+        poly = PolyAnalytic(sol.reshape(n, degree + 1))
+        residual = float(np.max(np.abs(poly(samples.points()) - samples.values)))
+    if not (np.all(np.isfinite(poly.c)) and math.isfinite(residual)):
+        raise NonFinite(
+            f"decomposition is not finite: coefficients up to "
+            f"{np.max(np.abs(poly.c)):.3e}, residual {residual:.3e}"
         )
-    poly = PolyAnalytic(sol.reshape(n, degree + 1))
-    residual = float(np.max(np.abs(design @ sol - vals)))
     return DecompositionFit(poly=poly, residual=residual, condition=condition)

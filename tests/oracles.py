@@ -1,10 +1,12 @@
-"""Test-only oracles: quadrature and the dict reference for the polynomial tables.
+"""Test-only oracles: quadrature, the dense decomposition fit and the dict
+reference for the polynomial tables.
 
 Quadrature certifies the closed-form area-integral tables by an independent
-route.  The dict functions are the earlier dict-backed polynomial code: a
-polynomial is a {(m, k): c} dict, and every function here adds its terms in
-the same order that code did, so it is the bit-for-bit reference for
-``PolyAnalytic``'s tables, its monomial sum and the terms written to files.
+route, and the dense least-squares fit certifies ``poly_decompose``.  The dict
+functions are the earlier dict-backed polynomial code: a polynomial is a
+{(m, k): c} dict, and every function here adds its terms in the same order
+that code did, so it is the bit-for-bit reference for ``PolyAnalytic``'s
+tables, its monomial sum and the terms written to files.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from metadisk.disk import TWO_PI, as_complex
-from metadisk.errors import NonConvergent
+from metadisk.disk import TWO_PI, PolarGrid, as_complex
+from metadisk.errors import IllConditioned, NonConvergent
+from metadisk.integral import PolyAnalytic
+from metadisk.meta import DecompositionFit
 
 _PI = math.pi
 
@@ -126,6 +130,37 @@ def schwarz_pompeiu_quadrature_oracle(f, z, n_radial: int = 128,
         singularity=0j, **quad)
     total = cauchy_part + center_part + mirror_part + herglotz_part
     return -total / (2.0 * _PI)
+
+
+def dense_poly_decompose(samples: PolarGrid, n: int, degree: int = 16,
+                         cond_limit: float = 1e10) -> DecompositionFit:
+    """``poly_decompose`` by one least-squares solve over the dense design:
+    a row per sample, a column conj(z)^k z^m per unknown, the powers built by
+    running products."""
+    pts = samples.points().ravel()
+    vals = np.asarray(samples.values, dtype=complex).ravel()
+    unknowns = n * (degree + 1)
+    if pts.size < 2 * unknowns:
+        raise ValueError(f"{pts.size} samples cannot determine {unknowns} "
+                         "coefficients with margin")
+    zbar = np.conjugate(pts)
+    cols = []
+    for k in range(n):
+        zk = zbar ** k
+        power = np.ones_like(pts)
+        for _ in range(degree + 1):
+            cols.append(zk * power)
+            power = power * pts
+    design = np.stack(cols, axis=1)
+    sol, _, _, sv = np.linalg.lstsq(design, vals, rcond=None)
+    condition = float((sv[0] / sv[-1]) ** 2) if sv[-1] > 0 else math.inf
+    if condition > cond_limit:
+        raise IllConditioned(
+            f"normal equations condition {condition:.3e} exceeds {cond_limit:.1e}"
+        )
+    poly = PolyAnalytic(sol.reshape(n, degree + 1))
+    residual = float(np.max(np.abs(design @ sol - vals)))
+    return DecompositionFit(poly=poly, residual=residual, condition=condition)
 
 
 def _normalized(terms: dict) -> dict:

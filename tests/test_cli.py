@@ -484,6 +484,38 @@ def test_decompose_conditioning_exits_three(tmp_path):
     assert code == 3
 
 
+def _decompose_samples(tmp_path, capsys, values):
+    grid = PolarGrid.mesh(4, 8)
+    formats.write_values_csv(tmp_path / "samples.csv", grid, values(grid))
+    cfg = tmp_path / "decompose.json"
+    formats.save_json(cfg, {"order": 2, "samples": "samples.csv"})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise
+        code = main(["decompose", "--config", str(cfg), "--out", str(out),
+                     "--degree", "2"])
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
+def test_decompose_of_a_nan_sample_exits_one(tmp_path, capsys):
+    def values(grid):
+        v = np.conjugate(grid.points())
+        v[1, 3] = complex(np.nan, 0.0)
+        return v
+
+    code, err = _decompose_samples(tmp_path, capsys, values)
+    assert code == 1
+    assert err.startswith("error: samples row 12 is not finite: ")
+
+
+def test_decompose_that_overflows_exits_three(tmp_path, capsys):
+    code, err = _decompose_samples(
+        tmp_path, capsys, lambda grid: np.full((4, 8), 1.7e308 - 1.7e308j))
+    assert code == 3
+    assert err.startswith("numerical failure: ") and "is not finite" in err
+
+
 def test_formats_round_trips(tmp_path):
     poly = PolyAnalytic.from_terms({(1, 2): 0.5 - 0.25j, (0, 0): 1.0})
     back = formats.bivar_from_data(formats.bivar_to_data(poly))

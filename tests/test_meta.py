@@ -11,7 +11,8 @@ from numpy.polynomial import polynomial as npoly
 from conftest import (interior_points, random_bivar, random_holo, random_meta,
                       stack_parts, term_lists)
 from metadisk.boundary import meta_hardy_norm
-from oracles import dict_derivative_matrix, dict_eval, dict_terms
+from oracles import (dense_poly_decompose, dict_derivative_matrix, dict_eval,
+                     dict_terms)
 from metadisk.boundary import BoundaryDistribution
 from metadisk.disk import PolarGrid, RadialSequence, wirtinger_dbar
 from metadisk.errors import IllConditioned, ProductNotIdentity, StencilOutsideDisk
@@ -320,6 +321,49 @@ def test_poly_decompose_round_trip():
     rebuilt = MetaExpr(psi, fit.poly)
     held = PolarGrid.mesh(7, 18, r_min=0.15, r_max=0.85).points()
     assert np.max(np.abs(w(held) - rebuilt(held))) < 1e-8
+
+
+@st.composite
+def decompose_cases(draw):
+    """Samples of a random order-n polynomial plus off-model noise on 1-8
+    rings, at even or jittered angles, some fewer than the n + degree
+    frequencies of the model."""
+    rings = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 4))
+    n_angles = 2 * draw(st.integers(4, 12))
+    top = min(20, n_angles * rings // (2 * n) - 1)
+    degree = top - draw(st.integers(0, top))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    angles = 2 * np.pi * np.arange(n_angles) / n_angles
+    if draw(st.booleans()):
+        angles = angles + rng.uniform(-0.4, 0.4, n_angles) * (2 * np.pi / n_angles)
+    grid = PolarGrid(np.sort(rng.uniform(0.05, 0.95, rings)), angles)
+    pts = grid.points()
+    c, noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in ((n, degree + 1), pts.shape))
+    return grid.with_values(PolyAnalytic(c)(pts) + 1e-3 * noise), n, degree
+
+
+@given(decompose_cases())
+def test_poly_decompose_matches_the_dense_fit(case):
+    samples, n, degree = case
+    if samples.radii.size < min(n, degree + 1):
+        # some frequency has more unknowns than there are rings
+        with pytest.raises(IllConditioned):
+            dense_poly_decompose(samples, n, degree)
+        with pytest.raises(IllConditioned):
+            poly_decompose(samples, n, degree)
+        return
+    oracle = dense_poly_decompose(samples, n, degree, cond_limit=math.inf)
+    fit = poly_decompose(samples, n, degree, cond_limit=math.inf)
+    if oracle.condition <= 1e8:
+        assert fit.condition == pytest.approx(oracle.condition, rel=1e-10)
+    if oracle.condition <= 1e10:
+        scale = max(1.0, math.sqrt(oracle.condition)) * max(
+            1.0, float(np.max(np.abs(oracle.poly.c))))
+        assert np.max(np.abs(fit.poly.c - oracle.poly.c)) <= 1e-12 * scale
+        assert fit.residual == pytest.approx(oracle.residual, rel=1e-6,
+                                             abs=1e-12 * scale)
 
 
 def test_poly_decompose_conditioning_guard():
