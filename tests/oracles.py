@@ -1,5 +1,5 @@
-"""Test-only oracles: quadrature, the dense decomposition fit and the dict
-reference for the polynomial tables.
+"""Test-only oracles: quadrature, the dense decomposition fit, the Poisson
+extension's term loop and the dict reference for the polynomial tables.
 
 Quadrature certifies the closed-form area-integral tables by an independent
 route, and the dense least-squares fit certifies ``poly_decompose``.  The dict
@@ -161,6 +161,20 @@ def dense_poly_decompose(samples: PolarGrid, n: int, degree: int = 16,
     poly = PolyAnalytic(sol.reshape(n, degree + 1))
     residual = float(np.max(np.abs(design @ sol - vals)))
     return DecompositionFit(poly=poly, residual=residual, condition=condition)
+
+
+def poisson_extend_loop(u, z):
+    """The Poisson extension of earlier versions, bit for bit: one power and
+    one exponential per frequency, added in the order of n."""
+    arr = np.asarray(as_complex(z) if np.ndim(z) == 0 else z, dtype=complex)
+    r = np.abs(arr)
+    theta = np.angle(arr)
+    out = np.zeros(arr.shape, dtype=complex)
+    for n, c in sorted(u.coeffs.items()):
+        out = out + c * r ** abs(n) * np.exp(1j * n * theta)
+    if out.shape == ():
+        return complex(out)
+    return out
 
 
 def _normalized(terms: dict) -> dict:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_bivar, random_holo, random_problem, stack_parts
+from metadisk import boundary
 from metadisk.boundary import (BoundaryDistribution, TestFunction,
                                growth_order, hardy_norm,
                                lp_boundary_convergence, meta_hardy_norm,
@@ -18,6 +19,7 @@ from metadisk.meta import MetaExpr
 from metadisk.schwarz import (SchwarzProblem, _unfolded_data,
                               default_test_basis, solve_meta,
                               verify_boundary_conditions)
+from oracles import poisson_extend_loop
 
 TWO_PI = 2.0 * math.pi
 
@@ -147,6 +149,48 @@ def test_poisson_reproduces_series():
     for _ in range(50):
         z = 0.92 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, TWO_PI))
         assert abs(poisson_extend(u, z) - h(z)) < 1e-10
+
+
+# points on the axes, signed zeros among them, and at angle pi exactly
+AXIS_POINTS = [complex(x, y) for x in (0.0, -0.0, 0.5, -0.5, -1.0)
+               for y in (0.0, -0.0)] + [0.3j, -0.3j, -0.0 + 0.7j]
+
+
+@st.composite
+def fourier_data_and_points(draw):
+    """Fourier data with frequencies up to 40 in size, some of n and -n
+    missing, and points of the closed disk with the axis points mixed in."""
+    start = draw(st.integers(-40, 0))
+    stop = draw(st.integers(max(start, -1), 40))
+    parts = st.floats(-2.0, 2.0)
+    coeffs = {n: complex(draw(parts), draw(parts))
+              for n in range(start, stop + 1) if draw(st.booleans())}
+    radius = st.floats(0.0, 1.0)
+    angle = st.floats(-math.pi, math.pi)
+    points = [draw(radius) * np.exp(1j * draw(angle))
+              for _ in range(draw(st.integers(0, 40)))]
+    points += draw(st.lists(st.sampled_from(AXIS_POINTS), max_size=12))
+    return BoundaryDistribution(coeffs), np.array(points, dtype=complex)
+
+
+@given(fourier_data_and_points())
+def test_poisson_extension_matches_the_term_loop_bit_for_bit(case):
+    u, z = case
+    assert poisson_extend(u, z).tobytes() == poisson_extend_loop(u, z).tobytes()
+    for point in z[:4]:
+        assert (np.complex128(poisson_extend(u, point)).tobytes()
+                == np.complex128(poisson_extend_loop(u, point)).tobytes())
+
+
+def test_poisson_extension_matches_the_term_loop_across_passes(monkeypatch):
+    rng = np.random.default_rng(12)
+    u = BoundaryDistribution({n: complex(*rng.standard_normal(2))
+                              for n in range(-7, 6)})
+    z = (np.sqrt(rng.uniform(size=(5, 9)))
+         * np.exp(2j * np.pi * rng.uniform(size=(5, 9))))
+    monkeypatch.setattr(boundary, "POISSON_POINTS_PER_PASS", 4)
+    assert poisson_extend(u, z).shape == (5, 9)
+    assert poisson_extend(u, z).tobytes() == poisson_extend_loop(u, z).tobytes()
 
 
 def geometric_series(z):

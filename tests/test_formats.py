@@ -1,8 +1,14 @@
 """Grid CSV writers: byte-identity with the per-row repr loop, shape checks;
-polynomial terms: byte-identity with the dict reference."""
+the numpy spelling of floats: byte-identity with repr; polynomial terms:
+byte-identity with the dict reference."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import term_lists
-from metadisk import formats
+from metadisk import floatrepr, formats
 from metadisk.disk import PolarGrid
 from metadisk.integral import PolyAnalytic, teodorescu_poly
 from oracles import dict_from_data, dict_to_data
@@ -178,3 +184,108 @@ def test_terms_round_trip_writes_the_dict_bytes(pairs):
     want = dict_to_data(dict_from_data(data))
     assert (json.dumps(ours, sort_keys=True, indent=2)
             == json.dumps(want, sort_keys=True, indent=2))
+
+
+def spelled(x) -> bytes:
+    """``floatrepr.spell``'s cells of ``x`` with their NULs dropped."""
+    return floatrepr.spell(np.asarray(x, dtype=float)).tobytes().translate(
+        None, b"\0")
+
+
+def repr_spelled(x) -> bytes:
+    return "".join(repr(float(v)) + "," for v in np.ravel(x)).encode()
+
+
+def nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+# The ends of repr's fixed notation, powers of ten, every power of two of
+# floatrepr's band (which it spells without Schubfach's narrower interval
+# below them), significands that end a binade, and reprs of 15, 16 and 17
+# digits.
+EDGE_FLOATS = sorted({
+    nudged(x, ulps)
+    for x in ([1e-4, 9999999999999998.0, 1e16, 2.0 ** 52, 2.0 ** 53]
+              + [10.0 ** p for p in range(-5, 17)]
+              + [2.0 ** p for p in range(-15, 55)])
+    for ulps in range(-3, 4)
+} | {0.0, 0.1, 0.3, 1 / 3, 2 / 3, 123456789012345.0, 1234567890123456.0,
+     0.12345678901234566, 1125899906842624.25, 1125899906842624.75,
+     4503599627370495.5, 9007199254740993.0})
+
+
+def test_spelling_matches_repr_on_the_edges():
+    x = np.array(EDGE_FLOATS)
+    assert {len(repr(v).strip("-0.").replace(".", "")) for v in EDGE_FLOATS
+            if "e" not in repr(v)} >= {15, 16, 17}
+    assert spelled(x) == repr_spelled(x)
+    assert spelled(-x) == repr_spelled(-x)
+    assert spelled(-0.0) == b"-0.0," and spelled(0.0) == b"0.0,"
+
+
+def test_every_float_of_fixed_notation_is_spelled_without_repr(monkeypatch):
+    fixed = [x for x in EDGE_FLOATS if "e" not in repr(x)]
+    assert min(filter(None, fixed)) == 1e-4 and max(fixed) == nudged(1e16, -1)
+    monkeypatch.setattr(floatrepr, "repr", None, raising=False)
+    assert spelled(fixed) == repr_spelled(fixed)
+    with pytest.raises(TypeError):
+        spelled([1e16])
+
+
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_spelling_matches_repr_on_random_bits(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert spelled(x) == repr_spelled(x)
+
+
+@given(st.lists(st.floats(1e-4, 1e16, exclude_max=True), min_size=1,
+                max_size=64), st.integers(0, 2 ** 64 - 1))
+def test_spelling_matches_repr_in_fixed_notation(floats, signs):
+    x = np.array(floats) * np.where([signs >> i & 1 for i in range(len(floats))],
+                                    -1.0, 1.0)
+    assert spelled(x) == repr_spelled(x)
+
+
+def test_spelling_keeps_the_shape_of_its_input():
+    x = np.arange(24.0).reshape(2, 3, 4) / 7
+    cells = floatrepr.spell(x)
+    assert cells.shape == (2, 3, 4, floatrepr.CELL)
+    assert cells.tobytes().translate(None, b"\0") == repr_spelled(x)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_large_blocks_mixing_every_kind_of_float_match_the_oracle(tmp_path,
+                                                                  workers):
+    # chunks of 5 rings of 64 points split the 40 rings inside every block
+    grid = PolarGrid.mesh(40, 64)
+    rng = np.random.default_rng(21)
+    floats = rng.standard_normal(2 * 40 * 64) * 10.0 ** rng.integers(-8, 20,
+                                                                     2 * 40 * 64)
+    kinds = np.array(SPECIAL + tuple(EDGE_FLOATS[::7]))
+    floats[::5] = np.resize(kinds, floats[::5].size)
+    values = floats.view(complex).reshape(40, 64)
+    with forced_workers(workers), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "FLOATS_PER_CHUNK", 5 * 64 * 2)
+        ours, oracle = write_both(tmp_path / "grid.csv", grid, [values])
+    assert ours == oracle
+
+
+@given(grids_with_values())
+def test_grid_csv_in_small_chunks_matches_per_row_oracle(tmp_path_factory,
+                                                        case):
+    grid, arrays = case
+    path = tmp_path_factory.mktemp("csv") / "grid.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "FLOATS_PER_CHUNK", 100)
+        ours, oracle = write_both(path, grid, arrays)
+    assert ours == oracle
+
+
+def test_cli_import_leaves_floatrepr_unloaded():
+    code = ("import sys, metadisk.cli; "
+            "sys.exit('metadisk.floatrepr' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(formats.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
