@@ -13,7 +13,6 @@ from .boundary import (
     poisson_extend,
 )
 from .disk import (
-    DiskPoint,
     PolarGrid,
     RadialSequence,
     wirtinger_dbar,
@@ -32,10 +31,8 @@ from .errors import (
 from .integral import (
     PolyAnalytic,
     SimilarityFactor,
-    schwarz_pompeiu,
     schwarz_pompeiu_poly,
     similarity_factor,
-    teodorescu,
     teodorescu_poly,
 )
 from .meta import (

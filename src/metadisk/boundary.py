@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import RadialSequence, as_complex
+from .disk import RadialSequence
 from .errors import AliasedSampling, Divergent, NonFinite
 
 TWO_PI = 2.0 * math.pi
@@ -198,12 +198,6 @@ def pairing_limits(f, tests, rs: RadialSequence | None = None,
     return richardson_limits(pair_spectrum(spectrum, tests), stabilize_tol)
 
 
-# poisson_extend keeps a power and a wave per |n| for this many points at a
-# time; in one pass over its 65,536 points, poisson on 256x512 peaked at 49 MB
-# in place of 37 MB
-POISSON_POINTS_PER_PASS = 1 << 13
-
-
 def poisson_extend(u: BoundaryDistribution, z):
     """Harmonic extension sum c_n r^|n| e^{i n theta} of finite Fourier data.
 
@@ -212,32 +206,20 @@ def poisson_extend(u: BoundaryDistribution, z):
     exp(1j * n * theta) up to the sign of a zero: the imaginary part of
     1j * n * theta is exactly -1 times that of -n, its real part is a zero,
     and complex exp(+-0 + iy) is (cos y, sin y) with sin odd.  A zero's sign
-    does not reach the sum, which starts at +0.  An array of points is taken
-    POISSON_POINTS_PER_PASS points at a time, so the kept powers and waves
-    stay small.
+    does not reach the sum, which starts at +0.
     """
-    arr = np.asarray(as_complex(z) if np.ndim(z) == 0 else z, dtype=complex)
-    terms = sorted(u.coeffs.items())
+    arr = np.asarray(z, dtype=complex)
     r, theta = np.abs(arr), np.angle(arr)
-    if arr.shape == ():  # numpy scalars, whose powers take scalar math
-        return complex(_poisson_sum(terms, r, theta))
-    r, theta = r.ravel(), theta.ravel()
-    out = np.empty(arr.size, dtype=complex)
-    for lo in range(0, arr.size, POISSON_POINTS_PER_PASS):
-        part = slice(lo, lo + POISSON_POINTS_PER_PASS)
-        out[part] = _poisson_sum(terms, r[part], theta[part])
-    return out.reshape(arr.shape)
-
-
-def _poisson_sum(terms, r, theta):
-    total = np.zeros(np.shape(r), dtype=complex)
+    total = np.zeros(arr.shape, dtype=complex)
     kept = {}
-    for n, c in terms:
+    for n, c in sorted(u.coeffs.items()):
         m = abs(n)
         if m not in kept:
             kept[m] = r ** m, np.exp(1j * m * theta)
         power, wave = kept[m]
         total = total + c * power * (wave if n >= 0 else np.conjugate(wave))
+    if total.shape == ():
+        return complex(total)
     return total
 
 

@@ -127,27 +127,19 @@ def _write_report(out_dir: Path, report: Report, boundary) -> None:
     formats.save_json(out_dir / "report.json", data, indent=None)
 
 
-def _sample_solution(sol: SchwarzSolution, grid: PolarGrid):
-    pts = grid.points()
-    w_values = sol.w(pts)
-    residual_expr = sol.w.dbar_shift_power(sol.problem.n)
-    residuals = np.asarray(residual_expr(pts), dtype=complex) + 0.0
-    return w_values, residuals
-
-
 def run_solve(config: RunConfig) -> int:
     problem = formats.problem_from_data(formats.load_json(config.config_path))
     grid = config.sampling_grid()
     sol = solve_meta(problem, verify=True, grid=grid,
                      rs=config.radial_sequence(), thresholds=config.tolerances)
     t = perf_counter()
-    w_values, residuals = _sample_solution(sol, grid)
-    sol.report.timings["sample_grid"] = perf_counter() - t
-    t = perf_counter()
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    residual = sol.w.dbar_shift_power(problem.n)
+    formats.write_solution_csv(
+        out / "solution_grid.csv", grid, _finite(sol.w, "solution"),
+        _finite(lambda z: residual(z) + 0.0, f"order-{problem.n} residual"))
     formats.save_json(out / "solution.json", formats.solution_to_data(sol))
-    formats.write_solution_csv(out / "solution_grid.csv", grid, w_values, residuals)
     sol.report.timings["write"] = perf_counter() - t
     _write_report(out, sol.report, sol.boundary)
     return 0 if sol.report.overall_pass else 2
@@ -178,7 +170,7 @@ def run_verify(config: RunConfig) -> int:
 def _finite(evaluate, what: str):
     """``evaluate`` raising NonFinite where a value overflows, in place of
     numpy's warnings; the first such point in ring order is named whichever
-    block of rings meets it."""
+    chunk of rings meets it."""
     def checked(z):
         with np.errstate(over="ignore", invalid="ignore"):
             values = evaluate(z)

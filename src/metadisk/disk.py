@@ -17,54 +17,6 @@ from .errors import NonFinite, StencilOutsideDisk
 TWO_PI = 2.0 * math.pi
 
 
-def as_complex(z) -> complex:
-    """Coerce a DiskPoint or any complex-like value to a plain complex."""
-    if isinstance(z, DiskPoint):
-        return z.z
-    return complex(z)
-
-
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point of the closed unit disk; boundary points are flagged explicitly.
-
-    Interior points must satisfy r < 1.  Boundary points are constructed with
-    r = 1 exactly via :meth:`on_circle` and carry ``boundary=True``.
-    """
-
-    re: float
-    im: float
-    boundary: bool = False
-
-    def __post_init__(self):
-        r = math.hypot(self.re, self.im)
-        if self.boundary:
-            if abs(r - 1.0) > 1e-12:
-                raise ValueError(f"boundary point must have radius 1, got {r!r}")
-        elif r >= 1.0:
-            raise ValueError(f"interior point must have radius < 1, got {r!r}")
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "DiskPoint":
-        return cls(float(z.real), float(z.imag))
-
-    @classmethod
-    def on_circle(cls, theta: float) -> "DiskPoint":
-        return cls(math.cos(theta), math.sin(theta), boundary=True)
-
-    @property
-    def z(self) -> complex:
-        return complex(self.re, self.im)
-
-    @property
-    def radius(self) -> float:
-        return math.hypot(self.re, self.im)
-
-    @property
-    def angle(self) -> float:
-        return math.atan2(self.im, self.re) % TWO_PI
-
-
 @dataclass(frozen=True)
 class RadialSequence:
     """Radii r_j = 1 - 2^(-j-1), j = 0..depth, accumulating at the boundary.
@@ -159,7 +111,7 @@ def wirtinger_dbar(f, z, h: float = 1e-4, richardson: bool = False) -> complex:
     Parameters
     ----------
     f : callable
-    z : complex or DiskPoint, interior, at distance > 2h from the boundary
+    z : complex, interior, at distance > 2h from the boundary
     h : stencil step
     richardson : combine steps h and h/2 for fourth-order accuracy
 
@@ -168,7 +120,7 @@ def wirtinger_dbar(f, z, h: float = 1e-4, richardson: bool = False) -> complex:
     StencilOutsideDisk : the stencil would reach outside the disk.
     NonFinite : a stencil sample came back inf or NaN.
     """
-    zc = as_complex(z)
+    zc = complex(z)
     if abs(zc) + 2.0 * h >= 1.0:
         raise StencilOutsideDisk(f"point {zc} is within 2h={2 * h} of the boundary")
 

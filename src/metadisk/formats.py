@@ -7,8 +7,9 @@ Complex numbers are stored as [re, im] pairs.  All JSON is written with
 sorted keys and all floats via repr, so identical inputs produce
 byte-identical files; report.json is written compact, the others with a
 2-space indent.  A grid CSV has a header, then one row per grid point, ring
-by ring: r, theta, then the real and imaginary part of each sampled array,
+by ring: r, theta, then the real and imaginary part of each sampled column,
 every float in Python's shortest round-trip repr (nan, inf, -0.0).  The
+writer samples each chunk of rings, checks it and spells it in one loop.  The
 floats are spelled by ``floatrepr``, which computes the same digits in numpy
 (Giulietti's Schubfach) and lays them out as repr does, so the bytes are
 repr's.  Large grids are sampled and formatted by forked workers, one block
@@ -18,6 +19,7 @@ of rings each, and the bytes do not depend on how many there are.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
 import shutil
@@ -374,19 +376,40 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {text} overflows a double")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"an integer of {len(text.lstrip('-'))} digits "
+                         "overflows a double") from None
+    return value
+
+
 def load_json(path) -> dict:
-    """Parse a JSON input file; NaN and +-Infinity raise ValueError."""
-    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+    """Parse a JSON input file; NaN, +-Infinity and number literals that
+    overflow a double, such as 1e400, raise ValueError."""
+    return json.loads(Path(path).read_text(), parse_float=_finite_float,
+                      parse_int=_finite_int, parse_constant=_reject_constant)
 
 
 # Rings are split into blocks of at least this many points, one block per
-# worker: a fork and its pipe cost 2-4 ms, formatting 2**14 points about 13 ms.
+# worker: a fork and its pipe cost about 5 ms, sampling and spelling 2**14
+# points of a transform about 20 ms (2 vCPUs, Python 3.11, numpy 2.4).
 MIN_POINTS_PER_WORKER = 1 << 14
 
 
-# A block of rings is spelled in chunks of about this many floats, each taking
-# floatrepr.CELL = 42 bytes of cells and its numpy temporaries while it is
-# laid out; chunks of 2**14 raised poisson's peak RSS on 256x512 by 3 MB.
+# A block of rings is sampled and spelled in chunks of about this many floats,
+# each taking floatrepr.CELL = 42 bytes of cells and its numpy temporaries
+# while it is laid out; chunks of 2**14 raised poisson's peak RSS on 256x512
+# by 3 MB.
 FLOATS_PER_CHUNK = 1 << 13
 
 
@@ -415,44 +438,62 @@ def _check_shape(a: np.ndarray, shape: tuple, of: str = "the grid's") -> None:
                          f"shape {shape}")
 
 
-def _ring_lines(grid: PolarGrid, rings: slice, arrays):
-    """The CSV lines of a block of rings as an iterable of bytes, formatted as
-    they are iterated; the arrays' shapes are checked at once.
+def _sampler(grid: PolarGrid, columns) -> list:
+    """One function per column giving its values on a slice of rings.
 
-    The block is spelled a chunk of about FLOATS_PER_CHUNK floats at a time:
-    each line is laid out in NUL-padded ``floatrepr`` cells, the ``r,`` and
-    ``theta,`` of its point and one per value, and the NULs are dropped.
+    A column is an array shaped like the grid, checked here, or a function
+    evaluated elementwise on the points of those rings: it must give the same
+    value for a point whatever array the point comes in, and must not call
+    BLAS, since forked workers call it too.
+    """
+    shape = (grid.radii.size, grid.angles.size)
+    points = grid.points() if any(map(callable, columns)) else None
+    getters = []
+    for column in columns:
+        if callable(column):
+            getters.append(lambda rings, f=column: f(points[rings]))
+        else:
+            column = np.asarray(column, dtype=complex)
+            _check_shape(column, shape)
+            getters.append(column.__getitem__)
+    return getters
+
+
+def _ring_lines(grid: PolarGrid, rings: slice, columns):
+    """The CSV lines of a block of rings, a chunk of bytes at a time.
+
+    The block is sampled, checked and spelled a chunk of about
+    FLOATS_PER_CHUNK floats at a time: ``columns`` are ``_sampler``'s
+    functions, and each line is laid out in NUL-padded ``floatrepr`` cells,
+    the ``r,`` and ``theta,`` of its point and one per value, and the NULs
+    are dropped.
     """
     from . import floatrepr
 
     radii = grid.radii[rings]
-    arrays = [np.asarray(a, dtype=complex) for a in arrays]
-    for a in arrays:
-        _check_shape(a, (radii.size, grid.angles.size),
-                     f"rings {rings.start}-{rings.stop - 1}'s")
-    values = np.stack(arrays, axis=-1).view(float)
     # the columns no r or theta uses (the sign, most point slots) go
     lead_r, lead_theta = (c[:, c.any(axis=0)] for c in
                           (floatrepr.spell(radii), floatrepr.spell(grid.angles)))
     n_theta = grid.angles.size
-    step = max(1, FLOATS_PER_CHUNK // values[0].size)
+    step = max(1, FLOATS_PER_CHUNK // (2 * len(columns) * n_theta))
+    for lo in range(0, radii.size, step):
+        n_rings = min(step, radii.size - lo)
+        part = slice(rings.start + lo, rings.start + lo + n_rings)
+        arrays = [np.asarray(get(part), dtype=complex) for get in columns]
+        for a in arrays:
+            _check_shape(a, (n_rings, n_theta),
+                         f"rings {part.start}-{part.stop - 1}'s")
+        cells = floatrepr.spell(np.stack(arrays, axis=-1).view(float))
+        cells[..., -1, -1] = ord("\n")
+        line = np.concatenate([
+            np.broadcast_to(lead_r[lo:lo + n_rings, None],
+                            (n_rings, n_theta, lead_r.shape[1])),
+            np.broadcast_to(lead_theta, (n_rings,) + lead_theta.shape),
+            cells.reshape(n_rings, n_theta, -1)], axis=-1)
+        yield line.tobytes().translate(None, b"\0")
 
-    def lines():
-        for lo in range(0, radii.size, step):
-            cells = floatrepr.spell(values[lo:lo + step])
-            cells[..., -1, -1] = ord("\n")
-            n_rings = cells.shape[0]
-            line = np.concatenate([
-                np.broadcast_to(lead_r[lo:lo + n_rings, None],
-                                (n_rings, n_theta, lead_r.shape[1])),
-                np.broadcast_to(lead_theta, (n_rings,) + lead_theta.shape),
-                cells.reshape(n_rings, n_theta, -1)], axis=-1)
-            yield line.tobytes().translate(None, b"\0")
 
-    return lines()
-
-
-def _fork_block(grid: PolarGrid, sample, rings: slice, inherited) -> tuple:
+def _fork_block(grid: PolarGrid, columns, rings: slice, inherited) -> tuple:
     """Fork a worker that samples and formats ``rings``; return its pid and
     the read end of its pipe.
 
@@ -477,7 +518,7 @@ def _fork_block(grid: PolarGrid, sample, rings: slice, inherited) -> tuple:
         for pipe in inherited:
             pipe.close()
         try:
-            payload = [b"\0", *_ring_lines(grid, rings, sample(rings))]
+            payload = [b"\0", *_ring_lines(grid, rings, columns)]
         except Exception as exc:
             payload = [b"\1", pickle.dumps(exc)]
         with open(write, "wb") as pipe:
@@ -497,9 +538,9 @@ def _copy_block(pipe, out) -> None:
         shutil.copyfileobj(pipe, out)
 
 
-def _write_grid_csv(path, header: str, grid: PolarGrid, sample) -> None:
-    """Write the rings of ``grid`` with the arrays ``sample(rings)`` returns
-    for a slice of them.
+def _write_grid_csv(path, header: str, grid: PolarGrid, columns) -> None:
+    """Write the rings of ``grid`` with the values of ``columns``, each an
+    array shaped like the grid or a function of points (see ``_sampler``).
 
     Block 0 is sampled and formatted here and every other block in a forked
     worker; the blocks are written in ring order, so the bytes do not depend
@@ -507,13 +548,14 @@ def _write_grid_csv(path, header: str, grid: PolarGrid, sample) -> None:
     failing block in ring order is raised, no file is left and every worker
     is reaped.
     """
+    columns = _sampler(grid, columns)
     blocks = _ring_blocks(grid)
     workers = []  # (pid, pipe) of the workers not yet reaped
     try:
         for rings in blocks[1:]:
-            workers.append(_fork_block(grid, sample, rings,
+            workers.append(_fork_block(grid, columns, rings,
                                        [pipe for _, pipe in workers]))
-        head = _ring_lines(grid, blocks[0], sample(blocks[0]))
+        head = _ring_lines(grid, blocks[0], columns)
         with open(path, "wb") as out:
             try:
                 out.write(header.encode() + b"\n")
@@ -539,32 +581,14 @@ def _write_grid_csv(path, header: str, grid: PolarGrid, sample) -> None:
             os.waitpid(pid, 0)
 
 
-def _array_sampler(grid: PolarGrid, arrays):
-    shape = (grid.radii.size, grid.angles.size)
-    arrays = [np.asarray(a, dtype=complex) for a in arrays]
-    for a in arrays:
-        _check_shape(a, shape)
-    return lambda rings: [a[rings] for a in arrays]
-
-
 def write_values_csv(path, grid: PolarGrid, values) -> None:
-    """``values`` is an array shaped like the grid, or a function evaluated
-    elementwise on ``grid.points()``: each worker then calls it on the points
-    of its own rings, so it must give the same value for a point whatever
-    array the point comes in, and must not call BLAS."""
-    if callable(values):
-        points = grid.points()
-
-        def sample(rings):
-            return [values(points[rings])]
-    else:
-        sample = _array_sampler(grid, [values])
-    _write_grid_csv(path, VALUE_CSV_HEADER, grid, sample)
+    """``values`` is an array shaped like the grid or a function of points."""
+    _write_grid_csv(path, VALUE_CSV_HEADER, grid, [values])
 
 
 def write_solution_csv(path, grid: PolarGrid, w_values, residuals) -> None:
-    _write_grid_csv(path, SOLUTION_CSV_HEADER, grid,
-                    _array_sampler(grid, [w_values, residuals]))
+    """Each column is an array shaped like the grid or a function of points."""
+    _write_grid_csv(path, SOLUTION_CSV_HEADER, grid, [w_values, residuals])
 
 
 def read_values_csv(path) -> PolarGrid:

@@ -13,13 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryDistribution
-from .disk import as_complex
-
-
-def _carray(z):
-    if hasattr(z, "z"):
-        z = z.z
-    return np.asarray(z, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +93,7 @@ class PolyAnalytic:
     def __call__(self, z):
         """Horner in z per row, in numpy.polynomial.polyval's operation
         order, then a running power of conj(z)."""
-        arr = _carray(z)
+        arr = np.asarray(z, dtype=complex)
         zbar = np.conjugate(arr)
         out = np.zeros(arr.shape, dtype=complex)
         power = np.ones(arr.shape, dtype=complex)
@@ -117,7 +110,7 @@ class PolyAnalytic:
     def monomial_sum(self, z):
         """The nonzero terms c z^m conj(z)^k added one by one in sorted (m, k)
         order, with a running power of z and a table of powers of conj(z)."""
-        arr = _carray(z)
+        arr = np.asarray(z, dtype=complex)
         out = np.zeros(arr.shape, dtype=complex)
         m, k, c = self.sorted_terms()
         if c.size:
@@ -236,11 +229,6 @@ def teodorescu_poly(f: PolyAnalytic) -> PolyAnalytic:
     return PolyAnalytic(out)
 
 
-def teodorescu(f: PolyAnalytic, z) -> complex:
-    """Evaluate the closed-form area integral of ``f`` at ``z`` (disk closure allowed)."""
-    return complex(teodorescu_poly(f)(as_complex(z)))
-
-
 def schwarz_pompeiu_poly(f: PolyAnalytic) -> PolyAnalytic:
     """Closed-form Schwarz-Pompeiu area integral of ``f`` as a polynomial.
 
@@ -262,11 +250,6 @@ def schwarz_pompeiu_poly(f: PolyAnalytic) -> PolyAnalytic:
     values = _divided(np.where(centre, 0.0, -c.real), c.imag, k + 1.0)
     np.add.at(out[0], np.where(centre, 0, k - m + 1)[extra], values[extra])
     return PolyAnalytic(out)
-
-
-def schwarz_pompeiu(f: PolyAnalytic, z) -> complex:
-    """Evaluate the closed-form Schwarz-Pompeiu integral of ``f`` at ``z``."""
-    return complex(schwarz_pompeiu_poly(f)(as_complex(z)))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from metadisk.disk import TWO_PI, PolarGrid, as_complex
+from metadisk.disk import TWO_PI, PolarGrid
 from metadisk.errors import IllConditioned, NonConvergent
 from metadisk.integral import PolyAnalytic
 from metadisk.meta import DecompositionFit
@@ -64,7 +64,7 @@ def disk_quadrature(g, singularity=None, n_radial: int = 512,
     n_radial, n_angular : node counts (Gauss-Legendre radial, uniform angular)
     tol : optional absolute refinement tolerance
     """
-    center = 0j if singularity is None else as_complex(singularity)
+    center = 0j if singularity is None else complex(singularity)
     if abs(center) >= 1.0:
         raise ValueError("singularity must be an interior point")
     fine = _polar_integral(g, center, n_radial, n_angular)
@@ -86,7 +86,7 @@ def teodorescu_quadrature_oracle(f, z, n_radial: int = 512, n_angular: int = 512
     Independent of the closed-form table; used to certify it.  ``f`` may be a
     polynomial or any broadcasting callable; ``z`` must be interior.
     """
-    zc = as_complex(z)
+    zc = complex(z)
 
     def integrand(zeta):
         return np.asarray(f(zeta), dtype=complex) / (zeta - zc)
@@ -114,7 +114,7 @@ def schwarz_pompeiu_quadrature_oracle(f, z, n_radial: int = 128,
     own singularity (z, the origin, the origin; the last piece has its pole at
     1/conj(z), outside the closed disk for interior z).
     """
-    zc = as_complex(z)
+    zc = complex(z)
     quad = dict(n_radial=n_radial, n_angular=n_angular, tol=tol)
 
     def fv(t):
@@ -166,7 +166,7 @@ def dense_poly_decompose(samples: PolarGrid, n: int, degree: int = 16,
 def poisson_extend_loop(u, z):
     """The Poisson extension of earlier versions, bit for bit: one power and
     one exponential per frequency, added in the order of n."""
-    arr = np.asarray(as_complex(z) if np.ndim(z) == 0 else z, dtype=complex)
+    arr = np.asarray(z, dtype=complex)
     r = np.abs(arr)
     theta = np.angle(arr)
     out = np.zeros(arr.shape, dtype=complex)

@@ -21,7 +21,7 @@ from metadisk.boundary import (TestFunction, growth_order, hardy_norm,
                                pairing_limits)
 from metadisk.cli import main
 from metadisk.disk import PolarGrid, RadialSequence, wirtinger_dbar
-from metadisk.integral import PolyAnalytic, similarity_factor, teodorescu
+from metadisk.integral import PolyAnalytic, similarity_factor, teodorescu_poly
 from metadisk.meta import derivative_matrix, derivative_stack, pde_residual
 from metadisk.schwarz import SchwarzProblem, solve_meta, verify_solution
 
@@ -52,7 +52,7 @@ def test_criterion_1_transform_table_vs_oracle():
         for k in range(5):
             f = PolyAnalytic.from_terms({(m, k): 1.0})
             for z in points:
-                gap = abs(teodorescu_quadrature_oracle(f, z) - teodorescu(f, z))
+                gap = abs(teodorescu_quadrature_oracle(f, z) - teodorescu_poly(f)(z))
                 worst = max(worst, gap)
     _verdict(1, worst < 1e-5, f"max table-vs-oracle error {worst:.3g}, tol 1e-5")
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_bivar, random_holo, random_problem, stack_parts
-from metadisk import boundary
 from metadisk.boundary import (BoundaryDistribution, TestFunction,
                                growth_order, hardy_norm,
                                lp_boundary_convergence, meta_hardy_norm,
@@ -180,17 +179,6 @@ def test_poisson_extension_matches_the_term_loop_bit_for_bit(case):
     for point in z[:4]:
         assert (np.complex128(poisson_extend(u, point)).tobytes()
                 == np.complex128(poisson_extend_loop(u, point)).tobytes())
-
-
-def test_poisson_extension_matches_the_term_loop_across_passes(monkeypatch):
-    rng = np.random.default_rng(12)
-    u = BoundaryDistribution({n: complex(*rng.standard_normal(2))
-                              for n in range(-7, 6)})
-    z = (np.sqrt(rng.uniform(size=(5, 9)))
-         * np.exp(2j * np.pi * rng.uniform(size=(5, 9))))
-    monkeypatch.setattr(boundary, "POISSON_POINTS_PER_PASS", 4)
-    assert poisson_extend(u, z).shape == (5, 9)
-    assert poisson_extend(u, z).tobytes() == poisson_extend_loop(u, z).tobytes()
 
 
 def geometric_series(z):

@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -102,10 +103,12 @@ def test_report_times_sampling_writing_and_loading(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["verify", "--config", str(out / "solution.json"),
                  "--out", str(check)]) == 0
-    for path, names in ((out, ("sample_grid", "write")), (check, ("load",))):
+    # solve samples the grid inside its write
+    for path, names in ((out, ("write",)), (check, ("load",))):
         timings = json.loads((path / "report.json").read_text())["timings"]
         for name in names:
             assert timings[name] >= 0.0
+        assert "sample_grid" not in timings
 
 
 def test_solve_rerun_is_byte_identical(tmp_path):
@@ -244,10 +247,25 @@ def _with_nan_part(data):
     data["parts"][0]["coeffs"][0][0] = float("nan")
 
 
+def _with_coefficient_1e400(data):
+    data["A"]["terms"][0]["re"] = "<1e400>"
+
+
+def _with_level_constant_minus_1e999(data):
+    data["levels"][1]["c"] = "<-1e999>"
+
+
+def _with_400_digit_coefficient(data):
+    data["A"]["terms"][0]["re"] = "<" + "9" * 400 + ">"
+
+
 @pytest.mark.parametrize("command, corrupt", [
     ("solve", _with_nan_coefficient),
     ("solve", _with_infinite_level),
     ("verify", _with_nan_part),
+    ("solve", _with_coefficient_1e400),
+    ("solve", _with_level_constant_minus_1e999),
+    ("solve", _with_400_digit_coefficient),
 ])
 def test_non_finite_numbers_exit_one(tmp_path, capsys, command, corrupt):
     cfg = write_problem(tmp_path / "problem.json")
@@ -258,7 +276,8 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, command, corrupt):
     data = json.loads(cfg.read_text())
     corrupt(data)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))  # json writes NaN and Infinity bare
+    # json writes NaN and Infinity bare; a string "<text>" becomes text
+    bad.write_text(re.sub(r'"<([^"]*)>"', r"\1", json.dumps(data)))
     capsys.readouterr()
     code = main([command, "--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == 1
@@ -277,6 +296,11 @@ _HUGE = {"terms": [{"m": 0, "k": 0, "re": 1.7e308, "im": 0},
                  "coeffs": [[1.7e308, 0], [1.7e308, 0]]}, "4x8"),
     ("poisson", {"type": "holo_series",
                  "coeffs": [[1.7e308, 0], [1.7e308, 0]]}, "64x512"),
+    # e^(800 conj z) overflows where Re z > 0.887
+    ("solve", {"n": 1, "A": {"terms": [{"m": 0, "k": 0, "re": 800.0,
+                                        "im": 0.0}]},
+               "psi_kind": "cauchy",
+               "levels": [{"h": {"coeffs": [[1.0, 0.0]]}, "c": 0.0}]}, "32x64"),
 ])
 def test_grid_values_that_overflow_exit_three(tmp_path, capsys, command,
                                                data, grid):
@@ -370,6 +394,7 @@ sys.exit(main(sys.argv[2:]))
     ("poisson", {"type": "fourier", "min_index": -3, "coeffs": [
         [0.1, 0.2], [-0.3, 0.0], [0.5, 0.5], [1.0, 0.0], [0.2, -0.4],
         [0.0, 0.3], [0.7, 0.1]]}),
+    ("solve", formats.problem_to_data(WORKED)),
 ])
 def test_grid_commands_write_the_same_bytes_on_one_cpu(tmp_path, command,
                                                        data):
@@ -384,7 +409,7 @@ def test_grid_commands_write_the_same_bytes_on_one_cpu(tmp_path, command,
                         "--config", str(cfg), "--out", str(out),
                         "--grid", "256x512"],
                        env=env, check=True, timeout=120)
-        files.append(next(out.iterdir()).read_bytes())
+        files.append(next(out.glob("*.csv")).read_bytes())
     assert files[0] == files[1]
     assert files[0].count(b"\n") == 1 + 256 * 512
 

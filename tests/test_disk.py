@@ -6,20 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import random_bivar
-from metadisk.disk import DiskPoint, PolarGrid, RadialSequence, wirtinger_dbar
+from metadisk.disk import PolarGrid, RadialSequence, wirtinger_dbar
 from metadisk.errors import NonConvergent, NonFinite, StencilOutsideDisk
 from oracles import disk_quadrature
-
-
-def test_disk_point_roundtrip():
-    p = DiskPoint.from_complex(0.3 - 0.4j)
-    assert p.radius == pytest.approx(0.5)
-    assert p.z == 0.3 - 0.4j
-    assert not p.boundary
-    q = DiskPoint.on_circle(math.pi / 2)
-    assert q.boundary
-    assert q.radius == pytest.approx(1.0)
-    assert q.z == pytest.approx(1j)
 
 
 def test_radial_sequence_geometric():

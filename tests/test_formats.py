@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import term_lists
+from conftest import random_meta, term_lists
 from metadisk import floatrepr, formats
+from metadisk.boundary import BoundaryDistribution, poisson_extend
 from metadisk.disk import PolarGrid
-from metadisk.integral import PolyAnalytic, teodorescu_poly
+from metadisk.integral import PolyAnalytic, schwarz_pompeiu_poly, teodorescu_poly
 from oracles import dict_from_data, dict_to_data
 
 SPECIAL = (-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
@@ -154,6 +156,39 @@ def test_values_function_is_sampled_block_by_block(tmp_path, workers):
                                  table.monomial_sum)
     assert ((tmp_path / "blocks.csv").read_bytes()
             == (tmp_path / "arrays.csv").read_bytes())
+
+
+def _grid_functions():
+    """The functions the commands hand the grid writer, by name."""
+    rng = np.random.default_rng(13)
+    u = BoundaryDistribution({n: complex(*rng.standard_normal(2))
+                              for n in range(-7, 6)})
+    f = PolyAnalytic.from_terms({(0, 1): 0.3 - 0.7j, (2, 1): -1.1 + 0.2j,
+                                 (1, 3): 0.9 + 0.4j})
+    functions = {"poisson": partial(poisson_extend, u),
+                 "teodorescu": teodorescu_poly(f).monomial_sum,
+                 "schwarz_pompeiu": schwarz_pompeiu_poly(f).monomial_sum}
+    for kind in ("cauchy", "schwarz"):
+        w = random_meta(rng, n_max=4, kind=kind)
+        residual = w.dbar_shift_power(w.order)
+        functions[f"{kind}-solution"] = w
+        functions[f"{kind}-residual"] = lambda z, e=residual: e(z) + 0.0
+    return functions
+
+
+GRID_FUNCTIONS = _grid_functions()
+
+
+@pytest.mark.parametrize("name", GRID_FUNCTIONS)
+def test_grid_functions_give_the_same_bits_on_any_slice_of_rings(name):
+    # the writer evaluates each chunk of rings on its own, in any process
+    f = GRID_FUNCTIONS[name]
+    points = PolarGrid.mesh(13, 64).points()
+    whole = f(points)
+    assert whole.shape == points.shape
+    for lo in range(13):
+        for hi in range(lo + 1, 14):
+            assert f(points[lo:hi]).tobytes() == whole[lo:hi].tobytes()
 
 
 @pytest.mark.parametrize("failing_ring, block, rows", [

@@ -1,6 +1,6 @@
 """Area integral operators and the similarity factor.
 
-The closed-form monomial tables behind teodorescu() and schwarz_pompeiu() are
+The closed-form monomial tables behind teodorescu_poly() and schwarz_pompeiu_poly() are
 certified against their singularity-centered quadrature oracles here; the full
 m,k sweep of the teodorescu table lives in the acceptance suite.  The dict
 reference in oracles.py pins the tables' coefficients and the monomial sum
@@ -14,9 +14,8 @@ from hypothesis import given, strategies as st
 
 from conftest import interior_points, random_bivar, term_lists
 from metadisk.disk import PolarGrid, wirtinger_dbar
-from metadisk.integral import (PolyAnalytic, schwarz_pompeiu,
-                               schwarz_pompeiu_poly, similarity_factor,
-                               teodorescu, teodorescu_poly)
+from metadisk.integral import (PolyAnalytic, schwarz_pompeiu_poly,
+                               similarity_factor, teodorescu_poly)
 from oracles import (dict_eval, dict_schwarz_pompeiu, dict_similarity,
                      dict_teodorescu, dict_terms,
                      schwarz_pompeiu_quadrature_oracle,
@@ -134,8 +133,8 @@ def test_teodorescu_base_cases():
     one = PolyAnalytic.constant(1.0)
     zeta = PolyAnalytic.from_terms({(1, 0): 1.0})
     for z in POINTS:
-        assert teodorescu(one, z) == pytest.approx(np.conjugate(z))
-        assert teodorescu(zeta, z) == pytest.approx(z * np.conjugate(z) - 1.0)
+        assert teodorescu_poly(one)(z) == pytest.approx(np.conjugate(z))
+        assert teodorescu_poly(zeta)(z) == pytest.approx(z * np.conjugate(z) - 1.0)
     assert teodorescu_poly(PolyAnalytic.zero()).is_zero
 
 
@@ -155,7 +154,7 @@ def test_oracle_certifies_table_entries():
     for m, k in cases:
         f = PolyAnalytic.from_terms({(m, k): 1.0})
         for z in (0.4j, 0.3 - 0.45j):
-            want = teodorescu(f, z)
+            want = teodorescu_poly(f)(z)
             got = teodorescu_quadrature_oracle(f, z)
             assert abs(got - want) < 1e-5, (m, k, z)
 
@@ -180,7 +179,7 @@ def test_schwarz_pompeiu_contract():
 
 def test_schwarz_minus_teodorescu_is_holomorphic():
     f = PolyAnalytic.constant(1.0)
-    diff = lambda z: schwarz_pompeiu_quadrature_oracle(f, z) - teodorescu(f, z)
+    diff = lambda z: schwarz_pompeiu_quadrature_oracle(f, z) - teodorescu_poly(f)(z)
     assert abs(wirtinger_dbar(diff, 0.5 + 0j, h=1e-3)) < 1e-5
 
 
@@ -196,7 +195,7 @@ def test_schwarz_pompeiu_table_vs_oracle():
             f = PolyAnalytic.from_terms({(m, k): c})
             for z in points:
                 gap = abs(schwarz_pompeiu_quadrature_oracle(f, z)
-                          - schwarz_pompeiu(f, z))
+                          - schwarz_pompeiu_poly(f)(z))
                 worst = max(worst, gap)
     assert worst < 1e-5
 
