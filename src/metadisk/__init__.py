@@ -25,7 +25,6 @@ from .errors import (
     NonConvergent,
     NonFinite,
     PairingMismatch,
-    ProductNotIdentity,
     StencilOutsideDisk,
 )
 from .integral import (
@@ -42,7 +41,6 @@ from .meta import (
     decompose_samples,
     derivative_matrix,
     derivative_stack,
-    invert_unitriangular,
     pde_residual,
     poly_decompose,
 )

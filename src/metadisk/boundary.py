@@ -18,6 +18,8 @@ from .errors import AliasedSampling, Divergent, NonFinite
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_N_THETA = 256
+# relative agreement of the last two extrapolants that counts as stabilized
+STABILIZE_TOL = 1e-9
 
 
 class BoundaryDistribution:
@@ -154,13 +156,13 @@ def pair_spectrum(spectrum: np.ndarray, tests) -> np.ndarray:
     return out
 
 
-def richardson_limits(raw: np.ndarray, stabilize_tol: float = 1e-9):
+def richardson_limits(raw: np.ndarray):
     """Limits r -> 1 of every column of ``raw`` (at least two radii x pairings).
 
     Iterated Richardson extrapolation in eps = 1 - r, which halves along the
     radial sequence.  Returns arrays (value, residual, stabilized): the
     extrapolant, the raw tail |I(r_last) - I(r_prev)|, and whether the last two
-    extrapolants agree to ``stabilize_tol``.  Raises Divergent when a column
+    extrapolants agree to STABILIZE_TOL.  Raises Divergent when a column
     is not finite, or grows without its extrapolant stabilizing.
     """
     if not np.all(np.isfinite(raw)):
@@ -172,7 +174,7 @@ def richardson_limits(raw: np.ndarray, stabilize_tol: float = 1e-9):
         row = (factor * row[1:] - row[:-1]) / (factor - 1.0)
         previous_best, best = best, row[-1]
         scale = np.maximum(1.0, np.abs(best))
-        stabilized = np.abs(best - previous_best) <= stabilize_tol * scale
+        stabilized = np.abs(best - previous_best) <= STABILIZE_TOL * scale
     if len(raw) > 4:
         mags = np.abs(raw)
         growing = (~stabilized & np.all(np.diff(mags[-4:], axis=0) > 0, axis=0)
@@ -185,8 +187,7 @@ def richardson_limits(raw: np.ndarray, stabilize_tol: float = 1e-9):
 
 
 def pairing_limits(f, tests, rs: RadialSequence | None = None,
-                   n_theta: int = DEFAULT_N_THETA,
-                   stabilize_tol: float = 1e-9):
+                   n_theta: int = DEFAULT_N_THETA):
     """Pairings lim_{r->1} Int f(r e^{i theta}) phi(theta) d theta for every test.
 
     The trapezoid rule on a ring (spectrally accurate for periodic integrands)
@@ -195,7 +196,7 @@ def pairing_limits(f, tests, rs: RadialSequence | None = None,
     """
     rs = rs or RadialSequence()
     spectrum = TWO_PI * np.fft.ifft(ring_samples(f, rs, n_theta), axis=1)
-    return richardson_limits(pair_spectrum(spectrum, tests), stabilize_tol)
+    return richardson_limits(pair_spectrum(spectrum, tests))
 
 
 def poisson_extend(u: BoundaryDistribution, z):

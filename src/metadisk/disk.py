@@ -16,20 +16,25 @@ from .errors import NonFinite, StencilOutsideDisk
 
 TWO_PI = 2.0 * math.pi
 
+# The deepest radial sequence whose radii all lie inside the disk.
+MAX_DEPTH = 52
+
 
 @dataclass(frozen=True)
 class RadialSequence:
     """Radii r_j = 1 - 2^(-j-1), j = 0..depth, accumulating at the boundary.
 
     The geometric gaps 1 - r_j halve at every step, which is what the
-    radial-limit extrapolations rely on.
+    radial-limit extrapolations rely on.  The depth is 1 to MAX_DEPTH: from
+    j = 53 on, r_j rounds to 1.0 and the ring is the circle itself.
     """
 
     depth: int = 16
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"radial depth must be between 1 and "
+                             f"{MAX_DEPTH}, got {self.depth}")
 
     @property
     def radii(self) -> np.ndarray:

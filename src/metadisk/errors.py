@@ -21,10 +21,6 @@ class Divergent(MetadiskError):
     """A radial pairing sequence grows without the extrapolant stabilizing."""
 
 
-class ProductNotIdentity(MetadiskError):
-    """A computed inverse failed its verification product."""
-
-
 class IllConditioned(MetadiskError):
     """A least-squares system is too close to rank deficient to trust."""
 

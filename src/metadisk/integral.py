@@ -57,10 +57,16 @@ class PolyAnalytic:
         """sum c z^m conj(z)^k over a {(m, k): c} mapping or ((m, k), c) pairs;
         repeated keys add up in input order."""
         pairs = list(terms.items() if hasattr(terms, "items") else terms)
-        keys = np.array([mk for mk, _ in pairs], dtype=int).reshape(-1, 2)
+        try:
+            keys = np.array([mk for mk, _ in pairs], dtype=int).reshape(-1, 2)
+        except OverflowError:
+            raise ValueError("exponents must fit in a 64-bit integer") from None
         if np.any(keys < 0):
             raise ValueError("exponents must be nonnegative")
-        out = np.zeros(keys.max(axis=0, initial=0)[::-1] + 1, dtype=complex)
+        try:
+            out = np.zeros(keys.max(axis=0, initial=0)[::-1] + 1, dtype=complex)
+        except MemoryError as exc:  # numpy refuses before allocating
+            raise ValueError(str(exc)) from None
         np.add.at(out, (keys[:, 1], keys[:, 0]),
                   np.array([complex(c) for _, c in pairs], dtype=complex))
         return cls(out)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .disk import PolarGrid
-from .errors import IllConditioned, NonFinite, ProductNotIdentity, StencilOutsideDisk
+from .errors import IllConditioned, NonFinite, StencilOutsideDisk
 from .integral import PolyAnalytic, SimilarityFactor
 
 
@@ -68,8 +67,7 @@ class TriangularOperatorMatrix:
     """Lower unitriangular matrix of polynomial entries acting on derivative stacks.
 
     Row k expresses the plain derivative d^k (e^s F) as
-    e^s * sum_j entries[k][j] d^j F.  The inverse (same shape) recovers the
-    shifted derivatives from the plain ones.
+    e^s * sum_j entries[k][j] d^j F.
     """
 
     def __init__(self, entries):
@@ -111,55 +109,22 @@ class TriangularOperatorMatrix:
                 worst = max(worst, gap.max_coeff())
         return worst
 
-    @cached_property
-    def inverse(self) -> "TriangularOperatorMatrix":
-        return invert_unitriangular(self)
-
 
 def derivative_matrix(coeff: PolyAnalytic, n: int) -> TriangularOperatorMatrix:
-    """Rows M[k] with d^k (e^s F) = e^s sum_j M[k][j] d^j F, built by recurrence.
+    """Rows M[k] with d^k (e^s F) = e^s sum_j M[k][j] d^j F, in closed form.
 
-    M[0][0] = 1 and M[k+1][j] = dbar M[k][j] + A * M[k][j] + M[k][j-1].
+    By Leibniz M[k][j] = C(k, j) B_(k-j), where d^m e^s = e^s B_m:
+    B_0 = 1 and B_(m+1) = dbar B_m + A B_m.  The inverse is the matrix of
+    -A, whose similarity exponent is -s: d^k F = d^k (e^(-s) w).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rows = [(PolyAnalytic.constant(1.0),)]
-    for k in range(n - 1):
-        prev = rows[k]
-        row = []
-        for j in range(k + 2):
-            acc = PolyAnalytic.zero()
-            if j <= k:
-                acc = acc + prev[j].dbar() + coeff * prev[j]
-            if j >= 1:
-                acc = acc + prev[j - 1]
-            row.append(acc)
-        rows.append(tuple(row))
-    return TriangularOperatorMatrix(rows)
-
-
-def invert_unitriangular(matrix: TriangularOperatorMatrix,
-                         tol: float = 1e-12) -> TriangularOperatorMatrix:
-    """Forward substitution; both products are checked against the identity."""
-    n = matrix.size
-    rows: list[tuple[PolyAnalytic, ...]] = []
-    for k in range(n):
-        row = []
-        for j in range(k):
-            acc = PolyAnalytic.zero()
-            for l in range(j, k):
-                acc = acc + matrix.entry(k, l) * rows[l][j]
-            row.append(acc.scale(-1.0))
-        row.append(PolyAnalytic.constant(1.0))
-        rows.append(tuple(row))
-    inverse = TriangularOperatorMatrix(rows)
-    left = (inverse @ matrix).deviation_from_identity()
-    right = (matrix @ inverse).deviation_from_identity()
-    if max(left, right) > tol:
-        raise ProductNotIdentity(
-            f"inverse check failed: deviations {left:.3e} (left), {right:.3e} (right)"
-        )
-    return inverse
+    b = [PolyAnalytic.constant(1.0)]
+    for _ in range(n - 1):
+        b.append(b[-1].dbar() + coeff * b[-1])
+    return TriangularOperatorMatrix(
+        [b[k - j].scale(math.comb(k, j)) for j in range(k + 1)]
+        for k in range(n))
 
 
 def pde_residual(w, coeff: PolyAnalytic, n: int, grid: PolarGrid | None = None,

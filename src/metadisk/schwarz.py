@@ -12,7 +12,7 @@ coefficient A.  `solve_meta` solves both factor kinds: the cauchy kind
 divides the boundary conditions by e^{s}, the schwarz kind keeps the factor
 inside the conditions and needs s real at the origin.
 
-Every solve can carry its own verification report: PDE residual, origin
+`verify_solution` checks a solution, fresh or reloaded: PDE residual, origin
 conditions, boundary pairings of w against the data unfolded from h and the
 lower chain members over a trig test basis, the exact chain property, and a
 corrupted-solution negative control that must visibly fail.
@@ -112,8 +112,6 @@ class SchwarzSolution:
     w: MetaExpr
     chain: tuple[PolyAnalytic, ...]
     constants: tuple[complex, ...]
-    report: Report
-    boundary: BoundaryReport | None
     problem: SchwarzProblem
 
 
@@ -269,8 +267,10 @@ DEFAULT_THRESHOLDS = {
 def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
                     tests=None, rs: RadialSequence | None = None,
                     n_theta: int | None = None,
-                    thresholds: dict | None = None) -> SchwarzSolution:
-    """Run the full check battery on a solution and attach a fresh report.
+                    thresholds: dict | None = None
+                    ) -> tuple[Report, BoundaryReport]:
+    """Run the full check battery on a solution; return its report, timed
+    stage by stage, and its boundary table.
 
     Works both on freshly solved problems (where the chain came from the
     recursion) and on reloaded solution files (where the chain is rebuilt from
@@ -284,7 +284,6 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
     n = problem.n
     w = sol.w
     report = Report()
-    report.timings.update(sol.report.timings)
 
     t = perf_counter()
     report.add("pde_residual", pde_residual(w, problem.coeff, n, grid),
@@ -326,29 +325,17 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
                direction=">")
     report.timings["negative_control"] = perf_counter() - t
 
-    return SchwarzSolution(w=w, chain=sol.chain, constants=sol.constants,
-                           report=report, boundary=boundary, problem=problem)
+    return report, boundary
 
 
-def solve_meta(problem: SchwarzProblem, verify: bool = True,
-               grid: PolarGrid | None = None, tests=None,
-               rs: RadialSequence | None = None, n_theta: int | None = None,
-               thresholds: dict | None = None) -> SchwarzSolution:
+def solve_meta(problem: SchwarzProblem) -> SchwarzSolution:
     """Solve with the similarity factor of ``problem.factor_kind``.
 
     The cauchy kind divides the boundary conditions by the factor; the
     schwarz kind keeps it inside them and has it real at the origin, so
     Im((dbar - A)^k w)(0) = e^{s(0)} c_{n-1-k} with a positive scale.
     """
-    t0 = perf_counter()
     factor = similarity_factor(problem.coeff, problem.factor_kind)
     chain, constants = solve_poly_chain(problem)
-    report = Report()
-    report.timings["construct"] = perf_counter() - t0
-    sol = SchwarzSolution(w=MetaExpr(factor, chain[-1]),
-                          chain=chain, constants=constants,
-                          report=report, boundary=None, problem=problem)
-    if not verify:
-        return sol
-    return verify_solution(sol, grid=grid, tests=tests, rs=rs, n_theta=n_theta,
-                           thresholds=thresholds)
+    return SchwarzSolution(MetaExpr(factor, chain[-1]), chain, constants,
+                           problem)

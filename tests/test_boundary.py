@@ -82,7 +82,7 @@ def test_gathered_pairings_match_dict_loop(u_coeffs, test_coeffs):
 def test_gathered_pairings_match_dict_loop_degree_60():
     problem = _oracle_problems()[-1]  # n=6, data degree 60
     basis = default_test_basis(problem)
-    for member in solve_meta(problem, verify=False).chain:
+    for member in solve_meta(problem).chain:
         trace = member.boundary_distribution().re_part()
         got = trace.pairings(basis)
         for value, phi in zip(got, basis):
@@ -343,7 +343,7 @@ def _oracle_problems():
 def test_spectral_rows_match_scalar_oracle():
     # seed-7 batch, three schwarz problems and an n=6, degree-60 cauchy problem
     for problem in _oracle_problems():
-        sol = solve_meta(problem, verify=False)
+        sol = solve_meta(problem)
         report = verify_boundary_conditions(sol, problem)
         want = _oracle_rows(sol, problem)
         n, width = problem.n, len(report.tests)
@@ -362,7 +362,7 @@ def test_spectral_rows_match_scalar_oracle():
 def test_verify_evaluations_do_not_grow_with_the_basis(kind, monkeypatch):
     rng = np.random.default_rng(13)
     problem = random_problem(rng, n_max=3, factor_kind=kind)
-    sol = solve_meta(problem, verify=False)
+    sol = solve_meta(problem)
     counts = {"poly": 0, "factor": 0}
 
     def counting(cls, key):

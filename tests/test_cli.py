@@ -46,12 +46,18 @@ def test_parse_grid():
 def test_run_config_validation(tmp_path):
     with pytest.raises(ValueError):
         RunConfig("solve", tmp_path / "x", tmp_path, grid=(2, 64))
-    for bad in (-1.0, float("nan")):
+    for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             RunConfig("solve", tmp_path / "x", tmp_path,
                       tolerances={"pde_residual": bad})
+    # from depth 53 on the deepest radii round to 1.0, on the circle itself
+    for bad in (0, 53, 100):
+        with pytest.raises(ValueError, match="radial depth"):
+            RunConfig("solve", tmp_path / "x", tmp_path, radial_depth=bad)
     cfg = RunConfig("solve", tmp_path / "x", tmp_path, radial_depth=8)
     assert len(cfg.radial_sequence()) == 9
+    assert RunConfig("solve", tmp_path / "x", tmp_path, radial_depth=52
+                     ).radial_sequence().radii.max() < 1.0
 
 
 def test_unknown_tolerance_name_exits_one(tmp_path):
@@ -259,6 +265,14 @@ def _with_400_digit_coefficient(data):
     data["A"]["terms"][0]["re"] = "<" + "9" * 400 + ">"
 
 
+def _with_exponent_of_14_tib(data):
+    data["A"]["terms"][0]["m"] = "<1000000000000>"
+
+
+def _with_exponent_past_64_bits(data):
+    data["A"]["terms"][0]["m"] = "<100000000000000000000>"
+
+
 @pytest.mark.parametrize("command, corrupt", [
     ("solve", _with_nan_coefficient),
     ("solve", _with_infinite_level),
@@ -266,6 +280,8 @@ def _with_400_digit_coefficient(data):
     ("solve", _with_coefficient_1e400),
     ("solve", _with_level_constant_minus_1e999),
     ("solve", _with_400_digit_coefficient),
+    ("solve", _with_exponent_of_14_tib),
+    ("solve", _with_exponent_past_64_bits),
 ])
 def test_non_finite_numbers_exit_one(tmp_path, capsys, command, corrupt):
     cfg = write_problem(tmp_path / "problem.json")
@@ -628,8 +644,8 @@ def test_aliased_angular_grid_exits_three(tmp_path, monkeypatch):
     cfg = write_problem(tmp_path / "problem.json", problem)
     args = ["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]
     assert main(args) == 0
-    monkeypatch.setattr(cli, "solve_meta",
-                        functools.partial(cli.solve_meta, n_theta=256))
+    monkeypatch.setattr(cli, "verify_solution",
+                        functools.partial(cli.verify_solution, n_theta=256))
     assert main(args) == 3
 
 

@@ -15,12 +15,11 @@ from oracles import (dense_poly_decompose, dict_derivative_matrix, dict_eval,
                      dict_terms)
 from metadisk.boundary import BoundaryDistribution
 from metadisk.disk import PolarGrid, RadialSequence, wirtinger_dbar
-from metadisk.errors import IllConditioned, ProductNotIdentity, StencilOutsideDisk
+from metadisk.errors import IllConditioned, StencilOutsideDisk
 from metadisk.integral import PolyAnalytic, similarity_factor
-from metadisk.meta import (MetaExpr, TriangularOperatorMatrix,
-                           decompose_samples, derivative_matrix,
-                           derivative_stack, invert_unitriangular,
-                           pde_residual, poly_decompose)
+from metadisk.meta import (MetaExpr, decompose_samples, derivative_matrix,
+                           derivative_stack, pde_residual,
+                           poly_decompose)
 
 GRID = PolarGrid.mesh(32, 64)
 
@@ -224,25 +223,16 @@ def test_matrix_inverse_entries():
     rng = np.random.default_rng(43)
     A = random_bivar(rng, 2, scale=0.7)
     M2 = derivative_matrix(A, 2)
-    N2 = M2.inverse
+    N2 = derivative_matrix(A.scale(-1.0), 2)
     assert (N2.entry(1, 0) + A).max_coeff() < 1e-12
     assert _equal(N2.entry(1, 1), PolyAnalytic.constant(1.0))
 
     M3 = derivative_matrix(A, 3)
-    N3 = M3.inverse
+    N3 = derivative_matrix(A.scale(-1.0), 3)
     want = A * A + A.dbar().scale(-1.0)
     assert (N3.entry(2, 0) + want.scale(-1.0)).max_coeff() < 1e-12
     assert (M3 @ N3).deviation_from_identity() < 1e-12
     assert (N3 @ M3).deviation_from_identity() < 1e-12
-
-
-def test_matrix_inverse_guard():
-    A = PolyAnalytic.constant(1.0)
-    rows = [list(r) for r in derivative_matrix(A, 3).entries]
-    rows[2][2] = PolyAnalytic.constant(1.0 + 1e-3)
-    broken = TriangularOperatorMatrix(tuple(tuple(r) for r in rows))
-    with pytest.raises(ProductNotIdentity):
-        invert_unitriangular(broken)
 
 
 def test_derivative_stack_examples():

@@ -99,7 +99,7 @@ def test_solve_meta_zero_coeff_reduces_to_chain():
     problem = random_problem(rng, coeff_degree=0)
     problem = SchwarzProblem(n=problem.n, coeff=PolyAnalytic.zero(),
                              levels=problem.levels)
-    sol = solve_meta(problem, verify=False)
+    sol = solve_meta(problem)
     top = solve_poly_chain(problem)[0][-1]
     for z in POINTS:
         assert sol.w(z) == pytest.approx(top(z), abs=1e-12)
@@ -107,7 +107,7 @@ def test_solve_meta_zero_coeff_reduces_to_chain():
 
 def test_solve_meta_worked_example():
     sol = solve_meta(WORKED)
-    assert sol.report.overall_pass
+    assert verify_solution(sol)[0].overall_pass
     for z in POINTS:
         want = np.exp(np.conjugate(z)) * (2.0j + np.conjugate(z))
         assert sol.w(z) == pytest.approx(want)
@@ -115,7 +115,7 @@ def test_solve_meta_worked_example():
 
 def test_solve_meta_linear_coeff():
     problem = constant_problem(coeff=PolyAnalytic.from_terms({(1, 0): 1.0}))
-    sol = solve_meta(problem, verify=False)
+    sol = solve_meta(problem)
     for z in POINTS:
         want = np.exp(z * np.conjugate(z) - 1.0)
         assert sol.w(z) == pytest.approx(want)
@@ -139,8 +139,8 @@ def test_smooth_variant_zero_coeff_identical():
     pa = SchwarzProblem(n=base.n, coeff=PolyAnalytic.zero(), levels=base.levels)
     pb = SchwarzProblem(n=base.n, coeff=PolyAnalytic.zero(), levels=base.levels,
                         factor_kind="schwarz")
-    wa = solve_meta(pa, verify=False).w
-    wb = solve_meta(pb, verify=False).w
+    wa = solve_meta(pa).w
+    wb = solve_meta(pb).w
     for z in POINTS:
         assert wa(z) == pytest.approx(wb(z), abs=1e-12)
 
@@ -149,7 +149,7 @@ def test_smooth_variant_single_level():
     problem = constant_problem(c=1.0, coeff=PolyAnalytic.constant(1.0),
                                kind="schwarz")
     sol = solve_meta(problem)
-    assert sol.report.overall_pass
+    assert verify_solution(sol)[0].overall_pass
     scale = cmath.exp(sol.w.factor.at_zero)
     assert scale.imag == pytest.approx(0.0, abs=1e-12)
     assert scale.real > 0
@@ -163,7 +163,7 @@ def test_smooth_variant_origin_ratio_uniform():
     rng = np.random.default_rng(73)
     problem = random_problem(rng, n_max=2, coeff_degree=1, data_degree=3,
                              factor_kind="schwarz")
-    sol = solve_meta(problem, verify=False)
+    sol = solve_meta(problem)
     scale = cmath.exp(sol.w.factor.at_zero).real
     for k in range(problem.n):
         c = problem.levels[problem.n - 1 - k][1]
@@ -172,14 +172,14 @@ def test_smooth_variant_origin_ratio_uniform():
 
 
 def test_verify_constant_problem():
-    sol = solve_meta(constant_problem(), verify=False)
+    sol = solve_meta(constant_problem())
     report = verify_boundary_conditions(sol, constant_problem(),
                                         tests=(TestFunction.constant(),))
     assert report.max_residual < 1e-10
 
 
 def test_verify_worked_example_basis():
-    sol = solve_meta(WORKED, verify=False)
+    sol = solve_meta(WORKED)
     tests = (TestFunction.constant(), TestFunction.cosine(1),
              TestFunction.sine(1), TestFunction.cosine(2))
     report = verify_boundary_conditions(sol, WORKED, tests=tests)
@@ -188,10 +188,9 @@ def test_verify_worked_example_basis():
 
 
 def test_verify_detects_corruption():
-    sol = solve_meta(WORKED, verify=False)
+    sol = solve_meta(WORKED)
     bad_chain = (sol.chain[0] + sol.chain[0].constant(0.1), sol.chain[1])
     corrupted = type(sol)(w=sol.w, chain=bad_chain, constants=sol.constants,
-                          report=sol.report, boundary=sol.boundary,
                           problem=sol.problem)
     report = verify_boundary_conditions(corrupted, WORKED)
     assert report.max_residual > 1e-3
@@ -206,14 +205,13 @@ def test_verify_detects_corruption():
             n=3, coeff=random_bivar(rng, 2), factor_kind=kind,
             levels=tuple((random_holo(rng, 6), 0.04 * rng.standard_normal())
                          for _ in range(3)))
-        sol = solve_meta(problem, verify=False)
+        sol = solve_meta(problem)
         for k in range(3):
             bump = np.zeros(sol.w.poly.c.shape, dtype=complex)
             bump[k, 0] = 1e-3
             w = MetaExpr(sol.w.factor, PolyAnalytic(sol.w.poly.c + bump))
             corrupted = type(sol)(w=w, chain=chain_from_top(w.poly, 3),
-                                  constants=sol.constants, report=sol.report,
-                                  boundary=None, problem=problem)
+                                  constants=sol.constants, problem=problem)
             report = verify_boundary_conditions(corrupted, problem)
             assert not report.max_residual < 1e-6, (kind, k, report.max_residual)
 
@@ -222,14 +220,15 @@ def test_verify_solution_full_battery():
     rng = np.random.default_rng(79)
     problem = random_problem(rng)
     sol = solve_meta(problem)
-    names = {c.name for c in sol.report.checks}
+    report, _ = verify_solution(sol)
+    names = {c.name for c in report.checks}
     assert {"pde_residual", "imag_at_origin", "boundary_pairing_max",
             "chain_derivative", "negative_control"} <= names
-    assert sol.report.overall_pass
-    assert sol.report["negative_control"].value > 1e-3
+    assert report.overall_pass
+    assert report["negative_control"].value > 1e-3
     # impossible threshold flips the verdict without touching the solution
-    strict = verify_solution(sol, thresholds={"boundary_pairing_max": 1e-30})
-    assert not strict.report.overall_pass
+    strict, _ = verify_solution(sol, thresholds={"boundary_pairing_max": 1e-30})
+    assert not strict.overall_pass
 
 
 def test_default_test_basis_spans_data():
@@ -243,7 +242,7 @@ def test_default_test_basis_spans_data():
 def test_hardy_persistence():
     rng = np.random.default_rng(89)
     problem = random_problem(rng)
-    sol = solve_meta(problem, verify=False)
+    sol = solve_meta(problem)
     for p in (1.0, 2.0):
         assert np.isfinite(float(meta_hardy_norm(sol.w, p, problem.n)))
 
@@ -261,10 +260,11 @@ def test_angular_grid_follows_the_test_basis(degree):
     # -180 aliased onto the data and an exact solution failed verification
     problem = high_degree_problem(degree)
     sol = solve_meta(problem)
-    assert sol.report["boundary_pairing_max"].value < 1e-12
-    assert sol.report.overall_pass
+    report, _ = verify_solution(sol)
+    assert report["boundary_pairing_max"].value < 1e-12
+    assert report.overall_pass
     with pytest.raises(AliasedSampling):
-        solve_meta(problem, n_theta=256)
+        verify_solution(sol, n_theta=256)
     assert issubclass(AliasedSampling, MetadiskError)
 
 
@@ -273,17 +273,18 @@ def test_unstabilized_pairing_fails_its_check():
     problem = SchwarzProblem(n=1, coeff=PolyAnalytic.zero(),
                              levels=((PolyAnalytic.holomorphic((0, 0, 0, 0, 0, 1.0)), 0.0),))
     loose = {"boundary_pairing_max": 1.0}
-    sol = solve_meta(problem, rs=RadialSequence(depth=2), thresholds=loose)
-    check = sol.report["boundary_unstabilized"]
+    sol = solve_meta(problem)
+    report, table = verify_solution(sol, rs=RadialSequence(depth=2),
+                                    thresholds=loose)
+    check = report["boundary_unstabilized"]
     assert check.value == 2.0  # harmonic[-5] and harmonic[5]
     assert not check.passed
-    assert sol.report["boundary_pairing_max"].passed
-    assert not sol.report.overall_pass
-    table = sol.boundary
+    assert report["boundary_pairing_max"].passed
+    assert not report.overall_pass
     levels, columns = np.nonzero(~table.stabilized)
     assert levels.tolist() == [0, 0]
     assert {table.tests[j] for j in columns} == {"harmonic[-5]", "harmonic[5]"}
     assert np.all(table.tail_residual[~table.stabilized] > 0.1)
-    deep = solve_meta(problem)
-    assert deep.report["boundary_unstabilized"].value == 0.0
-    assert deep.report.overall_pass
+    deep, _ = verify_solution(sol)
+    assert deep["boundary_unstabilized"].value == 0.0
+    assert deep.overall_pass
