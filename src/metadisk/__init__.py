@@ -24,7 +24,6 @@ from .errors import (
     MetadiskError,
     NonConvergent,
     NonFinite,
-    PairingMismatch,
     StencilOutsideDisk,
 )
 from .integral import (

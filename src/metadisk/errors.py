@@ -25,10 +25,6 @@ class IllConditioned(MetadiskError):
     """A least-squares system is too close to rank deficient to trust."""
 
 
-class PairingMismatch(MetadiskError):
-    """Algebraic and limit-based boundary pairings disagree."""
-
-
 class AliasedSampling(MetadiskError):
     """An explicit angular grid is too coarse for the frequencies it must pair."""
 

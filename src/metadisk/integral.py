@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryDistribution
+from .errors import MetadiskError
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +299,8 @@ def similarity_factor(coeff: PolyAnalytic, kind: str) -> SimilarityFactor:
         value = PolyAnalytic(c)
     else:
         raise ValueError(f"unknown similarity kind {kind!r}")
-    if not ((value.dbar() - coeff).max_coeff()
-            <= 1e-12 * max(1.0, coeff.max_coeff())):
-        raise AssertionError("antiderivative property lost; table bug")
+    gap = (value.dbar() - coeff).max_coeff()
+    if not gap <= 1e-12 * max(1.0, coeff.max_coeff()):
+        raise MetadiskError(f"dbar of the {kind} similarity exponent misses "
+                            f"the coefficient by {gap!r}")
     return SimilarityFactor(kind=kind, value=value, source=coeff)

@@ -13,7 +13,8 @@ divides the boundary conditions by e^{s}, the schwarz kind keeps the factor
 inside the conditions and needs s real at the origin.
 
 `verify_solution` checks a solution, fresh or reloaded: PDE residual, origin
-conditions, boundary pairings of w against the data unfolded from h and the
+conditions, origin constants against the sampled boundary mean of Im h,
+boundary pairings of w against the data unfolded from h and the
 lower chain members over a trig test basis, the exact chain property, and a
 corrupted-solution negative control that must visibly fail.
 """
@@ -29,7 +30,6 @@ import numpy as np
 
 from .boundary import TestFunction, alias_free_n_theta, pairing_limits
 from .disk import TWO_PI, PolarGrid, RadialSequence
-from .errors import PairingMismatch
 from .integral import PolyAnalytic, SimilarityFactor, similarity_factor
 from .meta import MetaExpr, pde_residual
 from .report import Report
@@ -115,22 +115,13 @@ class SchwarzSolution:
     problem: SchwarzProblem
 
 
-def imag_mean_constant(h: PolyAnalytic, tol: float = 1e-8) -> complex:
-    """i times the mean of Im h over the boundary, i.e. i*Im(a_0).
-
-    The mean-value form is exact for series data; it is cross-checked against
-    the pairing limit of Im h with the constant test function.
-    """
-    limit = pairing_limits(lambda z: np.imag(h(z)), (TestFunction.constant(),),
-                           n_theta=alias_free_n_theta(h.degree))[0][0]
-    measured = limit.real / TWO_PI
-    a0 = complex(h.c[0, 0])
-    if abs(measured - a0.imag) > tol:
-        raise PairingMismatch(
-            f"mean of Im h from the pairing limit is {measured!r}, "
-            f"series gives {a0.imag!r}"
-        )
-    return 1j * a0.imag
+def imag_mean_constant(h: PolyAnalytic) -> complex:
+    """i times the mean of Im h over more than deg h equispaced points of
+    |z| = 1: every power z^m with 0 < m <= deg h sums to zero over them, so
+    this is i*Im(a_0) by sampling, up to rounding."""
+    n_theta = alias_free_n_theta(h.degree)
+    circle = np.exp(1j * (np.arange(n_theta) * (TWO_PI / n_theta)))
+    return 1j * float(np.mean(np.imag(h(circle))))
 
 
 def solve_poly_chain(problem: SchwarzProblem):
@@ -138,12 +129,13 @@ def solve_poly_chain(problem: SchwarzProblem):
 
     The Poisson pairing of h with the kernel reproduces h(z) exactly for
     series data, so the boundary term is h itself.  Returns the chain
-    (f_1, ..., f_n) and the origin constant of each level.
+    (f_1, ..., f_n) and the origin constant of each level, i times the
+    boundary mean of Im h, which is i*Im(a_0) in closed form.
     """
     members: list[PolyAnalytic] = []
     constants: list[complex] = []
     for k, (h, c) in enumerate(problem.levels):
-        const = imag_mean_constant(h)
+        const = 1j * complex(h.c[0, 0]).imag
         constants.append(const)
         f = h + PolyAnalytic.constant(1j * c - const)
         for step in range(1, k + 1):
@@ -257,6 +249,7 @@ DEFAULT_THRESHOLDS = {
     "similarity_imag_at_origin": 1e-6,
     "imag_at_origin": 1e-9,
     "imag_at_origin_smooth": 1e-8,
+    "origin_constants": 1e-12,
     "boundary_pairing_max": 1e-6,
     "boundary_unstabilized": 0.5,
     "chain_derivative": 1e-12,
@@ -306,6 +299,13 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
             for j in range(n)
         )
         report.add("imag_at_origin", worst, limits["imag_at_origin"])
+    # relative to sum |a_m|, which bounds |h| on the circle and so the
+    # rounding of the sampled mean
+    report.add("origin_constants",
+               max(abs(const - imag_mean_constant(h))
+                   / max(1.0, float(np.abs(h.c).sum()))
+                   for const, (h, _) in zip(sol.constants, problem.levels)),
+               limits["origin_constants"])
 
     t = perf_counter()
     boundary = verify_boundary_conditions(sol, problem, tests, rs, n_theta)

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, emitted files, determinism, formats."""
 
+import dataclasses
 import functools
+import gc
 import json
 import os
 import re
@@ -13,11 +15,11 @@ import jsonschema
 import numpy as np
 import pytest
 
-from metadisk import cli, formats
+from metadisk import cli, formats, integral
 from metadisk.boundary import BoundaryDistribution
 from metadisk.cli import RunConfig, _parse_grid, main
 from metadisk.disk import PolarGrid
-from metadisk.errors import SchemaViolation
+from metadisk.errors import MetadiskError, SchemaViolation
 from metadisk.integral import PolyAnalytic
 from metadisk.schwarz import SchwarzProblem
 
@@ -303,6 +305,11 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, command, corrupt):
 
 _HUGE = {"terms": [{"m": 0, "k": 0, "re": 1.7e308, "im": 0},
                    {"m": 1, "k": 0, "re": 1.7e308, "im": 0}]}
+# e^(800 conj z) overflows where Re z > 0.887
+_OVERFLOWING_PROBLEM = {
+    "n": 1, "A": {"terms": [{"m": 0, "k": 0, "re": 800.0, "im": 0.0}]},
+    "psi_kind": "cauchy",
+    "levels": [{"h": {"coeffs": [[1.0, 0.0]]}, "c": 0.0}]}
 
 
 @pytest.mark.parametrize("command, data, grid", [
@@ -312,11 +319,7 @@ _HUGE = {"terms": [{"m": 0, "k": 0, "re": 1.7e308, "im": 0},
                  "coeffs": [[1.7e308, 0], [1.7e308, 0]]}, "4x8"),
     ("poisson", {"type": "holo_series",
                  "coeffs": [[1.7e308, 0], [1.7e308, 0]]}, "64x512"),
-    # e^(800 conj z) overflows where Re z > 0.887
-    ("solve", {"n": 1, "A": {"terms": [{"m": 0, "k": 0, "re": 800.0,
-                                        "im": 0.0}]},
-               "psi_kind": "cauchy",
-               "levels": [{"h": {"coeffs": [[1.0, 0.0]]}, "c": 0.0}]}, "32x64"),
+    ("solve", _OVERFLOWING_PROBLEM, "32x64"),
 ])
 def test_grid_values_that_overflow_exit_three(tmp_path, capsys, command,
                                                data, grid):
@@ -723,3 +726,133 @@ def test_verify_rejects_origin_constants_not_one_per_level(tmp_path, count,
     code = main(["verify", "--config", str(bad), "--out", str(tmp_path / "check")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("shift", [5 + 7j, 1e-6j])
+@pytest.mark.parametrize("kind", ["cauchy", "schwarz"])
+def test_verify_fails_shifted_origin_constants(tmp_path, kind, shift):
+    # the cauchy boundary rows pair the data without its constant, so only
+    # origin_constants sees this shift there
+    problem = dataclasses.replace(WORKED, factor_kind=kind)
+    cfg = write_problem(tmp_path / "problem.json", problem)
+    out, check = tmp_path / "run", tmp_path / "check"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    data = json.loads((out / "solution.json").read_text())
+    data["I"] = [[re + shift.real, im + shift.imag] for re, im in data["I"]]
+    bad = tmp_path / "bad.json"
+    formats.save_json(bad, data)
+    assert main(["verify", "--config", str(bad), "--out", str(check)]) == 2
+    report = json.loads((check / "report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["origin_constants"]["passed"] is False
+
+
+def test_similarity_table_fault_exits_three(tmp_path, monkeypatch, capsys):
+    # no real coefficient trips the antiderivative guard; plant a table that
+    # misses A
+    monkeypatch.setattr(integral, "teodorescu_poly",
+                        lambda f: PolyAnalytic.zero())
+    with pytest.raises(MetadiskError, match="misses the coefficient"):
+        integral.similarity_factor(PolyAnalytic.constant(1.0), "cauchy")
+    cfg = write_problem(tmp_path / "problem.json")
+    capsys.readouterr()
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def _run_module(args) -> tuple[int, str, str]:
+    """``python -m metadisk args`` in a fresh process: the process entry."""
+    env = {**os.environ, "PYTHONPATH": str(Path(formats.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "metadisk", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _run_in_process(args, capsys) -> tuple[int, str, str]:
+    capsys.readouterr()
+    try:
+        code = main(args)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _entry_case(tmp_path, case) -> list[str]:
+    """Arguments of one command per exit code, but for its --out."""
+    if case == "help":
+        return ["--help"]
+    data = formats.problem_to_data(WORKED)
+    if case == "overflow":
+        data = _OVERFLOWING_PROBLEM
+    elif case == "schema":
+        data = {"n": 0}
+    elif case == "verify":
+        run = tmp_path / "solved"
+        assert main(["solve", "--config", str(write_problem(
+            tmp_path / "worked.json")), "--out", str(run)]) == 0
+        data = json.loads((run / "solution.json").read_text())
+        data["parts"][0]["coeffs"][0][0] += 0.1
+    cfg = tmp_path / "config.json"
+    formats.save_json(cfg, data)
+    return ["verify" if case == "verify" else "solve", "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("case, code", [
+    ("help", 0), ("solve", 0), ("schema", 1), ("verify", 2), ("overflow", 3),
+])
+def test_module_entry_matches_in_process_main(tmp_path, monkeypatch, capsys,
+                                              case, code):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    args = _entry_case(tmp_path, case)
+    results, files = [], []
+    for route in ("module", "in-process"):
+        out = tmp_path / route
+        argv = args if case == "help" else [*args, "--out", str(out)]
+        results.append(_run_module(argv) if route == "module"
+                       else _run_in_process(argv, capsys))
+        files.append({f.name: f.read_bytes() for f in out.glob("*")
+                      if f.name != "report.json"})
+    assert results[0] == results[1]
+    assert results[0][0] == code
+    assert files[0] == files[1]
+
+
+def test_module_entry_transform_writes_the_in_process_bytes(tmp_path):
+    # 256x512 forks grid workers, after the entry froze the imported heap
+    cfg = tmp_path / "transform.json"
+    formats.save_json(cfg, {"operator": "teodorescu", "f": {"terms": [
+        {"m": 0, "k": 1, "re": 0.3, "im": -0.7},
+        {"m": 2, "k": 1, "re": -1.1, "im": 0.2}]}})
+    args = ["transform", "--config", str(cfg), "--grid", "256x512", "--out"]
+    assert _run_module([*args, str(tmp_path / "module")])[0] == 0
+    assert main([*args, str(tmp_path / "in-process")]) == 0
+    written = [(tmp_path / route / "transform.csv").read_bytes()
+               for route in ("module", "in-process")]
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == 1 + 256 * 512
+
+
+def test_entry_freezes_the_imported_heap_and_main_does_not(tmp_path,
+                                                           monkeypatch):
+    frozen = []
+
+    def probe(argv=None):
+        frozen.append(gc.get_freeze_count())
+        return 0
+
+    monkeypatch.setattr(cli, "main", probe)
+    try:
+        assert cli.entry() == 0
+    finally:
+        gc.unfreeze()
+    assert frozen[0] > 0
+    monkeypatch.undo()
+    before = gc.get_freeze_count()
+    cfg = write_problem(tmp_path / "problem.json")
+    assert main(["solve", "--config", str(cfg), "--out",
+                 str(tmp_path / "run")]) == 0
+    assert gc.get_freeze_count() == before
