@@ -12,19 +12,13 @@ from .boundary import (
     pairing_limits,
     poisson_extend,
 )
-from .disk import (
-    PolarGrid,
-    RadialSequence,
-    wirtinger_dbar,
-)
+from .disk import PolarGrid, RadialSequence
 from .errors import (
     AliasedSampling,
     Divergent,
     IllConditioned,
     MetadiskError,
-    NonConvergent,
     NonFinite,
-    StencilOutsideDisk,
 )
 from .integral import (
     PolyAnalytic,
@@ -36,8 +30,6 @@ from .integral import (
 from .meta import (
     DecompositionFit,
     MetaExpr,
-    TriangularOperatorMatrix,
-    decompose_samples,
     derivative_matrix,
     derivative_stack,
     pde_residual,

@@ -8,15 +8,13 @@ conjugation and no 2 pi normalization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import RadialSequence
+from .disk import TWO_PI, RadialSequence
 from .errors import AliasedSampling, Divergent, NonFinite
 
-TWO_PI = 2.0 * math.pi
 DEFAULT_N_THETA = 256
 # relative agreement of the last two extrapolants that counts as stabilized
 STABILIZE_TOL = 1e-9

@@ -1,9 +1,4 @@
-"""Geometry and differentiation on the open unit disk.
-
-Everything here treats functions as plain callables ``z -> value`` where ``z``
-may be a complex scalar or a numpy array of complex points; callables are
-expected to broadcast.
-"""
+"""Geometry on the open unit disk: radial sequences and polar grids."""
 
 from __future__ import annotations
 
@@ -11,8 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NonFinite, StencilOutsideDisk
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,40 +101,3 @@ class PolarGrid:
 
     def with_values(self, values: np.ndarray) -> "PolarGrid":
         return PolarGrid(self.radii, self.angles, values)
-
-
-def wirtinger_dbar(f, z, h: float = 1e-4, richardson: bool = False) -> complex:
-    """d/d(conj z) of ``f`` at ``z``: (f_x + i f_y) / 2 by central differences.
-
-    Parameters
-    ----------
-    f : callable
-    z : complex, interior, at distance > 2h from the boundary
-    h : stencil step
-    richardson : combine steps h and h/2 for fourth-order accuracy
-
-    Raises
-    ------
-    StencilOutsideDisk : the stencil would reach outside the disk.
-    NonFinite : a stencil sample came back inf or NaN.
-    """
-    zc = complex(z)
-    if abs(zc) + 2.0 * h >= 1.0:
-        raise StencilOutsideDisk(f"point {zc} is within 2h={2 * h} of the boundary")
-
-    def central(step: float) -> complex:
-        samples = np.array(
-            [f(zc + step), f(zc - step), f(zc + 1j * step), f(zc - 1j * step)],
-            dtype=complex,
-        )
-        if not np.all(np.isfinite(samples)):
-            raise NonFinite(f"non-finite sample in stencil at {zc}")
-        fx = (samples[0] - samples[1]) / (2.0 * step)
-        fy = (samples[2] - samples[3]) / (2.0 * step)
-        return complex((fx + 1j * fy) / 2.0)
-
-    d = central(h)
-    if richardson:
-        d_half = central(h / 2.0)
-        d = (4.0 * d_half - d) / 3.0
-    return d

@@ -5,16 +5,8 @@ class MetadiskError(Exception):
     """Base class for every failure raised by this package."""
 
 
-class StencilOutsideDisk(MetadiskError):
-    """A finite-difference stencil would leave the open unit disk."""
-
-
 class NonFinite(MetadiskError):
     """A sampled value came back inf or NaN."""
-
-
-class NonConvergent(MetadiskError):
-    """Two quadrature refinement levels disagree beyond the requested tolerance."""
 
 
 class Divergent(MetadiskError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import PolarGrid
-from .errors import IllConditioned, NonFinite, StencilOutsideDisk
+from .errors import IllConditioned, NonFinite
 from .integral import PolyAnalytic, SimilarityFactor
 
 
@@ -63,55 +63,10 @@ def derivative_stack(w: MetaExpr, n: int) -> tuple[MetaExpr, ...]:
     return tuple(stack)
 
 
-class TriangularOperatorMatrix:
-    """Lower unitriangular matrix of polynomial entries acting on derivative stacks.
-
-    Row k expresses the plain derivative d^k (e^s F) as
-    e^s * sum_j entries[k][j] d^j F.
-    """
-
-    def __init__(self, entries):
-        rows = tuple(tuple(row) for row in entries)
-        for k, row in enumerate(rows):
-            if len(row) != k + 1:
-                raise ValueError("row %d must have %d entries" % (k, k + 1))
-        self.entries = rows
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def entry(self, k: int, j: int) -> PolyAnalytic:
-        if j > k:
-            return PolyAnalytic.zero()
-        return self.entries[k][j]
-
-    def __matmul__(self, other: "TriangularOperatorMatrix"):
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        rows = []
-        for k in range(self.size):
-            row = []
-            for j in range(k + 1):
-                acc = PolyAnalytic.zero()
-                for l in range(j, k + 1):
-                    acc = acc + self.entry(k, l) * other.entry(l, j)
-                row.append(acc)
-            rows.append(tuple(row))
-        return TriangularOperatorMatrix(rows)
-
-    def deviation_from_identity(self) -> float:
-        worst = 0.0
-        one = PolyAnalytic.constant(1.0)
-        for k in range(self.size):
-            for j in range(k + 1):
-                gap = self.entry(k, j) - (one if j == k else PolyAnalytic.zero())
-                worst = max(worst, gap.max_coeff())
-        return worst
-
-
-def derivative_matrix(coeff: PolyAnalytic, n: int) -> TriangularOperatorMatrix:
-    """Rows M[k] with d^k (e^s F) = e^s sum_j M[k][j] d^j F, in closed form.
+def derivative_matrix(coeff: PolyAnalytic, n: int
+                      ) -> tuple[tuple[PolyAnalytic, ...], ...]:
+    """Rows M[k] with d^k (e^s F) = e^s sum_j M[k][j] d^j F, in closed form;
+    row k holds the k + 1 entries j <= k of the lower unitriangular matrix.
 
     By Leibniz M[k][j] = C(k, j) B_(k-j), where d^m e^s = e^s B_m:
     B_0 = 1 and B_(m+1) = dbar B_m + A B_m.  The inverse is the matrix of
@@ -122,62 +77,30 @@ def derivative_matrix(coeff: PolyAnalytic, n: int) -> TriangularOperatorMatrix:
     b = [PolyAnalytic.constant(1.0)]
     for _ in range(n - 1):
         b.append(b[-1].dbar() + coeff * b[-1])
-    return TriangularOperatorMatrix(
-        [b[k - j].scale(math.comb(k, j)) for j in range(k + 1)]
-        for k in range(n))
+    return tuple(tuple(b[k - j].scale(math.comb(k, j)) for j in range(k + 1))
+                 for k in range(n))
 
 
-def pde_residual(w, coeff: PolyAnalytic, n: int, grid: PolarGrid | None = None,
-                 h: float | None = None) -> float:
-    """max over the grid of |(d/d conj(z) - A)^n w|.
+def pde_residual(w: MetaExpr, coeff: PolyAnalytic, n: int,
+                 grid: PolarGrid | None = None) -> float:
+    """max over the grid of |(d/d conj(z) - A)^n w|, applied exactly.
 
-    For a MetaExpr built from the same coefficient the operator is applied
-    exactly and the residual of a true solution is 0.0 by construction.  For
-    anything else the operator power is formed on an offset lattice with
-    central differences; the lattice must stay inside the disk.
+    (d/d conj(z) - A)^n e^s F = e^s dbar^n F, so the residual is 0.0 when F
+    has order at most n and e^s is evaluated only when it is not.  ``w``
+    must be a MetaExpr of the coefficient ``coeff`` itself; anything else,
+    such as a plain callable or the expression of another A, is a
+    ValueError.
     """
-    grid = grid or PolarGrid.mesh()
-    pts = grid.points().ravel()
-
-    if isinstance(w, MetaExpr) and isinstance(coeff, PolyAnalytic) and (
-            (w.coefficient - coeff).max_coeff()
+    if not (isinstance(w, MetaExpr) and isinstance(coeff, PolyAnalytic)
+            and (w.coefficient - coeff).max_coeff()
             <= 1e-12 * max(1.0, coeff.max_coeff())):
-        out = w.dbar_shift_power(n)
-        if out.poly.is_zero:
-            return 0.0
-        vals = out(pts)
-        return float(np.max(np.abs(vals)))
-
-    if h is None:
-        h = max(1e-4, float(np.finfo(float).eps) ** (1.0 / (n + 2)))
-    if np.max(np.abs(pts)) + 2 * n * h >= 1.0:
-        raise StencilOutsideDisk(
-            f"difference lattice of step {h} around the grid leaves the disk"
-        )
-    level = {
-        (a, b): np.asarray(w(pts + (a + 1j * b) * h), dtype=complex)
-        for a in range(-n, n + 1)
-        for b in range(-n, n + 1)
-        if abs(a) + abs(b) <= n
-    }
-    for m in range(n):
-        reach = n - m - 1
-        nxt = {}
-        for a in range(-reach, reach + 1):
-            for b in range(-reach, reach + 1):
-                if abs(a) + abs(b) > reach:
-                    continue
-                diff = (
-                    level[(a + 1, b)] - level[(a - 1, b)]
-                    + 1j * (level[(a, b + 1)] - level[(a, b - 1)])
-                ) / (4.0 * h)
-                here = pts + (a + 1j * b) * h
-                nxt[(a, b)] = diff - np.asarray(coeff(here), dtype=complex) * level[(a, b)]
-        level = nxt
-    vals = level[(0, 0)]
-    if not np.all(np.isfinite(vals)):
-        raise NonFinite("difference scheme produced non-finite values")
-    return float(np.max(np.abs(vals)))
+        raise ValueError("pde_residual needs a MetaExpr of the coefficient "
+                         "it is checked against")
+    out = w.dbar_shift_power(n)
+    if out.poly.is_zero:
+        return 0.0
+    grid = grid or PolarGrid.mesh()
+    return float(np.max(np.abs(out(grid.points().ravel()))))
 
 
 @dataclass(frozen=True)
@@ -187,18 +110,6 @@ class DecompositionFit:
     poly: PolyAnalytic
     residual: float
     condition: float
-
-
-# Default collocation rings for decomposition when the caller has a function
-# rather than measured samples.  Spread keeps the radial Vandermonde blocks
-# well conditioned.
-DECOMPOSE_RADII = (0.3, 0.5, 0.7, 0.9)
-
-
-def decompose_samples(fn, n_angular: int = 64) -> PolarGrid:
-    """Sample fn on the default collocation rings, ready for poly_decompose."""
-    grid = PolarGrid.rings(np.array(DECOMPOSE_RADII), n_angular)
-    return grid.with_values(np.asarray(fn(grid.points()), dtype=complex))
 
 
 def poly_decompose(samples: PolarGrid, n: int, degree: int = 16,

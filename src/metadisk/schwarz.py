@@ -134,15 +134,21 @@ def solve_poly_chain(problem: SchwarzProblem):
     """
     members: list[PolyAnalytic] = []
     constants: list[complex] = []
-    for k, (h, c) in enumerate(problem.levels):
+    for h, c in problem.levels:
         const = 1j * complex(h.c[0, 0]).imag
         constants.append(const)
-        f = h + PolyAnalytic.constant(1j * c - const)
-        for step in range(1, k + 1):
-            scale = -((-1.0) ** step) / math.factorial(step)
-            f = f + members[k - step].shifted(step, scale)
-        members.append(f)
+        members.append(_unfold(h + PolyAnalytic.constant(1j * c - const),
+                               members))
     return tuple(members), tuple(constants)
+
+
+def _unfold(base: PolyAnalytic, lower) -> PolyAnalytic:
+    """base + sum_j -(-1)^j / j! conj(z)^j g_j, where g_j is the j-th of the
+    chain members ``lower`` counted down from the last, added from j = 1 up."""
+    for step in range(1, len(lower) + 1):
+        scale = -((-1.0) ** step) / math.factorial(step)
+        base = base + lower[-step].shifted(step, scale)
+    return base
 
 
 def chain_from_top(poly: PolyAnalytic, n: int) -> tuple[PolyAnalytic, ...]:
@@ -158,12 +164,8 @@ def default_test_basis(problem: SchwarzProblem) -> tuple[TestFunction, ...]:
 
 def _unfolded_data(problem: SchwarzProblem, chain, k: int) -> PolyAnalytic:
     """Boundary data of derivative order k assembled from h and lower members."""
-    n = problem.n
-    out = problem.levels[n - 1 - k][0]
-    for step in range(1, n - k):
-        scale = -((-1.0) ** step) / math.factorial(step)
-        out = out + chain[n - k - step - 1].shifted(step, scale)
-    return out
+    level = problem.n - 1 - k
+    return _unfold(problem.levels[level][0], chain[:level])
 
 
 def _sampled_pairings(factor: SimilarityFactor | None, g: PolyAnalytic, shift,
@@ -292,7 +294,8 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
                 - origin_scale * problem.levels[n - 1 - k][1])
             for k in range(n)
         )
-        report.add("imag_at_origin", worst, limits["imag_at_origin_smooth"])
+        report.add("imag_at_origin_smooth", worst,
+                   limits["imag_at_origin_smooth"])
     else:
         worst = max(
             abs(sol.chain[j](0j).imag - problem.levels[j][1])

@@ -1,8 +1,12 @@
-"""Test-only oracles: quadrature, the dense decomposition fit, the Poisson
-extension's term loop and the dict reference for the polynomial tables.
+"""Test-only oracles: quadrature, finite-difference Wirtinger derivatives,
+the dense decomposition fit and its default collocation rings, the product of
+derivative matrices, the Poisson extension's term loop and the dict reference
+for the polynomial tables.
 
 Quadrature certifies the closed-form area-integral tables by an independent
-route, and the dense least-squares fit certifies ``poly_decompose``.  The dict
+route, finite differences certify the exact d/d conj(z) of the package, the
+matrix product certifies the closed-form inverse of ``derivative_matrix``,
+and the dense least-squares fit certifies ``poly_decompose``.  The dict
 functions are the earlier dict-backed polynomial code: a polynomial is a
 {(m, k): c} dict, and every function here adds its terms in the same order
 that code did, so it is the bit-for-bit reference for ``PolyAnalytic``'s
@@ -17,11 +21,85 @@ from functools import lru_cache
 import numpy as np
 
 from metadisk.disk import TWO_PI, PolarGrid
-from metadisk.errors import IllConditioned, NonConvergent
+from metadisk.errors import IllConditioned, MetadiskError, NonFinite
 from metadisk.integral import PolyAnalytic
 from metadisk.meta import DecompositionFit
 
 _PI = math.pi
+
+
+class StencilOutsideDisk(MetadiskError):
+    """A finite-difference stencil would leave the open unit disk."""
+
+
+class NonConvergent(MetadiskError):
+    """Two quadrature refinement levels disagree beyond the requested tolerance."""
+
+
+def wirtinger_dbar(f, z, h: float = 1e-4, richardson: bool = False) -> complex:
+    """d/d(conj z) of ``f`` at ``z``: (f_x + i f_y) / 2 by central differences.
+
+    Parameters
+    ----------
+    f : callable
+    z : complex, interior, at distance > 2h from the boundary
+    h : stencil step
+    richardson : combine steps h and h/2 for fourth-order accuracy
+
+    Raises
+    ------
+    StencilOutsideDisk : the stencil would reach outside the disk.
+    NonFinite : a stencil sample came back inf or NaN.
+    """
+    zc = complex(z)
+    if abs(zc) + 2.0 * h >= 1.0:
+        raise StencilOutsideDisk(f"point {zc} is within 2h={2 * h} of the boundary")
+
+    def central(step: float) -> complex:
+        samples = np.array(
+            [f(zc + step), f(zc - step), f(zc + 1j * step), f(zc - 1j * step)],
+            dtype=complex,
+        )
+        if not np.all(np.isfinite(samples)):
+            raise NonFinite(f"non-finite sample in stencil at {zc}")
+        fx = (samples[0] - samples[1]) / (2.0 * step)
+        fy = (samples[2] - samples[3]) / (2.0 * step)
+        return complex((fx + 1j * fy) / 2.0)
+
+    d = central(h)
+    if richardson:
+        d_half = central(h / 2.0)
+        d = (4.0 * d_half - d) / 3.0
+    return d
+
+
+def triangular_product(a, b) -> tuple[tuple[PolyAnalytic, ...], ...]:
+    """The product of two lower triangular matrices given by rows, as
+    ``derivative_matrix`` returns them: entry (k, j) sums a[k][l] b[l][j]
+    over j <= l <= k."""
+    if len(a) != len(b):
+        raise ValueError("size mismatch")
+    rows = []
+    for k in range(len(a)):
+        row = []
+        for j in range(k + 1):
+            acc = PolyAnalytic.zero()
+            for l in range(j, k + 1):
+                acc = acc + a[k][l] * b[l][j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def deviation_from_identity(rows) -> float:
+    """Largest coefficient of a lower triangular matrix minus the identity."""
+    worst = 0.0
+    one = PolyAnalytic.constant(1.0)
+    for k, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            gap = entry - (one if j == k else PolyAnalytic.zero())
+            worst = max(worst, gap.max_coeff())
+    return worst
 
 
 @lru_cache(maxsize=32)
@@ -130,6 +208,18 @@ def schwarz_pompeiu_quadrature_oracle(f, z, n_radial: int = 128,
         singularity=0j, **quad)
     total = cauchy_part + center_part + mirror_part + herglotz_part
     return -total / (2.0 * _PI)
+
+
+# Default collocation rings for decomposition when the caller has a function
+# rather than measured samples.  Spread keeps the radial Vandermonde blocks
+# well conditioned.
+DECOMPOSE_RADII = (0.3, 0.5, 0.7, 0.9)
+
+
+def decompose_samples(fn, n_angular: int = 64) -> PolarGrid:
+    """Sample fn on the default collocation rings, ready for poly_decompose."""
+    grid = PolarGrid.rings(np.array(DECOMPOSE_RADII), n_angular)
+    return grid.with_values(np.asarray(fn(grid.points()), dtype=complex))
 
 
 def dense_poly_decompose(samples: PolarGrid, n: int, degree: int = 16,

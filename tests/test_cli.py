@@ -21,7 +21,7 @@ from metadisk.cli import RunConfig, _parse_grid, main
 from metadisk.disk import PolarGrid
 from metadisk.errors import MetadiskError, SchemaViolation
 from metadisk.integral import PolyAnalytic
-from metadisk.schwarz import SchwarzProblem
+from metadisk.schwarz import DEFAULT_THRESHOLDS, SchwarzProblem
 
 WORKED = SchwarzProblem(
     n=2,
@@ -160,6 +160,43 @@ def test_verify_corrupted_solution(tmp_path):
     assert report["overall_pass"] is False
     failing = [c for c in report["checks"] if not c["passed"]]
     assert any(c["name"] == "boundary_pairing_max" for c in failing)
+
+
+def test_verify_fails_an_extra_part_on_pde_residual(tmp_path):
+    # one more part 1e-3 conj(z)^2 lifts F to order 3, so the exact
+    # (dbar - A)^2 w = e^s dbar^2 F = 2e-3 e^s is no longer zero
+    problem = dataclasses.replace(WORKED, factor_kind="schwarz")
+    cfg = write_problem(tmp_path / "problem.json", problem)
+    out, check = tmp_path / "run", tmp_path / "check"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    data = json.loads((out / "solution.json").read_text())
+    data["parts"].append({"coeffs": [[1e-3, 0.0]]})
+    bad = tmp_path / "bad.json"
+    formats.save_json(bad, data)
+    assert main(["verify", "--config", str(bad), "--out", str(check)]) == 2
+    checks = {c["name"]: c for c in
+              json.loads((check / "report.json").read_text())["checks"]}
+    assert checks["pde_residual"]["passed"] is False
+    factor = integral.similarity_factor(problem.coeff, "schwarz")
+    weight = np.abs(np.exp(factor(PolarGrid.mesh().points())))
+    assert checks["pde_residual"]["value"] == pytest.approx(
+        2e-3 * weight.max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "schwarz"])
+def test_every_tol_name_sets_the_check_of_that_name(tmp_path, kind):
+    tols = {name: (i + 1) / 1024 for i, name in
+            enumerate(sorted(DEFAULT_THRESHOLDS))}
+    cfg = write_problem(tmp_path / "problem.json",
+                        dataclasses.replace(WORKED, factor_kind=kind))
+    out = tmp_path / "run"
+    main(["solve", "--config", str(cfg), "--out", str(out),
+          *(f"--tol={name}={value!r}" for name, value in tols.items())])
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert {c["name"]: c["threshold"] for c in checks} == {
+        c["name"]: tols[c["name"]] for c in checks}
+    origin = "imag_at_origin_smooth" if kind == "schwarz" else "imag_at_origin"
+    assert origin in {c["name"] for c in checks}
 
 
 def test_schema_violation_exits_one(tmp_path):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import random_bivar
-from metadisk.disk import PolarGrid, RadialSequence, wirtinger_dbar
-from metadisk.errors import NonConvergent, NonFinite, StencilOutsideDisk
-from oracles import disk_quadrature
+from metadisk.disk import PolarGrid, RadialSequence
+from metadisk.errors import NonFinite
+from oracles import (NonConvergent, StencilOutsideDisk, disk_quadrature,
+                     wirtinger_dbar)
 
 
 def test_radial_sequence_geometric():

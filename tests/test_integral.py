@@ -13,13 +13,13 @@ import sympy
 from hypothesis import given, strategies as st
 
 from conftest import interior_points, random_bivar, term_lists
-from metadisk.disk import PolarGrid, wirtinger_dbar
+from metadisk.disk import PolarGrid
 from metadisk.integral import (PolyAnalytic, schwarz_pompeiu_poly,
                                similarity_factor, teodorescu_poly)
 from oracles import (dict_eval, dict_schwarz_pompeiu, dict_similarity,
                      dict_teodorescu, dict_terms,
                      schwarz_pompeiu_quadrature_oracle,
-                     teodorescu_quadrature_oracle)
+                     teodorescu_quadrature_oracle, wirtinger_dbar)
 
 RNG = np.random.default_rng(42)
 POINTS = interior_points(RNG, 6, r_max=0.8)

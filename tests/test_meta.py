@@ -11,15 +11,16 @@ from numpy.polynomial import polynomial as npoly
 from conftest import (interior_points, random_bivar, random_holo, random_meta,
                       stack_parts, term_lists)
 from metadisk.boundary import meta_hardy_norm
-from oracles import (dense_poly_decompose, dict_derivative_matrix, dict_eval,
-                     dict_terms)
+from oracles import (decompose_samples, dense_poly_decompose,
+                     deviation_from_identity, dict_derivative_matrix,
+                     dict_eval, dict_terms, triangular_product,
+                     wirtinger_dbar)
 from metadisk.boundary import BoundaryDistribution
-from metadisk.disk import PolarGrid, RadialSequence, wirtinger_dbar
-from metadisk.errors import IllConditioned, StencilOutsideDisk
+from metadisk.disk import PolarGrid, RadialSequence
+from metadisk.errors import IllConditioned
 from metadisk.integral import PolyAnalytic, similarity_factor
-from metadisk.meta import (MetaExpr, decompose_samples, derivative_matrix,
-                           derivative_stack, pde_residual,
-                           poly_decompose)
+from metadisk.meta import (MetaExpr, derivative_matrix, derivative_stack,
+                           pde_residual, poly_decompose)
 
 GRID = PolarGrid.mesh(32, 64)
 
@@ -151,13 +152,19 @@ def test_pde_residual_exact_and_order():
     assert pde_residual(w, one, 2, GRID) < 1e-12
 
     zero = PolyAnalytic.zero()
-    small = PolarGrid.mesh(8, 16, r_min=0.1, r_max=0.7)
-    r2 = pde_residual(lambda z: np.conjugate(z) ** 2, zero, 2, small)
-    assert r2 == pytest.approx(2.0, abs=1e-6)
-    assert pde_residual(lambda z: np.conjugate(z) ** 2, zero, 3, small) < 1e-6
-
     null = expr(zero, [[0.0]])
     assert pde_residual(null, zero, 1, GRID) == 0.0
+
+
+def test_pde_residual_takes_only_the_expression_of_its_coefficient():
+    one = PolyAnalytic.constant(1.0)
+    w = expr(one, [[2.0j], [1.0]])
+    other = expr(PolyAnalytic.constant(1.0 + 1e-6), [[2.0j], [1.0]])
+    for bad in (w.__call__, lambda z: np.conjugate(z) ** 2, other):
+        with pytest.raises(ValueError, match="MetaExpr of the coefficient"):
+            pde_residual(bad, one, 2, GRID)
+    with pytest.raises(ValueError, match="MetaExpr of the coefficient"):
+        pde_residual(w, one.__call__, 2, GRID)
 
 
 def test_pde_residual_annihilation_random():
@@ -176,12 +183,6 @@ def test_pde_residual_order_minimality():
         assert pde_residual(w, w.coefficient, w.order - 1, GRID) > 1e-3
 
 
-def test_pde_residual_stencil_guard():
-    tight = PolarGrid.mesh(4, 8, r_min=0.9, r_max=0.99995)
-    with pytest.raises(StencilOutsideDisk):
-        pde_residual(lambda z: np.conjugate(z), PolyAnalytic.zero(), 1, tight)
-
-
 def _equal(p, q):
     """Equal coefficients, whatever the widths of the two arrays."""
     return (p - q).is_zero
@@ -191,13 +192,13 @@ def test_matrix_rows_match_hand_expansion():
     rng = np.random.default_rng(41)
     A = random_bivar(rng, 2, scale=0.8)
     M = derivative_matrix(A, 4)
-    assert _equal(M.entry(1, 0), A)
-    assert _equal(M.entry(1, 1), PolyAnalytic.constant(1.0))
-    gap = (M.entry(2, 0) + (A * A + A.dbar()).scale(-1.0)).max_coeff()
+    assert _equal(M[1][0], A)
+    assert _equal(M[1][1], PolyAnalytic.constant(1.0))
+    gap = (M[2][0] + (A * A + A.dbar()).scale(-1.0)).max_coeff()
     assert gap == 0.0
-    assert _equal(M.entry(2, 1), A.scale(2.0))
+    assert _equal(M[2][1], A.scale(2.0))
     for k in range(4):
-        assert _equal(M.entry(k, k), PolyAnalytic.constant(1.0))
+        assert _equal(M[k][k], PolyAnalytic.constant(1.0))
 
 
 @given(term_lists(), st.integers(1, 4))
@@ -207,7 +208,7 @@ def test_derivative_matrix_matches_dict_products(pairs, n):
     for k in range(n):
         for j in range(k + 1):
             ref = PolyAnalytic.from_terms(want[k][j])
-            gap = (M.entry(k, j) - ref).max_coeff()
+            gap = (M[k][j] - ref).max_coeff()
             assert gap <= 1e-13 * max(1.0, ref.max_coeff())
 
 
@@ -216,7 +217,7 @@ def test_matrix_zero_coeff_is_identity():
     for k in range(4):
         for j in range(k + 1):
             want = 1.0 if j == k else 0.0
-            assert _equal(M.entry(k, j), PolyAnalytic.constant(want))
+            assert _equal(M[k][j], PolyAnalytic.constant(want))
 
 
 def test_matrix_inverse_entries():
@@ -224,15 +225,15 @@ def test_matrix_inverse_entries():
     A = random_bivar(rng, 2, scale=0.7)
     M2 = derivative_matrix(A, 2)
     N2 = derivative_matrix(A.scale(-1.0), 2)
-    assert (N2.entry(1, 0) + A).max_coeff() < 1e-12
-    assert _equal(N2.entry(1, 1), PolyAnalytic.constant(1.0))
+    assert (N2[1][0] + A).max_coeff() < 1e-12
+    assert _equal(N2[1][1], PolyAnalytic.constant(1.0))
 
     M3 = derivative_matrix(A, 3)
     N3 = derivative_matrix(A.scale(-1.0), 3)
     want = A * A + A.dbar().scale(-1.0)
-    assert (N3.entry(2, 0) + want.scale(-1.0)).max_coeff() < 1e-12
-    assert (M3 @ N3).deviation_from_identity() < 1e-12
-    assert (N3 @ M3).deviation_from_identity() < 1e-12
+    assert (N3[2][0] + want.scale(-1.0)).max_coeff() < 1e-12
+    assert deviation_from_identity(triangular_product(M3, N3)) < 1e-12
+    assert deviation_from_identity(triangular_product(N3, M3)) < 1e-12
 
 
 def test_derivative_stack_examples():
@@ -276,7 +277,7 @@ def test_derivative_stack_matches_matrix():
             f_stack.append(f_stack[-1].dbar())
         weight = np.exp(w.factor(pts))
         for k in range(n):
-            rhs = sum(M.entry(k, j)(pts) * f_stack[j](pts) for j in range(k + 1))
+            rhs = sum(M[k][j](pts) * f_stack[j](pts) for j in range(k + 1))
             assert np.max(np.abs(stack[k](pts) - weight * rhs)) < 1e-10
 
 

@@ -211,6 +211,34 @@ def test_verify_detects_corruption():
             assert not report.max_residual < 1e-6, (kind, k, report.max_residual)
 
 
+def test_boundary_report_worst_names_the_corrupted_cell():
+    # w is kept, so only the data unfolded from the lowest member moves: a
+    # bump eps z^3 reaches level 1 as conj(z) eps z^3, which is eps z^2 on
+    # the circle, and level 0 as -conj(z)^2 eps z^3 / 2, which is -eps z / 2
+    rng = np.random.default_rng(107)
+    problem = SchwarzProblem(
+        n=3, coeff=random_bivar(rng, 2),
+        levels=tuple((random_holo(rng, 4), 0.1 * k) for k in range(3)))
+    sol = solve_meta(problem)
+    eps = 1e-3
+    chain = (sol.chain[0] + PolyAnalytic.holomorphic((0, 0, 0, eps)),
+             *sol.chain[1:])
+    corrupted = type(sol)(w=sol.w, chain=chain, constants=sol.constants,
+                          problem=problem)
+    tests = (TestFunction.constant(),
+             *(phi(m) for m in (1, 2, 3)
+               for phi in (TestFunction.cosine, TestFunction.sine)))
+    report = verify_boundary_conditions(corrupted, problem, tests=tests)
+    assert report.worst() == (1, "cos[2]")
+    cos1, cos2 = report.tests.index("cos[1]"), report.tests.index("cos[2]")
+    assert report.residual[1, cos2] == pytest.approx(math.pi * eps, rel=1e-9)
+    assert report.residual[0, cos1] == pytest.approx(math.pi * eps / 2,
+                                                     rel=1e-9)
+    rest = report.residual.copy()
+    rest[1, cos2] = rest[0, cos1] = 0.0
+    assert rest.max() < 1e-9
+
+
 def test_verify_solution_full_battery():
     rng = np.random.default_rng(79)
     problem = random_problem(rng)
