@@ -1,54 +1,42 @@
 """Meta-analytic functions on the unit disk: construction, evaluation,
-boundary behavior, and Schwarz-type boundary value problems."""
+boundary behavior, and Schwarz-type boundary value problems.
 
-from .boundary import (
-    BoundaryDistribution,
-    HardyNormEstimate,
-    TestFunction,
-    growth_order,
-    hardy_norm,
-    lp_boundary_convergence,
-    meta_hardy_norm,
-    pairing_limits,
-    poisson_extend,
-)
-from .disk import PolarGrid, RadialSequence
-from .errors import (
-    AliasedSampling,
-    Divergent,
-    IllConditioned,
-    MetadiskError,
-    NonFinite,
-)
-from .integral import (
-    PolyAnalytic,
-    SimilarityFactor,
-    schwarz_pompeiu_poly,
-    similarity_factor,
-    teodorescu_poly,
-)
-from .meta import (
-    DecompositionFit,
-    MetaExpr,
-    derivative_matrix,
-    derivative_stack,
-    pde_residual,
-    poly_decompose,
-)
-from .report import Check, Report
-from .schwarz import (
-    BoundaryReport,
-    SchwarzProblem,
-    SchwarzSolution,
-    chain_from_top,
-    default_test_basis,
-    imag_mean_constant,
-    solve_meta,
-    solve_poly_chain,
-    verify_boundary_conditions,
-    verify_solution,
-)
+The names below are resolved on first use (PEP 562), so ``import metadisk``
+loads neither numpy nor a submodule; the process entry in ``__main__``
+imports the command line with the collector paused.
+"""
+
+_EXPORTS = {
+    "boundary": ("BoundaryDistribution", "HardyNormEstimate", "TestFunction",
+                 "growth_order", "hardy_norm", "lp_boundary_convergence",
+                 "meta_hardy_norm", "pairing_limits", "poisson_extend"),
+    "disk": ("PolarGrid", "RadialSequence"),
+    "errors": ("AliasedSampling", "Divergent", "IllConditioned",
+               "MetadiskError", "NonFinite"),
+    "integral": ("PolyAnalytic", "SimilarityFactor", "schwarz_pompeiu_poly",
+                 "similarity_factor", "teodorescu_poly"),
+    "meta": ("DecompositionFit", "MetaExpr", "derivative_matrix",
+             "derivative_stack", "pde_residual", "poly_decompose"),
+    "report": ("Check", "Report"),
+    "schwarz": ("BoundaryReport", "SchwarzProblem", "SchwarzSolution",
+                "chain_from_top", "default_test_basis", "imag_mean_constant",
+                "solve_meta", "solve_poly_chain",
+                "verify_boundary_conditions", "verify_solution"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -197,6 +197,18 @@ def pairing_limits(f, tests, rs: RadialSequence | None = None,
     return richardson_limits(pair_spectrum(spectrum, tests))
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a float array, told apart by bit pattern so
+    that +0.0 and -0.0, and NaNs, stay apart, and for each element the index
+    of its value among them, in the array's shape."""
+    bits = values.view(np.uint64)
+    keys = np.sort(bits, axis=None)
+    first = np.ones(keys.size, bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    return keys.view(np.float64), np.searchsorted(keys, bits)
+
+
 def poisson_extend(u: BoundaryDistribution, z):
     """Harmonic extension sum c_n r^|n| e^{i n theta} of finite Fourier data.
 
@@ -205,18 +217,25 @@ def poisson_extend(u: BoundaryDistribution, z):
     exp(1j * n * theta) up to the sign of a zero: the imaginary part of
     1j * n * theta is exactly -1 times that of -n, its real part is a zero,
     and complex exp(+-0 + iy) is (cos y, sin y) with sin odd.  A zero's sign
-    does not reach the sum, which starts at +0.
+    does not reach the sum, which starts at +0.  The points of an array share
+    radii and angles (a grid's rings), so its powers and waves are taken once
+    per distinct radius and angle and gathered back, the same values
+    elementwise; a scalar z keeps numpy's scalar math.
     """
     arr = np.asarray(z, dtype=complex)
     r, theta = np.abs(arr), np.angle(arr)
+    if arr.ndim:
+        (r, r_at), (theta, theta_at) = _distinct(r), _distinct(theta)
     total = np.zeros(arr.shape, dtype=complex)
     kept = {}
     for n, c in sorted(u.coeffs.items()):
         m = abs(n)
         if m not in kept:
-            kept[m] = r ** m, np.exp(1j * m * theta)
+            power, wave = r ** m, np.exp(1j * m * theta)
+            kept[m] = ((power[r_at], wave[theta_at]) if arr.ndim
+                       else (power, wave))
         power, wave = kept[m]
-        total = total + c * power * (wave if n >= 0 else np.conjugate(wave))
+        total += c * power * (wave if n >= 0 else np.conjugate(wave))
     if total.shape == ():
         return complex(total)
     return total

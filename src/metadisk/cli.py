@@ -14,7 +14,6 @@ failure (the report is still written), 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import sys
@@ -253,18 +252,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-def entry() -> int:
-    """Process entry of ``python -m metadisk`` and the ``metadisk`` script.
-
-    Freezes the heap that the imports built, so the collections at
-    interpreter exit, and those of forked grid workers, skip it; objects
-    made by the command are collected as usual.  ``main`` freezes nothing,
-    so in-process callers keep a plain heap.
-    """
-    gc.freeze()
-    return main()
-
-
-if __name__ == "__main__":
-    sys.exit(entry())

@@ -33,6 +33,14 @@ up to three leading zeros, 17 digits each followed by a slot for the point,
 and a ``.0`` tail, then a separator.  Every other float (exponent notation,
 subnormals, nan, +-inf) has ``repr(float(x))`` written into its cell, so
 there is one layout.  Dropping the NULs leaves the text.
+
+The kernel keeps to cheap numpy loops: remainders are x - x // 10 * 10, as
+numpy's ``//`` by a constant multiplies where its ``%`` divides;
+selections are integer blends or ``np.copyto(where=)``; the cell of each
+float is its template (sign, leading zeros, point) taken by decimal point
+position, and the digits, written as uint16 slots into an array shaped like
+the cells, with the ``.0`` tail in the last slot, are OR-ed into the cells in
+one contiguous pass.
 """
 
 from __future__ import annotations
@@ -105,6 +113,8 @@ def _templates() -> np.ndarray:
 
 _TABLES = _exponent_tables()
 _GROUPS = _groups()
+_TOP = _GROUPS.copy()  # the leading group "000d": its three zeros NUL
+_TOP.view("<u2").reshape(-1, 4)[:, :3] = 0
 _TEMPLATES = _templates()
 
 
@@ -130,8 +140,9 @@ def _shortest(mag):
     # sv = floor(X / 4) = floor(10**-k v); X - 4 sv and X - 4 sp10 in units
     # of 2**-s, with sp10 = 10 floor(sv / 10)
     sv = whole >> 2
+    sp10 = sv // 10 * 10
     above = ((whole & 3) << s) + (lo.view(np.int64) & (unit - 1))
-    above10 = above + (sv % 10 << 2) * unit
+    above10 = above + ((sv - sp10) << 2) * unit
     uin = above <= half
     win = (unit << 2) - above <= half
     upin = above10 <= half
@@ -139,9 +150,8 @@ def _shortest(mag):
     # the nearer of sv and sv + 1, the even one on a tie
     near = (above > unit << 1) | ((above == unit << 1) & (sv & 1).astype(bool))
     one = uin ^ win
-    f = np.where((one & win) | (~one & near), sv + 1, sv)
-    sp10 = sv - sv % 10
-    f = np.where(upin ^ wpin, np.where(wpin, sp10 + 10, sp10), f)
+    f = sv + ((one & win) | (~one & near))
+    np.copyto(f, sp10 + 10 * wpin, where=upin ^ wpin)
     return f, tab["k"]
 
 
@@ -156,36 +166,40 @@ def spell(x: np.ndarray) -> np.ndarray:
     f, k = _shortest(mag)
     f10 = f * 10
     long = f10 >= 10 ** 17
-    f = np.where(long, f, f10)
+    np.copyto(f10, f, where=long)
+    f = f10
     decpt = k + 16 + long
     zero = mag == 0
     band = (bq >= _U(_BQ_LO)) & (bq <= _U(_BQ_HI))
     fast = band & (decpt > -4) & (decpt <= 16)
-    f[zero] = 0
-    decpt[zero] = 1
+    np.copyto(decpt, 1, where=~fast)  # zero is outside the band
+    np.copyto(f, 0, where=zero)
     fast |= zero
-    decpt[~fast] = 1
 
-    # 17 digits, trailing zeros as NULs, in 4-digit groups from "000d"
+    # 17 digits, trailing zeros as NULs, in 4-digit groups from "000d", laid
+    # out as the cells' uint16 slots: the three leading zeros of "000d" NUL,
+    # the ".0" tail of an integer in slot 20
     hi = f // 10 ** 8
     lo = f - hi * 10 ** 8
     top = hi // 10 ** 8
     hi -= top * 10 ** 8
-    parts = (top, hi // 10 ** 4, hi % 10 ** 4, lo // 10 ** 4, lo % 10 ** 4)
-    groups = np.empty((x.size, 5), np.uint64)
+    hi_hi, lo_hi = hi // 10 ** 4, lo // 10 ** 4
+    parts = (top, hi_hi, hi - hi_hi * 10 ** 4, lo_hi, lo - lo_hi * 10 ** 4)
+    digits = np.empty((x.size, CELL // 2), "<u2")
+    groups = np.ndarray((x.size, 5), np.uint64, digits, strides=(CELL, 8))
     later_zero = np.ones(x.size, bool)
     for i in range(4, -1, -1):
-        groups[:, i] = _GROUPS.take(np.where(later_zero, parts[i] + 10_000,
-                                             parts[i]))
+        table = _TOP if i == 0 else _GROUPS
+        groups[:, i] = table.take(parts[i] + 10_000 * later_zero)
         later_zero &= parts[i] == 0
-    digits = groups.view("<u2")
+    # the ".0" of an integer: no digit at or after the point
+    at_point = digits.ravel().take(np.arange(3, CELL // 2 * x.size, CELL // 2)
+                                   + decpt)
+    digits[:, -1] = ((at_point == 0) & (decpt > 0)) * np.uint16(48)
 
     cells = _TEMPLATES.take(decpt + 3 + 20 * (bits >> _U(63)).view(np.int64),
                             axis=0)
-    cells.view("<u2")[:, 3:20] |= digits[:, 3:]
-    # the ".0" of an integer: no digit at or after the point
-    at_point = digits.ravel().take(np.arange(0, 20 * x.size, 20) + 3 + decpt)
-    cells[:, 40] = 48 * ((at_point == 0) & (decpt > 0))
+    cells.view("<u2")[...] |= digits  # one contiguous pass
 
     slow = np.flatnonzero(~fast)
     if slow.size:

@@ -13,7 +13,8 @@ writer samples each chunk of rings, checks it and spells it in one loop.  The
 floats are spelled by ``floatrepr``, which computes the same digits in numpy
 (Giulietti's Schubfach) and lays them out as repr does, so the bytes are
 repr's.  Large grids are sampled and formatted by forked workers, one block
-of rings each, and the bytes do not depend on how many there are.
+of rings each, and the bytes do not depend on how many there are.  A values
+CSV is read back by ``np.loadtxt`` from its path.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 import os
 import pickle
 import shutil
+from itertools import islice
 from numbers import Number
 from pathlib import Path
 
@@ -483,7 +485,10 @@ def _ring_lines(grid: PolarGrid, rings: slice, columns):
         for a in arrays:
             _check_shape(a, (n_rings, n_theta),
                          f"rings {part.start}-{part.stop - 1}'s")
-        cells = floatrepr.spell(np.stack(arrays, axis=-1).view(float))
+        # a single column goes as its own float view, without a copy
+        values = (arrays[0][..., None] if len(arrays) == 1
+                  else np.stack(arrays, axis=-1))
+        cells = floatrepr.spell(values.view(float))
         cells[..., -1, -1] = ord("\n")
         line = np.concatenate([
             np.broadcast_to(lead_r[lo:lo + n_rings, None],
@@ -591,22 +596,38 @@ def write_solution_csv(path, grid: PolarGrid, w_values, residuals) -> None:
     _write_grid_csv(path, SOLUTION_CSV_HEADER, grid, [w_values, residuals])
 
 
+def _holds_sample(line: str) -> bool:
+    """Whether ``np.loadtxt`` reads a row from ``line``: it skips lines that
+    are blank once their ``#`` comment is cut."""
+    return bool(line.partition("#")[0].strip())
+
+
 def read_values_csv(path) -> PolarGrid:
     """Parse a value-grid CSV back into a PolarGrid with values attached.
 
     Rows come ring by ring, every ring at the first ring's angles in order,
-    and hold finite numbers only.
+    and hold finite numbers only; empty lines are skipped.  ``np.loadtxt``
+    is handed the path and the number of lines up to the header, so it
+    parses the rows in C without a Python string per line.
     """
-    lines = Path(path).read_text().strip().splitlines()
-    if len(lines) < 2 or lines[0].strip() != VALUE_CSV_HEADER:
-        raise ValueError(f"expected header {VALUE_CSV_HEADER!r} and samples")
-    data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    no_samples = f"expected header {VALUE_CSV_HEADER!r} and samples"
+    with open(path) as fh:
+        header, skip = fh.readline(), 1
+        while header and not header.strip():
+            header, skip = fh.readline(), skip + 1
+        if (header.strip() != VALUE_CSV_HEADER
+                or not any(map(_holds_sample, fh))):
+            raise ValueError(no_samples)
+    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     if data.shape[1] != 4:
         raise ValueError("expected four numbers per row")
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
-        raise ValueError(f"samples row {row + 1} is not finite: {lines[row + 1]}")
+        with open(path) as fh:
+            rows = filter(_holds_sample, islice(fh, skip, None))
+            line = next(islice(rows, row, None)).rstrip("\n")
+        raise ValueError(f"samples row {row + 1} is not finite: {line}")
     r, theta = data[:, 0], data[:, 1]
     radii = r[np.concatenate(([True], r[1:] != r[:-1]))]
     n_theta, rem = divmod(len(r), radii.size)

@@ -258,6 +258,17 @@ DEFAULT_THRESHOLDS = {
     "negative_control": 1e-3,
 }
 
+# the checks of DEFAULT_THRESHOLDS that only one factor kind reports
+_KIND_ONLY = {"cauchy": ("imag_at_origin",),
+              "schwarz": ("similarity_imag_at_origin", "imag_at_origin_smooth")}
+
+
+def threshold_names(kind: str) -> list[str]:
+    """The checks ``verify_solution`` reports for a factor kind, sorted."""
+    others = {name for other, names in _KIND_ONLY.items() if other != kind
+              for name in names}
+    return sorted(set(DEFAULT_THRESHOLDS) - others)
+
 
 def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
                     tests=None, rs: RadialSequence | None = None,
@@ -270,11 +281,18 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
     Works both on freshly solved problems (where the chain came from the
     recursion) and on reloaded solution files (where the chain is rebuilt from
     the top member, making the chain check trivially exact and the boundary
-    and origin checks the live ones).
+    and origin checks the live ones).  A threshold named for a check that the
+    problem's kind does not report raises ValueError before any check runs.
     """
+    problem = sol.problem
+    names = threshold_names(problem.factor_kind)
+    for name in thresholds or {}:
+        if name not in names:
+            raise ValueError(f"unknown tolerance {name!r} for the "
+                             f"{problem.factor_kind} kind, expected one of "
+                             f"{', '.join(names)}")
     limits = dict(DEFAULT_THRESHOLDS)
     limits.update(thresholds or {})
-    problem = sol.problem
     smooth = problem.factor_kind == "schwarz"
     n = problem.n
     w = sol.w

@@ -11,7 +11,7 @@ from metadisk.boundary import (BoundaryDistribution, TestFunction,
                                growth_order, hardy_norm,
                                lp_boundary_convergence, meta_hardy_norm,
                                pairing_limits, poisson_extend)
-from metadisk.disk import RadialSequence
+from metadisk.disk import PolarGrid, RadialSequence
 from metadisk.errors import Divergent
 from metadisk.integral import PolyAnalytic, SimilarityFactor, similarity_factor
 from metadisk.meta import MetaExpr
@@ -152,13 +152,16 @@ def test_poisson_reproduces_series():
 
 # points on the axes, signed zeros among them, and at angle pi exactly
 AXIS_POINTS = [complex(x, y) for x in (0.0, -0.0, 0.5, -0.5, -1.0)
-               for y in (0.0, -0.0)] + [0.3j, -0.3j, -0.0 + 0.7j]
+               for y in (0.0, -0.0)] + [complex(x, y) for x in (0.0, -0.0)
+                                        for y in (0.3, -0.3, 0.7, -0.7)]
 
 
 @st.composite
 def fourier_data_and_points(draw):
     """Fourier data with frequencies up to 40 in size, some of n and -n
-    missing, and points of the closed disk with the axis points mixed in."""
+    missing, and points of the closed disk: drawn ones, the rings of a small
+    grid, whose points share radii and angles, and the axis points with
+    their signed zeros, repeated."""
     start = draw(st.integers(-40, 0))
     stop = draw(st.integers(max(start, -1), 40))
     parts = st.floats(-2.0, 2.0)
@@ -168,7 +171,11 @@ def fourier_data_and_points(draw):
     angle = st.floats(-math.pi, math.pi)
     points = [draw(radius) * np.exp(1j * draw(angle))
               for _ in range(draw(st.integers(0, 40)))]
-    points += draw(st.lists(st.sampled_from(AXIS_POINTS), max_size=12))
+    if draw(st.booleans()):
+        grid = PolarGrid.mesh(draw(st.integers(1, 4)),
+                              2 * draw(st.integers(4, 8)))
+        points += grid.points().ravel().tolist()
+    points += draw(st.lists(st.sampled_from(AXIS_POINTS), max_size=24))
     return BoundaryDistribution(coeffs), np.array(points, dtype=complex)
 
 
@@ -176,7 +183,11 @@ def fourier_data_and_points(draw):
 def test_poisson_extension_matches_the_term_loop_bit_for_bit(case):
     u, z = case
     assert poisson_extend(u, z).tobytes() == poisson_extend_loop(u, z).tobytes()
-    for point in z[:4]:
+    if z.size % 2 == 0:  # the gather keeps an array's shape
+        z = z.reshape(2, -1)
+        assert (poisson_extend(u, z).tobytes()
+                == poisson_extend_loop(u, z).tobytes())
+    for point in z.ravel()[:4]:
         assert (np.complex128(poisson_extend(u, point)).tobytes()
                 == np.complex128(poisson_extend_loop(u, point)).tobytes())
 

@@ -15,13 +15,13 @@ import jsonschema
 import numpy as np
 import pytest
 
-from metadisk import cli, formats, integral
+from metadisk import __main__ as metadisk_main, cli, formats, integral
 from metadisk.boundary import BoundaryDistribution
 from metadisk.cli import RunConfig, _parse_grid, main
 from metadisk.disk import PolarGrid
 from metadisk.errors import MetadiskError, SchemaViolation
 from metadisk.integral import PolyAnalytic
-from metadisk.schwarz import DEFAULT_THRESHOLDS, SchwarzProblem
+from metadisk.schwarz import SchwarzProblem, threshold_names
 
 WORKED = SchwarzProblem(
     n=2,
@@ -185,18 +185,42 @@ def test_verify_fails_an_extra_part_on_pde_residual(tmp_path):
 
 @pytest.mark.parametrize("kind", ["cauchy", "schwarz"])
 def test_every_tol_name_sets_the_check_of_that_name(tmp_path, kind):
-    tols = {name: (i + 1) / 1024 for i, name in
-            enumerate(sorted(DEFAULT_THRESHOLDS))}
+    names = threshold_names(kind)
+    tols = {name: (i + 1) / 1024 for i, name in enumerate(names)}
     cfg = write_problem(tmp_path / "problem.json",
                         dataclasses.replace(WORKED, factor_kind=kind))
     out = tmp_path / "run"
-    main(["solve", "--config", str(cfg), "--out", str(out),
-          *(f"--tol={name}={value!r}" for name, value in tols.items())])
+    assert main(["solve", "--config", str(cfg), "--out", str(out),
+                 *(f"--tol={name}={value!r}" for name, value in tols.items())]
+                ) in (0, 2)
     checks = json.loads((out / "report.json").read_text())["checks"]
-    assert {c["name"]: c["threshold"] for c in checks} == {
-        c["name"]: tols[c["name"]] for c in checks}
+    assert {c["name"]: c["threshold"] for c in checks} == tols
     origin = "imag_at_origin_smooth" if kind == "schwarz" else "imag_at_origin"
     assert origin in {c["name"] for c in checks}
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("cauchy", "imag_at_origin_smooth"),
+    ("cauchy", "similarity_imag_at_origin"),
+    ("schwarz", "imag_at_origin"),
+])
+def test_tol_of_a_check_the_kind_does_not_report_exits_one(tmp_path, capsys,
+                                                            kind, name):
+    cfg = write_problem(tmp_path / "problem.json",
+                        dataclasses.replace(WORKED, factor_kind=kind))
+    assert main(["solve", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 0
+    listed = ", ".join(threshold_names(kind))
+    for command, config in (("solve", cfg),
+                            ("verify", tmp_path / "run" / "solution.json")):
+        out = tmp_path / command
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(out),
+                     "--tol", f"{name}=1e-30"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown tolerance {name!r} for the {kind} kind, "
+            f"expected one of {listed}\n")
+        assert not out.exists()
 
 
 def test_schema_violation_exits_one(tmp_path):
@@ -658,6 +682,36 @@ def test_values_csv_rejects_mismatched_rings(tmp_path, rings, message):
                  "--degree", "2"]) == 1
 
 
+def test_values_csv_reader_keeps_its_messages(tmp_path):
+    grid = PolarGrid.mesh(4, 8)
+    path = tmp_path / "vals.csv"
+    formats.write_values_csv(path, grid, grid.points() ** 2)
+    header, *rows = path.read_text().splitlines()
+    want = formats.read_values_csv(path).values
+    # empty lines before the header, after it, among the samples and after
+    # them are skipped
+    padded = tmp_path / "padded.csv"
+    padded.write_text("\n\n" + header + "\n\n" + "\n".join(rows[:5]) + "\n\n"
+                      + "\n".join(rows[5:]) + "\n\n\n")
+    assert formats.read_values_csv(padded).values.tobytes() == want.tobytes()
+    no_samples = f"expected header {formats.VALUE_CSV_HEADER!r} and samples"
+    for name, text in (("wrong.csv", "r,theta,re,im\n" + "\n".join(rows)),
+                       ("bare.csv", "\n" + header + "\n\n"),
+                       ("empty.csv", "")):
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ValueError) as exc:
+            formats.read_values_csv(tmp_path / name)
+        assert str(exc.value) == no_samples
+    # the non-finite row is quoted, counted among the samples
+    rows[6] = rows[6].rpartition(",")[0] + ",inf"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n" + header + "\n\n" + "\n".join(rows[:3]) + "\n\n"
+                   + "\n".join(rows[3:]) + "\n")
+    with pytest.raises(ValueError) as exc:
+        formats.read_values_csv(bad)
+    assert str(exc.value) == f"samples row 7 is not finite: {rows[6]}"
+
+
 def test_every_schema_is_valid_under_its_metaschema():
     names = [name for name in dir(formats) if name.endswith("_SCHEMA")]
     assert len(names) >= 7
@@ -875,21 +929,72 @@ def test_module_entry_transform_writes_the_in_process_bytes(tmp_path):
 
 def test_entry_freezes_the_imported_heap_and_main_does_not(tmp_path,
                                                            monkeypatch):
-    frozen = []
+    seen = []
 
     def probe(argv=None):
-        frozen.append(gc.get_freeze_count())
+        seen.append((gc.get_freeze_count(), gc.isenabled()))
         return 0
 
     monkeypatch.setattr(cli, "main", probe)
     try:
-        assert cli.entry() == 0
+        assert metadisk_main.entry() == 0
     finally:
         gc.unfreeze()
-    assert frozen[0] > 0
+    (frozen, enabled), = seen
+    assert frozen > 0 and enabled
     monkeypatch.undo()
     before = gc.get_freeze_count()
     cfg = write_problem(tmp_path / "problem.json")
     assert main(["solve", "--config", str(cfg), "--out",
                  str(tmp_path / "run")]) == 0
     assert gc.get_freeze_count() == before
+
+
+def _fresh(script: str) -> str:
+    """The standard output of ``script`` run in a fresh interpreter."""
+    src = str(Path(formats.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_entry_imports_the_command_line_with_the_collector_paused():
+    # a fresh process: no collection runs between the entry's start and the
+    # freeze, which comes after the command line is imported; --help takes
+    # the same import as every command
+    out = _fresh("""if True:
+        import gc, sys
+        from metadisk.__main__ import entry
+        starts = []
+        gc.callbacks.append(lambda phase, info: starts.append(phase == "start"))
+        at_freeze = []
+        freeze = gc.freeze
+        gc.freeze = lambda: (at_freeze.append((sum(starts), gc.isenabled(),
+                                               "metadisk.cli" in sys.modules)),
+                             freeze())
+        sys.argv = ["metadisk", "--help"]
+        try:
+            entry()
+        except SystemExit as exc:
+            print(exc.code, at_freeze, gc.isenabled(), gc.get_freeze_count() > 0)
+    """)
+    assert out.startswith("usage: metadisk")
+    assert out.split("\n")[-2] == "0 [(0, False, True)] True True"
+
+
+def test_import_metadisk_loads_no_submodule_and_resolves_every_name():
+    out = _fresh("""if True:
+        import sys
+        import metadisk
+        print(sorted(m for m in sys.modules
+                     if m.startswith(("numpy", "metadisk."))))
+        print(all(getattr(sys.modules[getattr(metadisk, name).__module__],
+                          name) is getattr(metadisk, name)
+                  for name in metadisk.__all__))
+    """)
+    assert out == "[]\nTrue\n"
+    import metadisk
+    with pytest.raises(AttributeError, match="no attribute 'absent'"):
+        metadisk.absent
