@@ -32,7 +32,7 @@ from .integral import schwarz_pompeiu_poly, teodorescu_poly
 from .meta import poly_decompose
 from .report import Report
 from .schwarz import (
-    DEFAULT_THRESHOLDS,
+    CHECKS,
     SchwarzSolution,
     chain_from_top,
     solve_meta,
@@ -51,12 +51,13 @@ class RunConfig:
     radial_depth: int = 16
 
     def __post_init__(self):
-        if self.grid[0] < 4 or self.grid[1] < 4:
-            raise ValueError("grid dimensions must be at least 4")
+        if self.grid[0] < 4:
+            raise ValueError("the grid needs at least 4 radii")
+        self.sampling_grid()  # checks the angles before any file is read
         for name, value in self.tolerances.items():
-            if name not in DEFAULT_THRESHOLDS:
+            if name not in CHECKS:
                 raise ValueError(f"unknown tolerance {name!r}, expected one "
-                                 f"of {', '.join(sorted(DEFAULT_THRESHOLDS))}")
+                                 f"of {', '.join(sorted(CHECKS))}")
             if not 0 < value < math.inf:  # also rejects NaN
                 raise ValueError(f"tolerance {name} must be positive and "
                                  "finite")
@@ -136,14 +137,14 @@ def run_solve(config: RunConfig) -> int:
     report, boundary = verify_solution(sol, grid=grid,
                                        rs=config.radial_sequence(),
                                        thresholds=config.tolerances)
-    t = perf_counter()
+    report.timings["construct"] = construct_s
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    # (dbar - A)^n w = e^s dbar^n F, and dbar^n of the order-n F is zero
-    formats.write_solution_csv(out / "solution_grid.csv", grid,
-                               _finite(sol.w, "solution"), np.zeros_like)
-    formats.save_json(out / "solution.json", formats.solution_to_data(sol))
-    report.timings.update(construct=construct_s, write=perf_counter() - t)
+    with report.timed("write"):
+        out.mkdir(parents=True, exist_ok=True)
+        # (dbar - A)^n w = e^s dbar^n F, and dbar^n of the order-n F is zero
+        formats.write_solution_csv(out / "solution_grid.csv", grid,
+                                   _finite(sol.w, "solution"), np.zeros_like)
+        formats.save_json(out / "solution.json", formats.solution_to_data(sol))
     _write_report(out, report, boundary)
     return 0 if report.overall_pass else 2
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from time import perf_counter
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,13 @@ class Report:
                       direction=direction)
         self.checks.append(check)
         return check
+
+    @contextmanager
+    def timed(self, stage: str):
+        """Record the wall time of the block as ``timings[stage]``."""
+        start = perf_counter()
+        yield
+        self.timings[stage] = perf_counter() - start
 
     def __getitem__(self, name: str) -> Check:
         for check in self.checks:

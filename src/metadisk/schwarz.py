@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -162,10 +161,10 @@ def default_test_basis(problem: SchwarzProblem) -> tuple[TestFunction, ...]:
     return tuple(TestFunction.harmonic(m) for m in range(-top, top + 1))
 
 
-def _unfolded_data(problem: SchwarzProblem, chain, k: int) -> PolyAnalytic:
-    """Boundary data of derivative order k assembled from h and lower members."""
-    level = problem.n - 1 - k
-    return _unfold(problem.levels[level][0], chain[:level])
+def _kept_factor(sol: SchwarzSolution) -> SimilarityFactor | None:
+    """The factor the boundary conditions keep: the schwarz kind's, else None
+    (the cauchy kind divides it out)."""
+    return sol.w.factor if sol.problem.factor_kind == "schwarz" else None
 
 
 def _sampled_pairings(factor: SimilarityFactor | None, g: PolyAnalytic, shift,
@@ -186,10 +185,11 @@ def _exact_pairings(g: PolyAnalytic, tests):
             np.zeros(len(tests)), np.ones(len(tests), dtype=bool))
 
 
-def verify_boundary_conditions(sol: SchwarzSolution, problem: SchwarzProblem,
-                               tests=None, rs: RadialSequence | None = None,
+def verify_boundary_conditions(sol: SchwarzSolution, tests=None,
+                               rs: RadialSequence | None = None,
                                n_theta: int | None = None) -> BoundaryReport:
-    """Pair both sides of every boundary condition against the test basis.
+    """Pair both sides of every boundary condition of ``sol.problem`` against
+    the test basis.
 
     The left side is always computed from w itself (its factor divided out for
     the cauchy kind, kept for the schwarz kind), the right side from the
@@ -199,29 +199,28 @@ def verify_boundary_conditions(sol: SchwarzSolution, problem: SchwarzProblem,
     once, on its alias-free grid when ``n_theta`` is None (AliasedSampling if
     an explicit one would alias).  Level k's arrays become row k of the table.
     """
+    problem = sol.problem
     tests = tuple(tests) if tests is not None else default_test_basis(problem)
-    rs = rs or RadialSequence()
-    n = problem.n
-    smooth = problem.factor_kind == "schwarz"
-    factor = sol.w.factor if smooth else None
-    lhs_polys = sol.w.poly.dbar_stack(n)
+    factor = _kept_factor(sol)
     levels = []
-    for k in range(n):
-        const = 1j * problem.levels[n - 1 - k][1] - sol.constants[n - 1 - k]
-        data = _unfolded_data(problem, sol.chain, k)
+    for k, lhs_poly in enumerate(sol.w.poly.dbar_stack(problem.n)):
+        level = problem.n - 1 - k
+        h, c = problem.levels[level]
+        data = _unfold(h, sol.chain[:level])
         lhs, lhs_residual, lhs_stable = _sampled_pairings(
-            factor, lhs_polys[k], 0j, tests, rs, n_theta)
+            factor, lhs_poly, 0j, tests, rs, n_theta)
         rhs, residual, stable = (
-            _sampled_pairings(factor, data, const, tests, rs, n_theta)
-            if smooth else _exact_pairings(data, tests))
+            _exact_pairings(data, tests) if factor is None else
+            _sampled_pairings(factor, data, 1j * c - sol.constants[level],
+                              tests, rs, n_theta))
         levels.append((lhs, rhs, stable & lhs_stable,
                        np.maximum(residual, lhs_residual)))
     return BoundaryReport(tuple(phi.label for phi in tests),
                           *(np.array(column) for column in zip(*levels)))
 
 
-def _negative_control(sol: SchwarzSolution, problem: SchwarzProblem,
-                      rs: RadialSequence, n_theta: int | None) -> float:
+def _negative_control(sol: SchwarzSolution, rs: RadialSequence | None,
+                      n_theta: int | None) -> float:
     """Shift the solution by 0.1 and measure the k=0 constant-test row move.
 
     A corrupted solution must fail verification by a visible margin,
@@ -229,12 +228,10 @@ def _negative_control(sol: SchwarzSolution, problem: SchwarzProblem,
     """
     phi = (TestFunction.constant(),)
     poly = sol.w.poly
-    factor = sol.w.factor if problem.factor_kind == "schwarz" else None
+    factor = _kept_factor(sol)
     bad = _sampled_pairings(factor, poly, 0.1, phi, rs, n_theta)[0]
-    if factor is not None:
-        good = _sampled_pairings(factor, poly, 0j, phi, rs, n_theta)[0]
-    else:
-        good = _exact_pairings(poly, phi)[0]
+    good = (_exact_pairings(poly, phi) if factor is None else
+            _sampled_pairings(factor, poly, 0j, phi, rs, n_theta))[0]
     return abs(bad[0] - good[0])
 
 
@@ -246,32 +243,29 @@ def _chain_defect(chain) -> float:
     return worst
 
 
-DEFAULT_THRESHOLDS = {
-    "pde_residual": 1e-9,
-    "similarity_imag_at_origin": 1e-6,
-    "imag_at_origin": 1e-9,
-    "imag_at_origin_smooth": 1e-8,
-    "origin_constants": 1e-12,
-    "boundary_pairing_max": 1e-6,
-    "boundary_unstabilized": 0.5,
-    "chain_derivative": 1e-12,
-    "negative_control": 1e-3,
+# name -> (factor kinds that report it, default threshold, direction a
+# value passes in); the order is the report's
+CHECKS = {
+    "pde_residual": (FACTOR_KINDS, 1e-9, "<"),
+    "similarity_imag_at_origin": (("schwarz",), 1e-6, "<"),
+    "imag_at_origin_smooth": (("schwarz",), 1e-8, "<"),
+    "imag_at_origin": (("cauchy",), 1e-9, "<"),
+    "origin_constants": (FACTOR_KINDS, 1e-12, "<"),
+    "boundary_pairing_max": (FACTOR_KINDS, 1e-6, "<"),
+    "boundary_unstabilized": (FACTOR_KINDS, 0.5, "<"),
+    "chain_derivative": (FACTOR_KINDS, 1e-12, "<"),
+    "negative_control": (FACTOR_KINDS, 1e-3, ">"),
 }
-
-# the checks of DEFAULT_THRESHOLDS that only one factor kind reports
-_KIND_ONLY = {"cauchy": ("imag_at_origin",),
-              "schwarz": ("similarity_imag_at_origin", "imag_at_origin_smooth")}
 
 
 def threshold_names(kind: str) -> list[str]:
     """The checks ``verify_solution`` reports for a factor kind, sorted."""
-    others = {name for other, names in _KIND_ONLY.items() if other != kind
-              for name in names}
-    return sorted(set(DEFAULT_THRESHOLDS) - others)
+    return sorted(name for name, (kinds, _, _) in CHECKS.items()
+                  if kind in kinds)
 
 
 def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
-                    tests=None, rs: RadialSequence | None = None,
+                    rs: RadialSequence | None = None,
                     n_theta: int | None = None,
                     thresholds: dict | None = None
                     ) -> tuple[Report, BoundaryReport]:
@@ -285,67 +279,50 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
     problem's kind does not report raises ValueError before any check runs.
     """
     problem = sol.problem
-    names = threshold_names(problem.factor_kind)
-    for name in thresholds or {}:
+    kind = problem.factor_kind
+    thresholds = thresholds or {}
+    names = threshold_names(kind)
+    for name in thresholds:
         if name not in names:
-            raise ValueError(f"unknown tolerance {name!r} for the "
-                             f"{problem.factor_kind} kind, expected one of "
-                             f"{', '.join(names)}")
-    limits = dict(DEFAULT_THRESHOLDS)
-    limits.update(thresholds or {})
-    smooth = problem.factor_kind == "schwarz"
+            raise ValueError(f"unknown tolerance {name!r} for the {kind} "
+                             f"kind, expected one of {', '.join(names)}")
     n = problem.n
     w = sol.w
+    factor = _kept_factor(sol)
     report = Report()
+    values = {}
 
-    t = perf_counter()
-    report.add("pde_residual", pde_residual(w, problem.coeff, n, grid),
-               limits["pde_residual"])
-    report.timings["pde_residual"] = perf_counter() - t
-
-    if smooth:
-        report.add("similarity_imag_at_origin", abs(w.factor.at_zero.imag),
-                   limits["similarity_imag_at_origin"])
-        origin_scale = cmath.exp(w.factor.at_zero).real
-        worst = max(
+    with report.timed("pde_residual"):
+        values["pde_residual"] = pde_residual(w, problem.coeff, n, grid)
+    if factor is not None:
+        values["similarity_imag_at_origin"] = abs(factor.at_zero.imag)
+        origin_scale = cmath.exp(factor.at_zero).real
+        values["imag_at_origin_smooth"] = max(
             abs(w.dbar_shift_power(k)(0j).imag
                 - origin_scale * problem.levels[n - 1 - k][1])
-            for k in range(n)
-        )
-        report.add("imag_at_origin_smooth", worst,
-                   limits["imag_at_origin_smooth"])
+            for k in range(n))
     else:
-        worst = max(
+        values["imag_at_origin"] = max(
             abs(sol.chain[j](0j).imag - problem.levels[j][1])
-            for j in range(n)
-        )
-        report.add("imag_at_origin", worst, limits["imag_at_origin"])
+            for j in range(n))
     # relative to sum |a_m|, which bounds |h| on the circle and so the
     # rounding of the sampled mean
-    report.add("origin_constants",
-               max(abs(const - imag_mean_constant(h))
-                   / max(1.0, float(np.abs(h.c).sum()))
-                   for const, (h, _) in zip(sol.constants, problem.levels)),
-               limits["origin_constants"])
+    values["origin_constants"] = max(
+        abs(const - imag_mean_constant(h)) / max(1.0, float(np.abs(h.c).sum()))
+        for const, (h, _) in zip(sol.constants, problem.levels))
+    with report.timed("boundary"):
+        boundary = verify_boundary_conditions(sol, rs=rs, n_theta=n_theta)
+        values["boundary_pairing_max"] = boundary.max_residual
+        values["boundary_unstabilized"] = np.count_nonzero(
+            ~boundary.stabilized)
+    values["chain_derivative"] = _chain_defect(sol.chain)
+    with report.timed("negative_control"):
+        values["negative_control"] = _negative_control(sol, rs, n_theta)
 
-    t = perf_counter()
-    boundary = verify_boundary_conditions(sol, problem, tests, rs, n_theta)
-    report.add("boundary_pairing_max", boundary.max_residual,
-               limits["boundary_pairing_max"])
-    report.add("boundary_unstabilized",
-               np.count_nonzero(~boundary.stabilized),
-               limits["boundary_unstabilized"])
-    report.timings["boundary"] = perf_counter() - t
-
-    report.add("chain_derivative", _chain_defect(sol.chain),
-               limits["chain_derivative"])
-
-    t = perf_counter()
-    control = _negative_control(sol, problem, rs or RadialSequence(), n_theta)
-    report.add("negative_control", control, limits["negative_control"],
-               direction=">")
-    report.timings["negative_control"] = perf_counter() - t
-
+    for name, (kinds, threshold, direction) in CHECKS.items():
+        if kind in kinds:
+            report.add(name, values[name], thresholds.get(name, threshold),
+                       direction)
     return report, boundary
 
 

@@ -15,7 +15,7 @@ from metadisk.disk import PolarGrid, RadialSequence
 from metadisk.errors import Divergent
 from metadisk.integral import PolyAnalytic, SimilarityFactor, similarity_factor
 from metadisk.meta import MetaExpr
-from metadisk.schwarz import (SchwarzProblem, _unfolded_data,
+from metadisk.schwarz import (SchwarzProblem, _unfold,
                               default_test_basis, solve_meta,
                               verify_boundary_conditions)
 from oracles import poisson_extend_loop
@@ -312,7 +312,8 @@ def _oracle_rows(sol, problem):
     rows = []
     lhs_poly = sol.w.poly
     for k in range(n):
-        unfolded = _unfolded_data(problem, sol.chain, k)
+        level = n - 1 - k
+        unfolded = _unfold(problem.levels[level][0], sol.chain[:level])
         if smooth:
             def real(g, shift=0j):
                 return _oracle_samples(
@@ -355,7 +356,7 @@ def test_spectral_rows_match_scalar_oracle():
     # seed-7 batch, three schwarz problems and an n=6, degree-60 cauchy problem
     for problem in _oracle_problems():
         sol = solve_meta(problem)
-        report = verify_boundary_conditions(sol, problem)
+        report = verify_boundary_conditions(sol)
         want = _oracle_rows(sol, problem)
         n, width = problem.n, len(report.tests)
         assert report.lhs.shape == report.rhs.shape == (n, width)
@@ -390,7 +391,7 @@ def test_verify_evaluations_do_not_grow_with_the_basis(kind, monkeypatch):
     for top in (8, 120):  # 17 and 241 test functions
         tests = tuple(TestFunction.harmonic(m) for m in range(-top, top + 1))
         counts.update(poly=0, factor=0)
-        verify_boundary_conditions(sol, problem, tests=tests)
+        verify_boundary_conditions(sol, tests=tests)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     # one evaluation per sampled function: the left side of each level, and

@@ -46,8 +46,10 @@ def test_parse_grid():
 
 
 def test_run_config_validation(tmp_path):
-    with pytest.raises(ValueError):
-        RunConfig("solve", tmp_path / "x", tmp_path, grid=(2, 64))
+    # too few radii, and angular counts that PolarGrid rejects: odd or below 8
+    for bad in ((2, 64), (4, 6), (4, 9)):
+        with pytest.raises(ValueError):
+            RunConfig("solve", tmp_path / "x", tmp_path, grid=bad)
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             RunConfig("solve", tmp_path / "x", tmp_path,

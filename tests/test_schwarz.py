@@ -168,8 +168,7 @@ def test_smooth_variant_origin_ratio_uniform():
 
 def test_verify_constant_problem():
     sol = solve_meta(constant_problem())
-    report = verify_boundary_conditions(sol, constant_problem(),
-                                        tests=(TestFunction.constant(),))
+    report = verify_boundary_conditions(sol, tests=(TestFunction.constant(),))
     assert report.max_residual < 1e-10
 
 
@@ -177,7 +176,7 @@ def test_verify_worked_example_basis():
     sol = solve_meta(WORKED)
     tests = (TestFunction.constant(), TestFunction.cosine(1),
              TestFunction.sine(1), TestFunction.cosine(2))
-    report = verify_boundary_conditions(sol, WORKED, tests=tests)
+    report = verify_boundary_conditions(sol, tests=tests)
     assert report.max_residual < 1e-7
     assert np.all(report.residual < 1e-7)
 
@@ -187,7 +186,7 @@ def test_verify_detects_corruption():
     bad_chain = (sol.chain[0] + sol.chain[0].constant(0.1), sol.chain[1])
     corrupted = type(sol)(w=sol.w, chain=bad_chain, constants=sol.constants,
                           problem=sol.problem)
-    report = verify_boundary_conditions(corrupted, WORKED)
+    report = verify_boundary_conditions(corrupted)
     assert report.max_residual > 1e-3
     k, label = report.worst()
     assert report.residual[k, report.tests.index(label)] == report.max_residual
@@ -207,7 +206,7 @@ def test_verify_detects_corruption():
             w = MetaExpr(sol.w.factor, PolyAnalytic(sol.w.poly.c + bump))
             corrupted = type(sol)(w=w, chain=chain_from_top(w.poly, 3),
                                   constants=sol.constants, problem=problem)
-            report = verify_boundary_conditions(corrupted, problem)
+            report = verify_boundary_conditions(corrupted)
             assert not report.max_residual < 1e-6, (kind, k, report.max_residual)
 
 
@@ -228,7 +227,7 @@ def test_boundary_report_worst_names_the_corrupted_cell():
     tests = (TestFunction.constant(),
              *(phi(m) for m in (1, 2, 3)
                for phi in (TestFunction.cosine, TestFunction.sine)))
-    report = verify_boundary_conditions(corrupted, problem, tests=tests)
+    report = verify_boundary_conditions(corrupted, tests=tests)
     assert report.worst() == (1, "cos[2]")
     cos1, cos2 = report.tests.index("cos[1]"), report.tests.index("cos[2]")
     assert report.residual[1, cos2] == pytest.approx(math.pi * eps, rel=1e-9)
