@@ -1,28 +1,27 @@
 """Process entry of ``python -m metadisk`` and the ``metadisk`` script."""
 
 import gc
+import os
 import sys
 
 
-def entry() -> int:
-    """Import the command line with the collector paused, freeze the heap
-    those imports built, and run ``cli.main`` with collection enabled.
-
-    The imports build objects that live until exit, so the collections they
-    would trigger free nothing; frozen, those objects are also skipped by the
-    collections at interpreter exit and in forked grid workers.  Objects made
-    by the command are collected as usual.  ``--help`` takes the same import
-    as every command.  ``cli.main`` itself pauses and freezes nothing, so
-    in-process callers keep a plain heap.
+def entry():
+    """Run ``cli.main`` with the cyclic collector off and leave through
+    ``os._exit`` once stdout and stderr are flushed: a command's cyclic
+    garbage is a few hundred objects whatever the data, and every file it
+    writes is closed by then.  Forked grid workers inherit the disabled
+    collector.  An uncaught exception keeps Python's traceback and exit.
     """
     gc.disable()
+    from . import cli
     try:
-        from . import cli
-        gc.freeze()
-    finally:
-        gc.enable()
-    return cli.main()
+        code = cli.main()
+    except SystemExit as exc:  # argparse: --help and usage errors
+        code = exc.code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(entry())
+    entry()

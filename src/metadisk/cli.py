@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     except SchemaViolation as exc:
         print(f"schema error: {exc.message}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, ValueError, OSError) as exc:
+    except (json.JSONDecodeError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -597,8 +597,11 @@ def write_solution_csv(path, grid: PolarGrid, w_values, residuals) -> None:
 
 
 def _holds_sample(line: str) -> bool:
-    """Whether ``np.loadtxt`` reads a row from ``line``: it skips lines that
-    are blank once their ``#`` comment is cut."""
+    """Whether ``line`` holds more than spaces once its ``#`` comment is cut.
+
+    ``np.loadtxt`` skips a line that is empty once its comment is cut, but
+    reads one of spaces as a row of one column; the reader skips both.
+    """
     return bool(line.partition("#")[0].strip())
 
 
@@ -606,9 +609,11 @@ def read_values_csv(path) -> PolarGrid:
     """Parse a value-grid CSV back into a PolarGrid with values attached.
 
     Rows come ring by ring, every ring at the first ring's angles in order,
-    and hold finite numbers only; empty lines are skipped.  ``np.loadtxt``
-    is handed the path and the number of lines up to the header, so it
-    parses the rows in C without a Python string per line.
+    and hold finite numbers only; empty lines and lines of spaces are
+    skipped.  ``np.loadtxt`` is handed the path and the number of lines up
+    to the header, so it parses the rows in C without a Python string per
+    line; only if it fails are the lines that hold samples handed over
+    instead.
     """
     no_samples = f"expected header {VALUE_CSV_HEADER!r} and samples"
     with open(path) as fh:
@@ -618,7 +623,12 @@ def read_values_csv(path) -> PolarGrid:
         if (header.strip() != VALUE_CSV_HEADER
                 or not any(map(_holds_sample, fh))):
             raise ValueError(no_samples)
-    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except ValueError:  # a line of spaces, or text that is not a number
+        with open(path) as fh:
+            data = np.loadtxt(filter(_holds_sample, islice(fh, skip, None)),
+                              delimiter=",", ndmin=2)
     if data.shape[1] != 4:
         raise ValueError("expected four numbers per row")
     finite = np.isfinite(data).all(axis=1)

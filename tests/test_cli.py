@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import gc
 import json
 import os
 import re
@@ -15,7 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from metadisk import __main__ as metadisk_main, cli, formats, integral
+from metadisk import cli, formats, integral
 from metadisk.boundary import BoundaryDistribution
 from metadisk.cli import RunConfig, _parse_grid, main
 from metadisk.disk import PolarGrid
@@ -691,11 +690,14 @@ def test_values_csv_reader_keeps_its_messages(tmp_path):
     header, *rows = path.read_text().splitlines()
     want = formats.read_values_csv(path).values
     # empty lines before the header, after it, among the samples and after
-    # them are skipped
+    # them are skipped, and so are lines of spaces among and after them
     padded = tmp_path / "padded.csv"
-    padded.write_text("\n\n" + header + "\n\n" + "\n".join(rows[:5]) + "\n\n"
-                      + "\n".join(rows[5:]) + "\n\n\n")
-    assert formats.read_values_csv(padded).values.tobytes() == want.tobytes()
+    for blank in ("", " \t "):
+        padded.write_text("\n\n" + header + "\n\n" + "\n".join(rows[:5])
+                          + f"\n\n{blank}\n" + "\n".join(rows[5:])
+                          + f"\n\n\n{blank}\n")
+        assert (formats.read_values_csv(padded).values.tobytes()
+                == want.tobytes())
     no_samples = f"expected header {formats.VALUE_CSV_HEADER!r} and samples"
     for name, text in (("wrong.csv", "r,theta,re,im\n" + "\n".join(rows)),
                        ("bare.csv", "\n" + header + "\n\n"),
@@ -707,11 +709,34 @@ def test_values_csv_reader_keeps_its_messages(tmp_path):
     # the non-finite row is quoted, counted among the samples
     rows[6] = rows[6].rpartition(",")[0] + ",inf"
     bad = tmp_path / "bad.csv"
-    bad.write_text("\n" + header + "\n\n" + "\n".join(rows[:3]) + "\n\n"
-                   + "\n".join(rows[3:]) + "\n")
-    with pytest.raises(ValueError) as exc:
-        formats.read_values_csv(bad)
-    assert str(exc.value) == f"samples row 7 is not finite: {rows[6]}"
+    for blank in ("", "  "):
+        bad.write_text("\n" + header + "\n\n" + "\n".join(rows[:3])
+                       + f"\n\n{blank}\n" + "\n".join(rows[3:]) + "\n")
+        with pytest.raises(ValueError) as exc:
+            formats.read_values_csv(bad)
+        assert str(exc.value) == f"samples row 7 is not finite: {rows[6]}"
+
+
+def test_grid_too_large_to_allocate_exits_one(tmp_path, monkeypatch, capsys):
+    # the points of a grid that cannot be allocated: numpy raises
+    # MemoryError, planted here so that nothing large is allocated
+    message = ("Unable to allocate 53.6 GiB for an array with shape "
+               "(60000, 60000) and data type complex128")
+
+    def points(grid):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(PolarGrid, "points", points)
+    cfg = tmp_path / "transform.json"
+    formats.save_json(cfg, {"operator": "teodorescu",
+                            "f": formats.bivar_to_data(PolyAnalytic.constant(1.0))})
+    out = tmp_path / "run"
+    capsys.readouterr()
+    code = main(["transform", "--config", str(cfg), "--out", str(out),
+                 "--grid", "4x8"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "transform.csv").exists()
 
 
 def test_every_schema_is_valid_under_its_metaschema():
@@ -856,10 +881,19 @@ def test_similarity_table_fault_exits_three(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this metadisk,
+    its stdout block-buffered when it is a pipe, as it is without
+    ``PYTHONUNBUFFERED``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(formats.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def _run_module(args) -> tuple[int, str, str]:
     """``python -m metadisk args`` in a fresh process: the process entry."""
-    env = {**os.environ, "PYTHONPATH": str(Path(formats.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "metadisk", *args], env=env,
+    done = subprocess.run([sys.executable, "-m", "metadisk", *args],
+                          env=_fresh_env(),
                           capture_output=True, text=True, timeout=120)
     return done.returncode, done.stdout, done.stderr
 
@@ -878,6 +912,8 @@ def _entry_case(tmp_path, case) -> list[str]:
     """Arguments of one command per exit code, but for its --out."""
     if case == "help":
         return ["--help"]
+    if case == "usage":  # argparse: --config is required
+        return ["verify"]
     data = formats.problem_to_data(WORKED)
     if case == "overflow":
         data = _OVERFLOWING_PROBLEM
@@ -895,7 +931,8 @@ def _entry_case(tmp_path, case) -> list[str]:
 
 
 @pytest.mark.parametrize("case, code", [
-    ("help", 0), ("solve", 0), ("schema", 1), ("verify", 2), ("overflow", 3),
+    ("help", 0), ("solve", 0), ("schema", 1), ("usage", 2), ("verify", 2),
+    ("overflow", 3),
 ])
 def test_module_entry_matches_in_process_main(tmp_path, monkeypatch, capsys,
                                               case, code):
@@ -915,7 +952,7 @@ def test_module_entry_matches_in_process_main(tmp_path, monkeypatch, capsys,
 
 
 def test_module_entry_transform_writes_the_in_process_bytes(tmp_path):
-    # 256x512 forks grid workers, after the entry froze the imported heap
+    # 256x512 forks grid workers before the entry's os._exit
     cfg = tmp_path / "transform.json"
     formats.save_json(cfg, {"operator": "teodorescu", "f": {"terms": [
         {"m": 0, "k": 1, "re": 0.3, "im": -0.7},
@@ -929,61 +966,84 @@ def test_module_entry_transform_writes_the_in_process_bytes(tmp_path):
     assert written[0].count(b"\n") == 1 + 256 * 512
 
 
-def test_entry_freezes_the_imported_heap_and_main_does_not(tmp_path,
-                                                           monkeypatch):
-    seen = []
-
-    def probe(argv=None):
-        seen.append((gc.get_freeze_count(), gc.isenabled()))
-        return 0
-
-    monkeypatch.setattr(cli, "main", probe)
-    try:
-        assert metadisk_main.entry() == 0
-    finally:
-        gc.unfreeze()
-    (frozen, enabled), = seen
-    assert frozen > 0 and enabled
-    monkeypatch.undo()
-    before = gc.get_freeze_count()
-    cfg = write_problem(tmp_path / "problem.json")
-    assert main(["solve", "--config", str(cfg), "--out",
-                 str(tmp_path / "run")]) == 0
-    assert gc.get_freeze_count() == before
+def _fresh_run(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``script`` run with ``args`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
 
 
 def _fresh(script: str) -> str:
     """The standard output of ``script`` run in a fresh interpreter."""
-    src = str(Path(formats.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _fresh_run(script)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
-def test_entry_imports_the_command_line_with_the_collector_paused():
-    # a fresh process: no collection runs between the entry's start and the
-    # freeze, which comes after the command line is imported; --help takes
-    # the same import as every command
-    out = _fresh("""if True:
-        import gc, sys
+@pytest.mark.parametrize("case, code", [
+    ("solve", 0), ("help", 0), ("usage", 2),
+])
+def test_entry_runs_the_command_line_with_the_collector_off(tmp_path, case,
+                                                            code):
+    # a fresh process: the entry imports the command line and runs it without
+    # a collection, with nothing frozen, and leaves through os._exit, so no
+    # exit handler runs; the probe's line goes to stdout, which os._exit
+    # would lose unflushed
+    cfg = write_problem(tmp_path / "problem.json")
+    args = {"solve": ["solve", "--config", str(cfg), "--out",
+                      str(tmp_path / "run")],
+            "help": ["--help"], "usage": ["verify"]}[case]
+    done = _fresh_run("""if True:
+        import argparse, atexit, gc, sys
         from metadisk.__main__ import entry
-        starts = []
-        gc.callbacks.append(lambda phase, info: starts.append(phase == "start"))
-        at_freeze = []
-        freeze = gc.freeze
-        gc.freeze = lambda: (at_freeze.append((sum(starts), gc.isenabled(),
-                                               "metadisk.cli" in sys.modules)),
-                             freeze())
-        sys.argv = ["metadisk", "--help"]
-        try:
-            entry()
-        except SystemExit as exc:
-            print(exc.code, at_freeze, gc.isenabled(), gc.get_freeze_count() > 0)
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def probe(parser, *args, **kwargs):
+            print(gc.isenabled(), gc.get_freeze_count(),
+                  "metadisk.cli" in sys.modules)
+            return parse_args(parser, *args, **kwargs)
+
+        argparse.ArgumentParser.parse_args = probe
+        atexit.register(print, "exit handler")
+        sys.argv = ["metadisk", *sys.argv[1:]]
+        gc.collect()  # so none falls due before the entry's gc.disable()
+        gc.callbacks.append(lambda phase, info: phase == "start"
+                            and print("collection"))
+        entry()
+    """, *args)
+    assert done.returncode == code, done.stderr
+    probe, _, rest = done.stdout.partition("\n")
+    assert probe == "False 0 True"
+    assert "collection" not in rest and "exit handler" not in rest
+    if case == "solve":
+        assert rest == ""
+    if case == "help":
+        assert rest.endswith("show this help message and exit\n")
+    if case == "usage":
+        assert done.stderr.endswith("metadisk verify: error: the following "
+                                    "arguments are required: --config\n")
+    else:
+        assert done.stderr == ""
+
+
+def test_entry_keeps_the_traceback_of_an_uncaught_exception():
+    done = _fresh_run("""if True:
+        import atexit
+        from metadisk import cli
+        from metadisk.__main__ import entry
+
+        def main(argv=None):
+            print("before the fault")
+            raise RuntimeError("planted fault")
+
+        cli.main = main
+        atexit.register(print, "exit handler")
+        entry()
     """)
-    assert out.startswith("usage: metadisk")
-    assert out.split("\n")[-2] == "0 [(0, False, True)] True True"
+    assert done.returncode == 1
+    assert done.stdout == "before the fault\nexit handler\n"
+    assert done.stderr.startswith("Traceback (most recent call last):")
+    assert done.stderr.endswith("RuntimeError: planted fault\n")
 
 
 def test_import_metadisk_loads_no_submodule_and_resolves_every_name():
