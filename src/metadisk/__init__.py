@@ -3,16 +3,17 @@ boundary behavior, and Schwarz-type boundary value problems.
 
 The names below are resolved on first use (PEP 562), so ``import metadisk``
 loads neither numpy nor a submodule; the process entry in ``__main__``
-imports the command line with the collector paused.
+runs the command line with the collector off.
 """
 
 _EXPORTS = {
     "boundary": ("BoundaryDistribution", "HardyNormEstimate", "TestFunction",
-                 "growth_order", "hardy_norm", "lp_boundary_convergence",
-                 "meta_hardy_norm", "pairing_limits", "poisson_extend"),
+                 "circle_pairings", "growth_order", "hardy_norm",
+                 "lp_boundary_convergence", "meta_hardy_norm",
+                 "poisson_extend"),
     "disk": ("PolarGrid", "RadialSequence"),
-    "errors": ("AliasedSampling", "Divergent", "IllConditioned",
-               "MetadiskError", "NonFinite"),
+    "errors": ("AliasedSampling", "IllConditioned", "MetadiskError",
+               "NonFinite"),
     "integral": ("PolyAnalytic", "SimilarityFactor", "schwarz_pompeiu_poly",
                  "similarity_factor", "teodorescu_poly"),
     "meta": ("DecompositionFit", "MetaExpr", "derivative_matrix",

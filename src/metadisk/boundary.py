@@ -3,7 +3,8 @@
 A disk function has the distribution u as boundary value when
 Int f(r e^{i theta}) phi(theta) d theta -> <u, phi> as r -> 1 for every test
 function phi; all pairings here use the plain d theta measure with no
-conjugation and no 2 pi normalization.
+conjugation and no 2 pi normalization.  For a function continuous on the
+closed disk the limit is the pairing of its restriction to |z| = 1.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import TWO_PI, RadialSequence
-from .errors import AliasedSampling, Divergent, NonFinite
+from .errors import AliasedSampling, NonFinite
 
 DEFAULT_N_THETA = 256
-# relative agreement of the last two extrapolants that counts as stabilized
-STABILIZE_TOL = 1e-9
 
 
 class BoundaryDistribution:
@@ -131,15 +130,19 @@ def alias_free_n_theta(max_frequency: int, n_theta: int | None = None) -> int:
     return n_theta
 
 
+def unit_circle(n_theta: int) -> np.ndarray:
+    """n_theta equispaced points of |z| = 1, the first at z = 1."""
+    return np.exp(1j * (np.arange(n_theta) * (TWO_PI / n_theta)))
+
+
 def ring_samples(f, rs: RadialSequence, n_theta: int) -> np.ndarray:
     """f evaluated once on every ring of ``rs``: shape (len(rs), n_theta)."""
-    ring = np.exp(1j * (np.arange(n_theta) * (TWO_PI / n_theta)))
-    z = rs.radii[:, None] * ring[None, :]
+    z = rs.radii[:, None] * unit_circle(n_theta)[None, :]
     return np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
 
 
 def pair_spectrum(spectrum: np.ndarray, tests) -> np.ndarray:
-    """(radii, tests) ring integrals of f phi from f's ring spectrum.
+    """Ring integrals of f phi, one per test, from f's ring spectrum.
 
     Column m mod n_theta of ``spectrum`` holds Int f e^{i m theta} d theta; a
     test sum b_m e^{i m theta} gathers sum b_m times those columns.
@@ -154,47 +157,25 @@ def pair_spectrum(spectrum: np.ndarray, tests) -> np.ndarray:
     return out
 
 
-def richardson_limits(raw: np.ndarray):
-    """Limits r -> 1 of every column of ``raw`` (at least two radii x pairings).
+def circle_pairings(f, tests, n_theta: int = DEFAULT_N_THETA) -> np.ndarray:
+    """Pairings Int f(e^{i theta}) phi(theta) d theta of f's trace on |z| = 1
+    with every test.
 
-    Iterated Richardson extrapolation in eps = 1 - r, which halves along the
-    radial sequence.  Returns arrays (value, residual, stabilized): the
-    extrapolant, the raw tail |I(r_last) - I(r_prev)|, and whether the last two
-    extrapolants agree to STABILIZE_TOL.  Raises Divergent when a column
-    is not finite, or grows without its extrapolant stabilizing.
+    Every function the solver pairs is a polynomial in (z, conj z), times e^s
+    for the schwarz kind: continuous on the closed disk, so its boundary
+    value in the sense of distributions is its restriction to the circle.
+    The trapezoid rule on the circle (spectrally accurate for periodic
+    integrands) is its DFT, so one inverse FFT gives Int f e^{i m theta} for
+    every m.  ``np.fft`` is reached at call time: numpy imports it lazily.
+    Raises NonFinite if a sample is not finite.
     """
-    if not np.all(np.isfinite(raw)):
-        raise Divergent("circle integrals are not finite near the boundary")
-    residual = np.abs(raw[-1] - raw[-2])
-    row, best = raw, raw[-1]
-    for m in range(1, len(raw)):
-        factor = 2.0 ** m
-        row = (factor * row[1:] - row[:-1]) / (factor - 1.0)
-        previous_best, best = best, row[-1]
-        scale = np.maximum(1.0, np.abs(best))
-        stabilized = np.abs(best - previous_best) <= STABILIZE_TOL * scale
-    if len(raw) > 4:
-        mags = np.abs(raw)
-        growing = (~stabilized & np.all(np.diff(mags[-4:], axis=0) > 0, axis=0)
-                   & (mags[-1] > 2.0 * mags[-5] + 1e-12))
-        if np.any(growing):
-            raise Divergent(f"pairing integrals grow (|I| reaches "
-                            f"{mags[-1][growing].max():.3e}) without the "
-                            "extrapolant stabilizing")
-    return best, residual, stabilized
-
-
-def pairing_limits(f, tests, rs: RadialSequence | None = None,
-                   n_theta: int = DEFAULT_N_THETA):
-    """Pairings lim_{r->1} Int f(r e^{i theta}) phi(theta) d theta for every test.
-
-    The trapezoid rule on a ring (spectrally accurate for periodic integrands)
-    is its DFT, so one inverse FFT per ring gives Int f e^{i m theta} for every
-    m.  ``np.fft`` is reached at call time: numpy imports it lazily.
-    """
-    rs = rs or RadialSequence()
-    spectrum = TWO_PI * np.fft.ifft(ring_samples(f, rs, n_theta), axis=1)
-    return richardson_limits(pair_spectrum(spectrum, tests))
+    circle = unit_circle(n_theta)
+    with np.errstate(all="ignore"):
+        samples = np.broadcast_to(np.asarray(f(circle), dtype=complex),
+                                  circle.shape)
+    if not np.all(np.isfinite(samples)):
+        raise NonFinite("a sample on the unit circle is not finite")
+    return pair_spectrum(TWO_PI * np.fft.ifft(samples), tests)
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

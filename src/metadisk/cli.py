@@ -26,7 +26,7 @@ import numpy as np
 
 from . import formats
 from .boundary import poisson_extend
-from .disk import PolarGrid, RadialSequence
+from .disk import PolarGrid
 from .errors import MetadiskError, NonFinite, SchemaViolation
 from .integral import schwarz_pompeiu_poly, teodorescu_poly
 from .meta import poly_decompose
@@ -48,7 +48,6 @@ class RunConfig:
     grid: tuple[int, int] = (32, 64)
     tolerances: dict = field(default_factory=dict)
     degree: int = 16
-    radial_depth: int = 16
 
     def __post_init__(self):
         if self.grid[0] < 4:
@@ -63,13 +62,9 @@ class RunConfig:
                                  "finite")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        self.radial_sequence()  # checks the depth before any file is read
 
     def sampling_grid(self) -> PolarGrid:
         return PolarGrid.mesh(n_radial=self.grid[0], n_angular=self.grid[1])
-
-    def radial_sequence(self) -> RadialSequence:
-        return RadialSequence(depth=self.radial_depth)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -101,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--grid", type=_parse_grid, metavar="NRxNT",
                              help="sampling grid, default 32x64")
         if name in ("solve", "verify"):
-            cmd.add_argument("--radial-depth", type=int,
-                             help="radial sequence depth, default 16")
             cmd.add_argument("--tol", action="append", metavar="NAME=VALUE",
                              help="override a named tolerance (repeatable)")
     return parser
@@ -135,12 +128,10 @@ def run_solve(config: RunConfig) -> int:
     sol = solve_meta(problem)
     construct_s = perf_counter() - t
     report, boundary = verify_solution(sol, grid=grid,
-                                       rs=config.radial_sequence(),
                                        thresholds=config.tolerances)
     report.timings["construct"] = construct_s
     out = config.out_dir
     with report.timed("write"):
-        out.mkdir(parents=True, exist_ok=True)
         # (dbar - A)^n w = e^s dbar^n F, and dbar^n of the order-n F is zero
         formats.write_solution_csv(out / "solution_grid.csv", grid,
                                    _finite(sol.w, "solution"), np.zeros_like)
@@ -157,7 +148,6 @@ def run_verify(config: RunConfig) -> int:
     sol = SchwarzSolution(w, chain_from_top(w.poly, problem.n), constants,
                           problem)
     report, boundary = verify_solution(sol, grid=config.sampling_grid(),
-                                       rs=config.radial_sequence(),
                                        thresholds=config.tolerances)
     report.timings["load"] = load_s
     out = config.out_dir
@@ -190,7 +180,6 @@ def run_transform(config: RunConfig) -> int:
         table = teodorescu_poly(f)
     else:
         table = schwarz_pompeiu_poly(f)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     formats.write_values_csv(config.out_dir / "transform.csv", grid,
                              _finite(table.monomial_sum,
                                      f"{data['operator']} transform"))
@@ -201,7 +190,6 @@ def run_poisson(config: RunConfig) -> int:
     data = formats.load_json(config.config_path)
     u = formats.boundary_from_data(data)
     grid = config.sampling_grid()
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     formats.write_values_csv(config.out_dir / "poisson.csv", grid,
                              _finite(partial(poisson_extend, u),
                                      "poisson extension"))

@@ -17,9 +17,10 @@ MAX_DEPTH = 52
 class RadialSequence:
     """Radii r_j = 1 - 2^(-j-1), j = 0..depth, accumulating at the boundary.
 
-    The geometric gaps 1 - r_j halve at every step, which is what the
-    radial-limit extrapolations rely on.  The depth is 1 to MAX_DEPTH: from
-    j = 53 on, r_j rounds to 1.0 and the ring is the circle itself.
+    The geometric gaps 1 - r_j halve at every step, so -log(1 - r_j), the
+    abscissa of the growth-order fit, is evenly spaced.  The depth is 1 to
+    MAX_DEPTH: from j = 53 on, r_j rounds to 1.0 and the ring is the circle
+    itself.
     """
 
     depth: int = 16

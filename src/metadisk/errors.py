@@ -9,10 +9,6 @@ class NonFinite(MetadiskError):
     """A sampled value came back inf or NaN."""
 
 
-class Divergent(MetadiskError):
-    """A radial pairing sequence grows without the extrapolant stabilizing."""
-
-
 class IllConditioned(MetadiskError):
     """A least-squares system is too close to rank deficient to trust."""
 

@@ -24,7 +24,7 @@ import math
 import os
 import pickle
 import shutil
-from itertools import islice
+from itertools import islice, takewhile
 from numbers import Number
 from pathlib import Path
 
@@ -362,9 +362,7 @@ def boundary_to_data(boundary: BoundaryReport) -> dict:
     return {"tests": list(boundary.tests),
             "lhs": boundary.lhs[..., None].view(float).tolist(),
             "rhs": boundary.rhs[..., None].view(float).tolist(),
-            "residual": boundary.residual.tolist(),
-            "stabilized": boundary.stabilized.tolist(),
-            "tail_residual": boundary.tail_residual.tolist()}
+            "residual": boundary.residual.tolist()}
 
 
 def save_json(path, data, indent: int | None = 2) -> None:
@@ -549,9 +547,10 @@ def _write_grid_csv(path, header: str, grid: PolarGrid, columns) -> None:
 
     Block 0 is sampled and formatted here and every other block in a forked
     worker; the blocks are written in ring order, so the bytes do not depend
-    on the number of workers.  If a block fails, the error of the first
-    failing block in ring order is raised, no file is left and every worker
-    is reaped.
+    on the number of workers.  The file's missing directories are made just
+    before it is opened.  If a block fails, the error of the first failing
+    block in ring order is raised, neither the file nor a directory made
+    here is left, and every worker is reaped.
     """
     columns = _sampler(grid, columns)
     blocks = _ring_blocks(grid)
@@ -561,6 +560,10 @@ def _write_grid_csv(path, header: str, grid: PolarGrid, columns) -> None:
             workers.append(_fork_block(grid, columns, rings,
                                        [pipe for _, pipe in workers]))
         head = _ring_lines(grid, blocks[0], columns)
+        parent = Path(path).parent
+        made = list(takewhile(lambda d: not d.exists(),
+                              (parent, *parent.parents)))
+        parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as out:
             try:
                 out.write(header.encode() + b"\n")
@@ -577,6 +580,8 @@ def _write_grid_csv(path, header: str, grid: PolarGrid, columns) -> None:
             except BaseException:
                 out.close()
                 os.unlink(path)
+                for directory in made:  # innermost first
+                    directory.rmdir()
                 raise
     finally:
         # close first: a worker blocked on a full pipe then ends and is reaped

@@ -17,9 +17,9 @@ from conftest import interior_points, random_bivar, random_meta, random_problem
 from oracles import (deviation_from_identity, teodorescu_quadrature_oracle,
                      triangular_product, wirtinger_dbar)
 from metadisk import formats
-from metadisk.boundary import (TestFunction, growth_order, hardy_norm,
-                               lp_boundary_convergence, meta_hardy_norm,
-                               pairing_limits)
+from metadisk.boundary import (TestFunction, circle_pairings, growth_order,
+                               hardy_norm, lp_boundary_convergence,
+                               meta_hardy_norm)
 from metadisk.cli import main
 from metadisk.disk import PolarGrid, RadialSequence
 from metadisk.integral import PolyAnalytic, similarity_factor, teodorescu_poly
@@ -192,14 +192,14 @@ def test_criterion_7_boundary_behavior(batch):
     for problem, sol in batch[:10]:
         top = sol.chain[-1]
         algebraic = top.boundary_distribution()
-        limits = pairing_limits(top, probes)[0]
-        for phi, value in zip(probes, limits):
+        pairings = circle_pairings(top, probes)
+        for phi, value in zip(probes, pairings):
             gap = abs(complex(value) - algebraic.pair(phi))
             worst_pairing = max(worst_pairing, gap)
     ok = worst_lp < 1e-5 and worst_pairing < 1e-8
     _verdict(7, ok, f"max final L^p residual {worst_lp:.3g} at r=1-2^-17 "
-                    f"(tol 1e-5), pairing-limit vs algebra {worst_pairing:.3g} "
-                    f"(tol 1e-8)")
+                    f"(tol 1e-5), circle pairing vs algebra "
+                    f"{worst_pairing:.3g} (tol 1e-8)")
 
 
 def test_criterion_8_hardy_norms(batch):

@@ -14,14 +14,15 @@ import pytest
 from conftest import random_bivar, random_holo, random_problem
 from metadisk.boundary import TestFunction
 from metadisk.boundary import meta_hardy_norm
-from metadisk.disk import PolarGrid, RadialSequence
+from metadisk.disk import PolarGrid
 from metadisk.errors import AliasedSampling, MetadiskError
 from metadisk.integral import PolyAnalytic
 from metadisk.meta import MetaExpr
-from metadisk.schwarz import (SchwarzProblem, chain_from_top,
-                              default_test_basis, imag_mean_constant,
-                              solve_meta, solve_poly_chain,
-                              verify_boundary_conditions, verify_solution)
+from metadisk.schwarz import (SchwarzProblem, SchwarzSolution,
+                              chain_from_top, default_test_basis,
+                              imag_mean_constant, solve_meta,
+                              solve_poly_chain, verify_boundary_conditions,
+                              verify_solution)
 
 POINTS = [0.3 + 0.2j, -0.5 + 0.1j, 0.7j, 0.25]
 
@@ -249,8 +250,10 @@ def test_verify_solution_full_battery():
             "negative_control"} <= names
     assert report.overall_pass
     assert report["negative_control"].value > 1e-3
-    # impossible threshold flips the verdict without touching the solution
-    strict, _ = verify_solution(sol, thresholds={"boundary_pairing_max": 1e-30})
+    # impossible threshold flips the verdict without touching the solution:
+    # cauchy kind's control moves by 0.1 * 2 pi
+    strict, _ = verify_solution(sol, thresholds={"negative_control": 1.0})
+    assert not strict["negative_control"].passed
     assert not strict.overall_pass
 
 
@@ -291,23 +294,23 @@ def test_angular_grid_follows_the_test_basis(degree):
     assert issubclass(AliasedSampling, MetadiskError)
 
 
-def test_unstabilized_pairing_fails_its_check():
-    # on three radii the extrapolant of the z^5 pairings has not settled
-    problem = SchwarzProblem(n=1, coeff=PolyAnalytic.zero(),
-                             levels=((PolyAnalytic.holomorphic((0, 0, 0, 0, 0, 1.0)), 0.0),))
-    loose = {"boundary_pairing_max": 1.0}
-    sol = solve_meta(problem)
-    report, table = verify_solution(sol, rs=RadialSequence(depth=2),
-                                    thresholds=loose)
-    check = report["boundary_unstabilized"]
-    assert check.value == 2.0  # harmonic[-5] and harmonic[5]
-    assert not check.passed
-    assert report["boundary_pairing_max"].passed
-    assert not report.overall_pass
-    levels, columns = np.nonzero(~table.stabilized)
-    assert levels.tolist() == [0, 0]
-    assert {table.tests[j] for j in columns} == {"harmonic[-5]", "harmonic[5]"}
-    assert np.all(table.tail_residual[~table.stabilized] > 0.1)
-    deep, _ = verify_solution(sol)
-    assert deep["boundary_unstabilized"].value == 0.0
-    assert deep.overall_pass
+@pytest.mark.parametrize("kind", ["cauchy", "schwarz"])
+def test_chain_derivative_is_relative_to_the_chain(kind):
+    # data coefficients of size 1e4 at n = 6, degree 60: the chain's gaps,
+    # about 2e-12, are rounding in coefficients of that size and more
+    rng = np.random.default_rng(5)
+    coeff = PolyAnalytic.from_terms({(0, 0): 0.1, (1, 0): 0.05j, (0, 1): 0.02})
+    levels = tuple((1e4 * (rng.standard_normal(61)
+                           + 1j * rng.standard_normal(61)), 0.0)
+                   for _ in range(6))
+    sol = solve_meta(SchwarzProblem(n=6, coeff=coeff, levels=levels,
+                                    factor_kind=kind))
+    report, _ = verify_solution(sol)
+    assert report["chain_derivative"].value < 1e-15
+    assert report.overall_pass
+    # one member off by a relative 1e-9 still fails
+    chain = list(sol.chain)
+    chain[2] = chain[2].scale(1.0 + 1e-9)
+    bad, _ = verify_solution(SchwarzSolution(sol.w, tuple(chain),
+                                             sol.constants, sol.problem))
+    assert not bad["chain_derivative"].passed
