@@ -12,8 +12,7 @@ _EXPORTS = {
                  "lp_boundary_convergence", "meta_hardy_norm",
                  "poisson_extend"),
     "disk": ("PolarGrid", "RadialSequence"),
-    "errors": ("AliasedSampling", "IllConditioned", "MetadiskError",
-               "NonFinite"),
+    "errors": ("IllConditioned", "MetadiskError", "NonFinite"),
     "integral": ("PolyAnalytic", "SimilarityFactor", "schwarz_pompeiu_poly",
                  "similarity_factor", "teodorescu_poly"),
     "meta": ("DecompositionFit", "MetaExpr", "derivative_matrix",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import TWO_PI, RadialSequence
-from .errors import AliasedSampling, NonFinite
+from .errors import NonFinite
 
 DEFAULT_N_THETA = 256
 
@@ -114,20 +114,12 @@ class BoundaryDistribution:
 TestFunction = BoundaryDistribution
 
 
-def alias_free_n_theta(max_frequency: int, n_theta: int | None = None) -> int:
-    """Angular grid for ring integrals of frequencies up to ``max_frequency``.
-
-    The trapezoid sum of e^{i q theta} over n_theta angles is exact unless q
-    is a nonzero multiple of n_theta.  None gives the smallest power of two
-    above max_frequency, at least DEFAULT_N_THETA; an explicit n_theta at or
-    below it raises AliasedSampling.
-    """
-    if n_theta is None:
-        return max(DEFAULT_N_THETA, 1 << int(max_frequency).bit_length())
-    if n_theta <= max_frequency:
-        raise AliasedSampling(f"n_theta={n_theta} aliases frequency "
-                              f"{max_frequency}; use more than {max_frequency}")
-    return n_theta
+def alias_free_n_theta(max_frequency: int) -> int:
+    """Angular grid for ring integrals of frequencies up to ``max_frequency``:
+    the smallest power of two above it, at least DEFAULT_N_THETA.  The
+    trapezoid sum of e^{i q theta} over n_theta angles is exact unless q is a
+    nonzero multiple of n_theta."""
+    return max(DEFAULT_N_THETA, 1 << int(max_frequency).bit_length())
 
 
 def unit_circle(n_theta: int) -> np.ndarray:

@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from time import perf_counter
@@ -40,33 +39,6 @@ from .schwarz import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    config_path: Path
-    out_dir: Path
-    grid: tuple[int, int] = (32, 64)
-    tolerances: dict = field(default_factory=dict)
-    degree: int = 16
-
-    def __post_init__(self):
-        if self.grid[0] < 4:
-            raise ValueError("the grid needs at least 4 radii")
-        self.sampling_grid()  # checks the angles before any file is read
-        for name, value in self.tolerances.items():
-            if name not in CHECKS:
-                raise ValueError(f"unknown tolerance {name!r}, expected one "
-                                 f"of {', '.join(sorted(CHECKS))}")
-            if not 0 < value < math.inf:  # also rejects NaN
-                raise ValueError(f"tolerance {name} must be positive and "
-                                 "finite")
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-
-    def sampling_grid(self) -> PolarGrid:
-        return PolarGrid.mesh(n_radial=self.grid[0], n_angular=self.grid[1])
-
-
 def _parse_grid(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
@@ -78,41 +50,53 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each command takes only the flags it reads; an omitted flag keeps
-    RunConfig's default."""
+    """Each command takes only the flags it reads, each with its default."""
     parser = argparse.ArgumentParser(
         prog="metadisk",
         description="Meta-analytic functions and Schwarz problems on the unit disk",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "verify", "transform", "poisson", "decompose"):
-        cmd = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        cmd.add_argument("--config", required=True, help="input file (JSON)")
-        cmd.add_argument("--out", default=".", help="output directory")
+        cmd = sub.add_parser(name)
+        cmd.add_argument("--config", type=Path, required=True,
+                         help="input file (JSON)")
+        cmd.add_argument("--out", type=Path, default=Path("."),
+                         help="output directory")
         if name == "decompose":
-            cmd.add_argument("--degree", type=int,
+            cmd.add_argument("--degree", type=int, default=16,
                              help="truncation degree for fits, default 16")
-        else:
-            cmd.add_argument("--grid", type=_parse_grid, metavar="NRxNT",
-                             help="sampling grid, default 32x64")
+        elif name != "verify":
+            cmd.add_argument("--grid", type=_parse_grid, default=(32, 64),
+                             metavar="NRxNT", help="sampling grid, default 32x64")
         if name in ("solve", "verify"):
-            cmd.add_argument("--tol", action="append", metavar="NAME=VALUE",
+            cmd.add_argument("--tol", action="append", default=[],
+                             metavar="NAME=VALUE",
                              help="override a named tolerance (repeatable)")
     return parser
 
 
-def make_config(args) -> RunConfig:
-    options = vars(args).copy()
+def _check_options(args: argparse.Namespace) -> None:
+    """Read ``--tol`` into a dict and ``--grid`` into its mesh; a bad value of
+    either, or a negative ``--degree``, is a ValueError before any input."""
     tolerances = {}
-    for item in options.pop("tol", ()):
+    for item in getattr(args, "tol", ()):
         name, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
         tolerances[name] = float(value)
-    return RunConfig(command=options.pop("command"),
-                     config_path=Path(options.pop("config")),
-                     out_dir=Path(options.pop("out")),
-                     tolerances=tolerances, **options)
+    if "grid" in args:
+        if args.grid[0] < 4:
+            raise ValueError("the grid needs at least 4 radii")
+        args.grid = PolarGrid.mesh(*args.grid)  # checks the angles
+    for name, value in tolerances.items():
+        if name not in CHECKS:
+            raise ValueError(f"unknown tolerance {name!r}, expected one "
+                             f"of {', '.join(sorted(CHECKS))}")
+        if not 0 < value < math.inf:  # also rejects NaN
+            raise ValueError(f"tolerance {name} must be positive and finite")
+    args.tol = tolerances
+    if getattr(args, "degree", 0) < 0:
+        raise ValueError("degree must be nonnegative")
 
 
 def _write_report(out_dir: Path, report: Report, boundary) -> None:
@@ -121,38 +105,35 @@ def _write_report(out_dir: Path, report: Report, boundary) -> None:
     formats.save_json(out_dir / "report.json", data, indent=None)
 
 
-def run_solve(config: RunConfig) -> int:
-    problem = formats.problem_from_data(formats.load_json(config.config_path))
-    grid = config.sampling_grid()
+def run_solve(args: argparse.Namespace) -> int:
+    problem = formats.problem_from_data(formats.load_json(args.config))
     t = perf_counter()
     sol = solve_meta(problem)
     construct_s = perf_counter() - t
-    report, boundary = verify_solution(sol, grid=grid,
-                                       thresholds=config.tolerances)
+    report, boundary = verify_solution(sol, grid=args.grid,
+                                       thresholds=args.tol)
     report.timings["construct"] = construct_s
-    out = config.out_dir
     with report.timed("write"):
         # (dbar - A)^n w = e^s dbar^n F, and dbar^n of the order-n F is zero
-        formats.write_solution_csv(out / "solution_grid.csv", grid,
+        formats.write_solution_csv(args.out / "solution_grid.csv", args.grid,
                                    _finite(sol.w, "solution"), np.zeros_like)
-        formats.save_json(out / "solution.json", formats.solution_to_data(sol))
-    _write_report(out, report, boundary)
+        formats.save_json(args.out / "solution.json",
+                          formats.solution_to_data(sol))
+    _write_report(args.out, report, boundary)
     return 0 if report.overall_pass else 2
 
 
-def run_verify(config: RunConfig) -> int:
+def run_verify(args: argparse.Namespace) -> int:
     t = perf_counter()
     w, constants, problem = formats.solution_from_data(
-        formats.load_json(config.config_path))
+        formats.load_json(args.config))
     load_s = perf_counter() - t
     sol = SchwarzSolution(w, chain_from_top(w.poly, problem.n), constants,
                           problem)
-    report, boundary = verify_solution(sol, grid=config.sampling_grid(),
-                                       thresholds=config.tolerances)
+    report, boundary = verify_solution(sol, thresholds=args.tol)
     report.timings["load"] = load_s
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    _write_report(out, report, boundary)
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_report(args.out, report, boundary)
     return 0 if report.overall_pass else 2
 
 
@@ -171,41 +152,35 @@ def _finite(evaluate, what: str):
     return checked
 
 
-def run_transform(config: RunConfig) -> int:
-    data = formats.load_json(config.config_path)
+def run_transform(args: argparse.Namespace) -> int:
+    data = formats.load_json(args.config)
     formats.check_schema(data, formats.TRANSFORM_CONFIG_SCHEMA)
     f = formats.bivar_from_data(data["f"])
-    grid = config.sampling_grid()
     if data["operator"] == "teodorescu":
         table = teodorescu_poly(f)
     else:
         table = schwarz_pompeiu_poly(f)
-    formats.write_values_csv(config.out_dir / "transform.csv", grid,
+    formats.write_values_csv(args.out / "transform.csv", args.grid,
                              _finite(table.monomial_sum,
                                      f"{data['operator']} transform"))
     return 0
 
 
-def run_poisson(config: RunConfig) -> int:
-    data = formats.load_json(config.config_path)
-    u = formats.boundary_from_data(data)
-    grid = config.sampling_grid()
-    formats.write_values_csv(config.out_dir / "poisson.csv", grid,
+def run_poisson(args: argparse.Namespace) -> int:
+    u = formats.boundary_from_data(formats.load_json(args.config))
+    formats.write_values_csv(args.out / "poisson.csv", args.grid,
                              _finite(partial(poisson_extend, u),
                                      "poisson extension"))
     return 0
 
 
-def run_decompose(config: RunConfig) -> int:
-    data = formats.load_json(config.config_path)
+def run_decompose(args: argparse.Namespace) -> int:
+    data = formats.load_json(args.config)
     formats.check_schema(data, formats.DECOMPOSE_CONFIG_SCHEMA)
-    samples_path = Path(data["samples"])
-    if not samples_path.is_absolute():
-        samples_path = config.config_path.parent / samples_path
-    samples = formats.read_values_csv(samples_path)
-    fit = poly_decompose(samples, n=int(data["order"]), degree=config.degree)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    formats.save_json(config.out_dir / "decomposition.json", {
+    samples = formats.read_values_csv(args.config.parent / data["samples"])
+    fit = poly_decompose(samples, n=int(data["order"]), degree=args.degree)
+    args.out.mkdir(parents=True, exist_ok=True)
+    formats.save_json(args.out / "decomposition.json", {
         "parts": formats.parts_to_data(fit.poly),
         "residual": fit.residual,
         "condition": fit.condition,
@@ -222,15 +197,11 @@ RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    return RUNNERS[config.command](config)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = make_config(args)
-        return run(config)
+        _check_options(args)
+        return RUNNERS[args.command](args)
     except MetadiskError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

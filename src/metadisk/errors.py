@@ -13,10 +13,6 @@ class IllConditioned(MetadiskError):
     """A least-squares system is too close to rank deficient to trust."""
 
 
-class AliasedSampling(MetadiskError):
-    """An explicit angular grid is too coarse for the frequencies it must pair."""
-
-
 class SchemaViolation(ValueError):
     """An input document does not match its JSON schema.
 

@@ -112,8 +112,11 @@ class DecompositionFit:
     condition: float
 
 
-def poly_decompose(samples: PolarGrid, n: int, degree: int = 16,
-                   cond_limit: float = 1e10) -> DecompositionFit:
+COND_LIMIT = 1e10  # poly_decompose's largest trusted condition number
+
+
+def poly_decompose(samples: PolarGrid, n: int, degree: int = 16
+                   ) -> DecompositionFit:
     """Recover holomorphic parts f_0..f_{n-1} from point values on a grid.
 
     Fits w = sum_k conj(z)^k sum_m a_{k,m} z^m by least squares over the
@@ -134,7 +137,7 @@ def poly_decompose(samples: PolarGrid, n: int, degree: int = 16,
     over the samples.
 
     Needs at least twice as many samples as unknowns (ValueError).  Raises
-    IllConditioned when ``condition`` passes ``cond_limit`` (nearly
+    IllConditioned when ``condition`` passes COND_LIMIT (nearly
     coincident radii do this, and so do fewer rings than min(n, degree + 1))
     and NonFinite when the coefficients or the residual are not finite.
     """
@@ -160,10 +163,10 @@ def poly_decompose(samples: PolarGrid, n: int, degree: int = 16,
         sol, _, _, sv = np.linalg.lstsq(system, projected.ravel(), rcond=None)
         full_rank = sv.size == unknowns and sv[-1] > 0
         condition = float((sv[0] / sv[-1]) ** 2) if full_rank else math.inf
-        if condition > cond_limit:
+        if condition > COND_LIMIT:
             raise IllConditioned(
                 f"normal equations condition {condition:.3e} exceeds "
-                f"{cond_limit:.1e}"
+                f"{COND_LIMIT:.1e}"
             )
         poly = PolyAnalytic(sol.reshape(n, degree + 1))
         residual = float(np.max(np.abs(poly(samples.points()) - samples.values)))

@@ -13,10 +13,11 @@ divides the boundary conditions by e^{s}, the schwarz kind keeps the factor
 inside the conditions and needs s real at the origin.
 
 `verify_solution` checks a solution, fresh or reloaded: PDE residual, origin
-conditions, origin constants against the sampled boundary mean of Im h,
-boundary pairings of w against the data unfolded from h and the
-lower chain members over a trig test basis, the exact chain property, and a
-corrupted-solution negative control that must visibly fail.
+conditions, Re s = 0 on |z| = 1 for the schwarz kind, origin constants
+against the sampled boundary mean of Im h, boundary pairings of w against the
+data unfolded from h and the lower chain members over a trig test basis, the
+exact chain property, and a corrupted-solution negative control that must
+visibly fail.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from .boundary import (TestFunction, alias_free_n_theta, circle_pairings,
                        unit_circle)
 from .disk import PolarGrid
+from .errors import NonFinite
 from .integral import PolyAnalytic, SimilarityFactor, similarity_factor
 from .meta import MetaExpr, pde_residual
 from .report import Report
@@ -114,9 +116,15 @@ class SchwarzSolution:
 def imag_mean_constant(h: PolyAnalytic) -> complex:
     """i times the mean of Im h over more than deg h equispaced points of
     |z| = 1: every power z^m with 0 < m <= deg h sums to zero over them, so
-    this is i*Im(a_0) by sampling, up to rounding."""
+    this is i*Im(a_0) by sampling, up to rounding.  Raises NonFinite where
+    the samples, their sum or sum |a_m|, which bounds |h| there, overflow."""
     circle = unit_circle(alias_free_n_theta(h.degree))
-    return 1j * float(np.mean(np.imag(h(circle))))
+    with np.errstate(all="ignore"):
+        mean = float(np.mean(np.imag(h(circle))))
+        bound = float(np.abs(h.c).sum())
+    if not (math.isfinite(mean) and math.isfinite(bound)):
+        raise NonFinite("the circle mean of Im h or sum |a_m| is not finite")
+    return 1j * mean
 
 
 def solve_poly_chain(problem: SchwarzProblem):
@@ -164,11 +172,11 @@ def _kept_factor(sol: SchwarzSolution) -> SimilarityFactor | None:
 
 
 def _sampled_pairings(factor: SimilarityFactor | None, g: PolyAnalytic, shift,
-                      tests, n_theta: int | None):
+                      tests):
     """Circle pairings of Re(e^s (g + shift)), or of Re(g + shift) without a
     factor, on a grid resolving g's frequencies plus the tests'."""
     n_theta = alias_free_n_theta(g.max_frequency + max(
-        (phi.max_frequency for phi in tests), default=0), n_theta)
+        (phi.max_frequency for phi in tests), default=0))
     weight = np.ones_like if factor is None else (
         lambda z: np.exp(factor(z)))
     return circle_pairings(lambda z: np.real(weight(z) * (g(z) + shift)),
@@ -180,8 +188,8 @@ def _exact_pairings(g: PolyAnalytic, tests) -> np.ndarray:
     return g.boundary_distribution().re_part().pairings(tests)
 
 
-def verify_boundary_conditions(sol: SchwarzSolution, tests=None,
-                               n_theta: int | None = None) -> BoundaryReport:
+def verify_boundary_conditions(sol: SchwarzSolution, tests=None
+                               ) -> BoundaryReport:
     """Pair both sides of every boundary condition of ``sol.problem`` against
     the test basis.
 
@@ -189,10 +197,8 @@ def verify_boundary_conditions(sol: SchwarzSolution, tests=None,
     the cauchy kind, kept for the schwarz kind), the right side from the
     prescribed data, re-assembled from h and the lower chain members.
 
-    Each sampled function is evaluated once on |z| = 1 and paired with every
-    test at once, on its alias-free grid when ``n_theta`` is None
-    (AliasedSampling if an explicit one would alias).  Level k's arrays
-    become row k of the table.
+    Each sampled function is evaluated once on its alias-free circle and
+    paired with every test at once.  Level k's arrays are row k of the table.
     """
     problem = sol.problem
     tests = tuple(tests) if tests is not None else default_test_basis(problem)
@@ -202,16 +208,16 @@ def verify_boundary_conditions(sol: SchwarzSolution, tests=None,
         level = problem.n - 1 - k
         h, c = problem.levels[level]
         data = _unfold(h, sol.chain[:level])
-        lhs = _sampled_pairings(factor, lhs_poly, 0j, tests, n_theta)
+        lhs = _sampled_pairings(factor, lhs_poly, 0j, tests)
         rhs = (_exact_pairings(data, tests) if factor is None else
                _sampled_pairings(factor, data, 1j * c - sol.constants[level],
-                                 tests, n_theta))
+                                 tests))
         levels.append((lhs, rhs))
     return BoundaryReport(tuple(phi.label for phi in tests),
                           *(np.array(column) for column in zip(*levels)))
 
 
-def _negative_control(sol: SchwarzSolution, n_theta: int | None) -> float:
+def _negative_control(sol: SchwarzSolution) -> float:
     """Shift the solution by 0.1 and measure the k=0 constant-test row move.
 
     A corrupted solution must fail verification by a visible margin,
@@ -220,9 +226,9 @@ def _negative_control(sol: SchwarzSolution, n_theta: int | None) -> float:
     phi = (TestFunction.constant(),)
     poly = sol.w.poly
     factor = _kept_factor(sol)
-    bad = _sampled_pairings(factor, poly, 0.1, phi, n_theta)
+    bad = _sampled_pairings(factor, poly, 0.1, phi)
     good = (_exact_pairings(poly, phi) if factor is None else
-            _sampled_pairings(factor, poly, 0j, phi, n_theta))
+            _sampled_pairings(factor, poly, 0j, phi))
     return abs(bad[0] - good[0])
 
 
@@ -242,6 +248,7 @@ def _chain_defect(chain) -> float:
 CHECKS = {
     "pde_residual": (FACTOR_KINDS, 1e-9, "<"),
     "similarity_imag_at_origin": (("schwarz",), 1e-6, "<"),
+    "similarity_re_on_circle": (("schwarz",), 1e-12, "<"),
     "imag_at_origin_smooth": (("schwarz",), 1e-8, "<"),
     "imag_at_origin": (("cauchy",), 1e-9, "<"),
     "origin_constants": (FACTOR_KINDS, 1e-12, "<"),
@@ -258,7 +265,6 @@ def threshold_names(kind: str) -> list[str]:
 
 
 def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
-                    n_theta: int | None = None,
                     thresholds: dict | None = None
                     ) -> tuple[Report, BoundaryReport]:
     """Run the full check battery on a solution; return its report, timed
@@ -288,6 +294,11 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
         values["pde_residual"] = pde_residual(w, problem.coeff, n, grid)
     if factor is not None:
         values["similarity_imag_at_origin"] = abs(factor.at_zero.imag)
+        circle = unit_circle(alias_free_n_theta(factor.value.max_frequency))
+        with np.errstate(all="ignore"):  # a non-finite s fails the pairings
+            s = factor(circle)
+            values["similarity_re_on_circle"] = float(
+                np.max(np.abs(s.real)) / max(1.0, np.max(np.abs(s))))
         origin_scale = cmath.exp(factor.at_zero).real
         values["imag_at_origin_smooth"] = max(
             abs(w.dbar_shift_power(k)(0j).imag
@@ -298,16 +309,16 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
             abs(sol.chain[j](0j).imag - problem.levels[j][1])
             for j in range(n))
     # relative to sum |a_m|, which bounds |h| on the circle and so the
-    # rounding of the sampled mean
+    # rounding of the sampled mean; imag_mean_constant checks it is finite
     values["origin_constants"] = max(
         abs(const - imag_mean_constant(h)) / max(1.0, float(np.abs(h.c).sum()))
         for const, (h, _) in zip(sol.constants, problem.levels))
     with report.timed("boundary"):
-        boundary = verify_boundary_conditions(sol, n_theta=n_theta)
+        boundary = verify_boundary_conditions(sol)
         values["boundary_pairing_max"] = boundary.max_residual
     values["chain_derivative"] = _chain_defect(sol.chain)
     with report.timed("negative_control"):
-        values["negative_control"] = _negative_control(sol, n_theta)
+        values["negative_control"] = _negative_control(sol)
 
     for name, (kinds, threshold, direction) in CHECKS.items():
         if kind in kinds:

@@ -72,10 +72,13 @@ CATALOGUE = {
 }
 
 # the checks that no edit above fails; a check made able to fail leaves this
-# set, with an edit that fails it added to the catalogue
+# set, with an edit that fails it added to the catalogue.
+# similarity_re_on_circle can fail (test_schwarz bends the exponent), but no
+# file edit reaches it: a solution file holds A, and verify rebuilds s from it
 NEVER_FAILED = {
     "cauchy": {"negative_control"},
-    "schwarz": {"negative_control", "similarity_imag_at_origin"},
+    "schwarz": {"negative_control", "similarity_imag_at_origin",
+                "similarity_re_on_circle"},
 }
 
 

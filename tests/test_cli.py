@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, emitted files, determinism, formats."""
 
 import dataclasses
-import functools
 import json
 import os
 import re
@@ -14,9 +13,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from metadisk import cli, formats, integral
+from metadisk import formats, integral
 from metadisk.boundary import BoundaryDistribution
-from metadisk.cli import RunConfig, _parse_grid, main
+from metadisk.cli import _parse_grid, main
 from metadisk.disk import PolarGrid
 from metadisk.errors import MetadiskError, SchemaViolation
 from metadisk.integral import PolyAnalytic
@@ -44,21 +43,42 @@ def test_parse_grid():
         _parse_grid("axb")
 
 
-def test_run_config_validation(tmp_path):
+def _solve_error(tmp_path, capsys, *flags) -> str:
+    """stderr of ``solve`` on a config file that does not exist: a flag
+    rejected before any input is read names itself, not the file."""
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(tmp_path / "x"), "--out", str(out),
+                 *flags]) == 1
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_bad_grid_or_tolerance_exits_one(tmp_path, capsys):
     # too few radii, and angular counts that PolarGrid rejects: odd or below 8
-    for bad in ((2, 64), (4, 6), (4, 9)):
-        with pytest.raises(ValueError):
-            RunConfig("solve", tmp_path / "x", tmp_path, grid=bad)
-    for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            RunConfig("solve", tmp_path / "x", tmp_path,
-                      tolerances={"pde_residual": bad})
+    assert _solve_error(tmp_path, capsys, "--grid", "2x64") == (
+        "error: the grid needs at least 4 radii\n")
+    for bad in ("4x6", "4x9"):
+        assert _solve_error(tmp_path, capsys, "--grid", bad) == (
+            "error: angular count must be even and at least 8\n")
+    for bad in ("-1.0", "nan", "inf"):
+        assert _solve_error(tmp_path, capsys, f"--tol=pde_residual={bad}") == (
+            "error: tolerance pde_residual must be positive and finite\n")
+    assert _solve_error(tmp_path, capsys, "--tol", "pde_residual").startswith(
+        "error: --tol expects NAME=VALUE")
 
 
-def test_unknown_tolerance_name_exits_one(tmp_path):
-    with pytest.raises(ValueError, match="unknown tolerance"):
-        RunConfig("solve", tmp_path / "x", tmp_path,
-                  tolerances={"quadrature": 1e-8})
+def test_negative_degree_exits_one(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["decompose", "--config", str(tmp_path / "x"),
+                 "--degree", "-1"]) == 1
+    assert capsys.readouterr().err == "error: degree must be nonnegative\n"
+
+
+def test_unknown_tolerance_name_exits_one(tmp_path, capsys):
+    assert _solve_error(tmp_path, capsys, "--tol",
+                        "quadrature=1e-8").startswith(
+        "error: unknown tolerance 'quadrature', expected one of ")
     cfg = write_problem(tmp_path / "problem.json")
     code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run"),
                  "--tol", "pde_residul=1e-9"])
@@ -291,6 +311,7 @@ def test_usage_error_exits_two():
     ["poisson", "--radial-depth", "4"],
     ["decompose", "--grid", "8x8"],
     ["solve", "--radial-depth", "4"],
+    ["verify", "--grid", "32x64"],
 ])
 def test_flags_a_command_does_not_read_exit_two(argv):
     with pytest.raises(SystemExit) as err:
@@ -762,17 +783,35 @@ def test_schema_errors_match_jsonschema_validate():
     assert list(ours.value.path) == list(reference.value.path)
 
 
-def test_aliased_angular_grid_exits_three(tmp_path, monkeypatch):
-    rng = np.random.default_rng(5)
-    problem = SchwarzProblem(
-        n=1, coeff=PolyAnalytic.zero(),
-        levels=((PolyAnalytic.holomorphic(rng.standard_normal(91) * 0.01), 0.0),))
-    cfg = write_problem(tmp_path / "problem.json", problem)
-    args = ["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]
-    assert main(args) == 0
-    monkeypatch.setattr(cli, "verify_solution",
-                        functools.partial(cli.verify_solution, n_theta=256))
-    assert main(args) == 3
+# h = 1.7e308 (1 + z): its sample at z = 1 and the bound sum |a_m| overflow
+_OVERFLOWING_ON_THE_CIRCLE = {
+    "n": 1, "A": {"terms": [{"m": 0, "k": 0, "re": 0.5, "im": 0.0}]},
+    "levels": [{"h": {"coeffs": [[1.7e308, 0.0], [1.7e308, 0.0]]}, "c": 0.0}]}
+# A = 1.7e308 (1 + z): the schwarz exponent overflows on the circle
+_OVERFLOWING_FACTOR = {
+    "n": 1, "A": {"terms": [{"m": 0, "k": 0, "re": 1.7e308, "im": 0.0},
+                            {"m": 1, "k": 0, "re": 1.7e308, "im": 0.0}]},
+    "levels": [{"h": {"coeffs": [[1.0, 0.0]]}, "c": 0.0}]}
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("cauchy", _OVERFLOWING_ON_THE_CIRCLE),
+    ("schwarz", _OVERFLOWING_ON_THE_CIRCLE),
+    ("schwarz", _OVERFLOWING_FACTOR),
+])
+def test_data_that_overflow_on_the_circle_exit_three(tmp_path, capsys, kind,
+                                                      data):
+    cfg = tmp_path / "problem.json"
+    formats.save_json(cfg, {**data, "psi_kind": kind})
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_commands_without_pairings_leave_numpy_fft_unloaded(tmp_path):

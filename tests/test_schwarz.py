@@ -6,7 +6,9 @@ report are all known in closed form.
 """
 
 import cmath
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from conftest import random_bivar, random_holo, random_problem
 from metadisk.boundary import TestFunction
 from metadisk.boundary import meta_hardy_norm
 from metadisk.disk import PolarGrid
-from metadisk.errors import AliasedSampling, MetadiskError
+from metadisk.errors import NonFinite
 from metadisk.integral import PolyAnalytic
 from metadisk.meta import MetaExpr
 from metadisk.schwarz import (SchwarzProblem, SchwarzSolution,
@@ -48,6 +50,22 @@ WORKED = SchwarzProblem(
 ])
 def test_imag_mean_constant_examples(h, want):
     assert imag_mean_constant(h) == pytest.approx(want)
+
+
+@pytest.mark.parametrize("coeffs, sampled", [
+    ((1.7e308, 1.7e308), True),   # the sample at z = 1 overflows
+    ((1e307j,), True),            # the sum of 256 finite samples does
+    ((1.7e308, 1.7e308), False),  # sum |a_m| does, the samples set to zero
+])
+def test_imag_mean_constant_raises_where_the_circle_overflows(coeffs, sampled,
+                                                              monkeypatch):
+    if not sampled:
+        monkeypatch.setattr(PolyAnalytic, "__call__",
+                            lambda self, z: np.zeros_like(z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # in place of numpy's warnings
+        with pytest.raises(NonFinite):
+            imag_mean_constant(PolyAnalytic.holomorphic(coeffs))
 
 
 def test_chain_constant_data():
@@ -153,6 +171,28 @@ def test_smooth_variant_single_level():
     z = 0.2 + 0.4j
     psi = sol.w.factor(z)
     assert sol.w(z) == pytest.approx(np.exp(psi) * (1.0 + 1.0j))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_re_s_on_the_circle_fails_a_perturbed_exponent(seed):
+    # Re s = 0 on |z| = 1 defines the schwarz exponent; 1e-6 z breaks it
+    problem = random_problem(np.random.default_rng(seed), coeff_degree=3,
+                             factor_kind="schwarz")
+    sol = solve_meta(problem)
+    check = verify_solution(sol)[0]["similarity_re_on_circle"]
+    assert check.passed and check.value < 1e-15
+    factor = sol.w.factor
+    bent = dataclasses.replace(
+        factor, value=factor.value + PolyAnalytic.holomorphic((0.0, 1e-6)))
+    bad = SchwarzSolution(MetaExpr(bent, sol.w.poly), sol.chain, sol.constants,
+                          problem)
+    report, _ = verify_solution(bad)
+    # |s| < 1 on the circle here, so the divisor max(1, max |s|) is 1
+    assert report["similarity_re_on_circle"].value == pytest.approx(1e-6,
+                                                                    rel=1e-6)
+    # no other check sees the bent exponent
+    assert [c.name for c in report.checks if not c.passed] == [
+        "similarity_re_on_circle"]
 
 
 def test_smooth_variant_origin_ratio_uniform():
@@ -289,9 +329,6 @@ def test_angular_grid_follows_the_test_basis(degree):
     report, _ = verify_solution(sol)
     assert report["boundary_pairing_max"].value < 1e-12
     assert report.overall_pass
-    with pytest.raises(AliasedSampling):
-        verify_solution(sol, n_theta=256)
-    assert issubclass(AliasedSampling, MetadiskError)
 
 
 @pytest.mark.parametrize("kind", ["cauchy", "schwarz"])
