@@ -13,15 +13,15 @@ _EXPORTS = {
                  "poisson_extend"),
     "disk": ("PolarGrid", "RadialSequence"),
     "errors": ("IllConditioned", "MetadiskError", "NonFinite"),
-    "integral": ("PolyAnalytic", "SimilarityFactor", "schwarz_pompeiu_poly",
-                 "similarity_factor", "teodorescu_poly"),
+    "integral": ("PolyAnalytic", "schwarz_pompeiu_poly", "similarity_factor",
+                 "teodorescu_poly"),
     "meta": ("DecompositionFit", "MetaExpr", "derivative_matrix",
              "derivative_stack", "pde_residual", "poly_decompose"),
     "report": ("Check", "Report"),
     "schwarz": ("BoundaryReport", "SchwarzProblem", "SchwarzSolution",
-                "chain_from_top", "default_test_basis", "imag_mean_constant",
-                "solve_meta", "solve_poly_chain",
-                "verify_boundary_conditions", "verify_solution"),
+                "default_test_basis", "imag_mean_constant", "solve_meta",
+                "solve_poly_chain", "verify_boundary_conditions",
+                "verify_solution"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

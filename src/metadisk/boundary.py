@@ -127,6 +127,18 @@ def unit_circle(n_theta: int) -> np.ndarray:
     return np.exp(1j * (np.arange(n_theta) * (TWO_PI / n_theta)))
 
 
+def circle_samples(f, n_theta: int) -> np.ndarray:
+    """f on unit_circle(n_theta), broadcast to its shape; raises NonFinite,
+    in place of numpy's warnings, if a sample is not finite."""
+    circle = unit_circle(n_theta)
+    with np.errstate(all="ignore"):
+        samples = np.broadcast_to(np.asarray(f(circle), dtype=complex),
+                                  circle.shape)
+    if not np.all(np.isfinite(samples)):
+        raise NonFinite("a sample on the unit circle is not finite")
+    return samples
+
+
 def ring_samples(f, rs: RadialSequence, n_theta: int) -> np.ndarray:
     """f evaluated once on every ring of ``rs``: shape (len(rs), n_theta)."""
     z = rs.radii[:, None] * unit_circle(n_theta)[None, :]
@@ -159,15 +171,15 @@ def circle_pairings(f, tests, n_theta: int = DEFAULT_N_THETA) -> np.ndarray:
     The trapezoid rule on the circle (spectrally accurate for periodic
     integrands) is its DFT, so one inverse FFT gives Int f e^{i m theta} for
     every m.  ``np.fft`` is reached at call time: numpy imports it lazily.
-    Raises NonFinite if a sample is not finite.
+    Raises NonFinite if a sample, or the spectrum of finite samples, is not
+    finite.
     """
-    circle = unit_circle(n_theta)
+    samples = circle_samples(f, n_theta)
     with np.errstate(all="ignore"):
-        samples = np.broadcast_to(np.asarray(f(circle), dtype=complex),
-                                  circle.shape)
-    if not np.all(np.isfinite(samples)):
-        raise NonFinite("a sample on the unit circle is not finite")
-    return pair_spectrum(TWO_PI * np.fft.ifft(samples), tests)
+        spectrum = TWO_PI * np.fft.ifft(samples)
+    if not np.all(np.isfinite(spectrum)):
+        raise NonFinite("the spectrum of the unit circle samples is not finite")
+    return pair_spectrum(spectrum, tests)
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

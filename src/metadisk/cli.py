@@ -30,13 +30,7 @@ from .errors import MetadiskError, NonFinite, SchemaViolation
 from .integral import schwarz_pompeiu_poly, teodorescu_poly
 from .meta import poly_decompose
 from .report import Report
-from .schwarz import (
-    CHECKS,
-    SchwarzSolution,
-    chain_from_top,
-    solve_meta,
-    verify_solution,
-)
+from .schwarz import CHECKS, solve_meta, verify_solution
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -110,8 +104,7 @@ def run_solve(args: argparse.Namespace) -> int:
     t = perf_counter()
     sol = solve_meta(problem)
     construct_s = perf_counter() - t
-    report, boundary = verify_solution(sol, grid=args.grid,
-                                       thresholds=args.tol)
+    report, boundary = verify_solution(sol, thresholds=args.tol)
     report.timings["construct"] = construct_s
     with report.timed("write"):
         # (dbar - A)^n w = e^s dbar^n F, and dbar^n of the order-n F is zero
@@ -125,11 +118,8 @@ def run_solve(args: argparse.Namespace) -> int:
 
 def run_verify(args: argparse.Namespace) -> int:
     t = perf_counter()
-    w, constants, problem = formats.solution_from_data(
-        formats.load_json(args.config))
+    sol = formats.solution_from_data(formats.load_json(args.config))
     load_s = perf_counter() - t
-    sol = SchwarzSolution(w, chain_from_top(w.poly, problem.n), constants,
-                          problem)
     report, boundary = verify_solution(sol, thresholds=args.tol)
     report.timings["load"] = load_s
     args.out.mkdir(parents=True, exist_ok=True)

@@ -308,6 +308,11 @@ def problem_to_data(problem: SchwarzProblem) -> dict:
 
 def problem_from_data(data: dict) -> SchwarzProblem:
     check_schema(data, PROBLEM_SCHEMA)
+    return _problem(data)
+
+
+def _problem(data: dict) -> SchwarzProblem:
+    """The problem of a document that has passed PROBLEM_SCHEMA."""
     n = int(data["n"])
     if len(data["levels"]) != n:
         raise ValueError(
@@ -334,15 +339,16 @@ def solution_to_data(sol: SchwarzSolution) -> dict:
     }
 
 
-def solution_from_data(data: dict):
-    """Rebuild (w, constants, problem) from a solution file.
+def solution_from_data(data: dict) -> SchwarzSolution:
+    """Rebuild a solution from a solution file, its chain f_n..f_1 being the
+    shifted stack of the stored parts F = f_n: f_{n-j} = dbar^j F.
 
-    The similarity factor is recomputed from A and psi_kind; it is not stored.
-    A ``diagnostics`` object, written by earlier versions, is accepted and
-    ignored.  ``I`` must hold one origin constant per level.
+    The similarity exponent is recomputed from A and psi_kind; it is not
+    stored.  A ``diagnostics`` object, written by earlier versions, is
+    accepted and ignored.  ``I`` must hold one origin constant per level.
     """
-    check_schema(data, SOLUTION_SCHEMA)
-    problem = problem_from_data(data["problem"])
+    check_schema(data, SOLUTION_SCHEMA)  # holds PROBLEM_SCHEMA at "problem"
+    problem = _problem(data["problem"])
     coeff = bivar_from_data(data["A"])
     if not (coeff - problem.coeff).is_zero:
         raise ValueError("solution A differs from the embedded problem's A")
@@ -351,10 +357,11 @@ def solution_from_data(data: dict):
     if len(data["I"]) != problem.n:
         raise ValueError(f"solution holds {len(data['I'])} origin constants "
                          f"for n={problem.n} levels")
-    factor = similarity_factor(coeff, data["psi_kind"])
-    w = MetaExpr(factor, parts_from_data(data["parts"]))
+    w = MetaExpr(similarity_factor(coeff, data["psi_kind"]),
+                 parts_from_data(data["parts"]))
     constants = tuple(pair_complex(v) for v in data["I"])
-    return w, constants, problem
+    return SchwarzSolution(w, w.poly.dbar_stack(problem.n)[::-1], constants,
+                           problem)
 
 
 def boundary_to_data(boundary: BoundaryReport) -> dict:

@@ -26,7 +26,8 @@ class PolyAnalytic:
     Two evaluation orders are each pinned bit for bit by an output file:
     calling runs Horner per row (``solution_grid.csv``, through F), and
     :meth:`monomial_sum` adds the monomials in sorted (m, k) order
-    (``transform.csv``, and e^s inside ``solution_grid.csv``).
+    (``transform.csv``, and e^s inside ``solution_grid.csv``, so the
+    similarity exponent s is evaluated by it, not by calling).
     """
 
     c: np.ndarray
@@ -259,29 +260,8 @@ def schwarz_pompeiu_poly(f: PolyAnalytic) -> PolyAnalytic:
     return PolyAnalytic(out)
 
 
-@dataclass(frozen=True)
-class SimilarityFactor:
-    """Exponent of the similarity factorization: exp(value) with d(value)/dzb = source.
-
-    kind "cauchy" is the plain closed-form antiderivative; kind "schwarz" is
-    additionally normalized to have a real value at the origin.  Calling it
-    evaluates the exponent by :meth:`PolyAnalytic.monomial_sum`.
-    """
-
-    kind: str
-    value: PolyAnalytic
-    source: PolyAnalytic
-
-    def __call__(self, z):
-        return self.value.monomial_sum(z)
-
-    @property
-    def at_zero(self) -> complex:
-        return self.value.coefficient(0, 0)
-
-
-def similarity_factor(coeff: PolyAnalytic, kind: str) -> SimilarityFactor:
-    """Build the similarity exponent for a polynomial coefficient.
+def similarity_factor(coeff: PolyAnalytic, kind: str) -> PolyAnalytic:
+    """The similarity exponent s, with d s / d conj(z) = coeff, of a kind.
 
     kind "cauchy": the closed-form area integral :func:`teodorescu_poly`.
 
@@ -290,17 +270,17 @@ def similarity_factor(coeff: PolyAnalytic, kind: str) -> SimilarityFactor:
     at the origin.
     """
     if kind == "cauchy":
-        value = teodorescu_poly(coeff)
+        s = teodorescu_poly(coeff)
     elif kind == "schwarz":
-        # pin Im value(0) = 0 exactly; the closed form is already real at the
+        # pin Im s(0) = 0 exactly; the closed form is already real at the
         # origin, so this only removes rounding noise
         c = schwarz_pompeiu_poly(coeff).c.copy()
         c[0, 0] = c[0, 0].real
-        value = PolyAnalytic(c)
+        s = PolyAnalytic(c)
     else:
         raise ValueError(f"unknown similarity kind {kind!r}")
-    gap = (value.dbar() - coeff).max_coeff()
+    gap = (s.dbar() - coeff).max_coeff()
     if not gap <= 1e-12 * max(1.0, coeff.max_coeff()):
         raise MetadiskError(f"dbar of the {kind} similarity exponent misses "
                             f"the coefficient by {gap!r}")
-    return SimilarityFactor(kind=kind, value=value, source=coeff)
+    return s

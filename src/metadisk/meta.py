@@ -2,8 +2,8 @@
 
 A function w is meta-analytic of order n for the coefficient A when
 (d/d conj(z) - A)^n w = 0.  Every such w factors as e^{s} * F where s is an
-antiderivative of A in the conj(z) direction (a similarity factor) and F is
-poly-analytic: F = sum_k conj(z)^k f_k(z) with each f_k holomorphic.
+antiderivative of A in the conj(z) direction (the similarity exponent) and F
+is poly-analytic: F = sum_k conj(z)^k f_k(z) with each f_k holomorphic.
 """
 
 from __future__ import annotations
@@ -15,42 +15,35 @@ import numpy as np
 
 from .disk import PolarGrid
 from .errors import IllConditioned, NonFinite
-from .integral import PolyAnalytic, SimilarityFactor
+from .integral import PolyAnalytic
 
 
 @dataclass(frozen=True)
 class MetaExpr:
-    """w = e^{factor} * poly; closed under both derivative flavors used here."""
+    """w = e^s * poly, s the similarity exponent; (d/d conj(z) - A)^k w is
+    e^s times dbar^k poly, so ``poly.dbar_stack`` holds the shifted stack."""
 
-    factor: SimilarityFactor
+    s: PolyAnalytic
     poly: PolyAnalytic
 
     @property
     def coefficient(self) -> PolyAnalytic:
-        return self.factor.source
+        return self.s.dbar()
 
     @property
     def order(self) -> int:
         return self.poly.order
 
     def __call__(self, z):
-        out = np.exp(self.factor(z)) * self.poly(z)
+        out = np.exp(self.s.monomial_sum(z)) * self.poly(z)
         if np.ndim(out) == 0:
             return complex(out)
         return out
 
-    def dbar_shift(self) -> "MetaExpr":
-        """(d/d conj(z) - A) w = e^{s} * (d/d conj(z)) F."""
-        return MetaExpr(self.factor, self.poly.dbar())
-
     def dbar(self) -> "MetaExpr":
         """Plain d/d conj(z): the product rule brings the coefficient back in."""
         F = self.poly
-        return MetaExpr(self.factor, F.dbar() + self.coefficient * F)
-
-    def dbar_shift_power(self, k: int) -> "MetaExpr":
-        """(d/d conj(z) - A)^k w = e^{s} * (d/d conj(z))^k F."""
-        return MetaExpr(self.factor, self.poly.dbar_stack(k + 1)[-1])
+        return MetaExpr(self.s, F.dbar() + self.coefficient * F)
 
 
 def derivative_stack(w: MetaExpr, n: int) -> tuple[MetaExpr, ...]:
@@ -96,11 +89,11 @@ def pde_residual(w: MetaExpr, coeff: PolyAnalytic, n: int,
             <= 1e-12 * max(1.0, coeff.max_coeff())):
         raise ValueError("pde_residual needs a MetaExpr of the coefficient "
                          "it is checked against")
-    out = w.dbar_shift_power(n)
-    if out.poly.is_zero:
+    top = w.poly.dbar_stack(n + 1)[-1] if w.order > n else PolyAnalytic.zero()
+    if top.is_zero:
         return 0.0
     grid = grid or PolarGrid.mesh()
-    return float(np.max(np.abs(out(grid.points().ravel()))))
+    return float(np.max(np.abs(MetaExpr(w.s, top)(grid.points().ravel()))))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ built bottom-up so that
 
     dbar f_k = f_{k-1}   (f_0 = 0),   Im f_k(0) = c_{k-1},
 
-and the solution is w = e^{s} f_n with s the similarity factor of the
+and the solution is w = e^{s} f_n with s the similarity exponent of the
 coefficient A.  `solve_meta` solves both factor kinds: the cauchy kind
-divides the boundary conditions by e^{s}, the schwarz kind keeps the factor
+divides the boundary conditions by e^{s}, the schwarz kind keeps e^{s}
 inside the conditions and needs s real at the origin.
 
 `verify_solution` checks a solution, fresh or reloaded: PDE residual, origin
@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import (TestFunction, alias_free_n_theta, circle_pairings,
-                       unit_circle)
-from .disk import PolarGrid
+                       circle_samples)
 from .errors import NonFinite
-from .integral import PolyAnalytic, SimilarityFactor, similarity_factor
+from .integral import PolyAnalytic, similarity_factor
 from .meta import MetaExpr, pde_residual
 from .report import Report
 
@@ -116,13 +115,14 @@ class SchwarzSolution:
 def imag_mean_constant(h: PolyAnalytic) -> complex:
     """i times the mean of Im h over more than deg h equispaced points of
     |z| = 1: every power z^m with 0 < m <= deg h sums to zero over them, so
-    this is i*Im(a_0) by sampling, up to rounding.  Raises NonFinite where
-    the samples, their sum or sum |a_m|, which bounds |h| there, overflow."""
-    circle = unit_circle(alias_free_n_theta(h.degree))
+    this is i*Im(a_0) by sampling, up to rounding.  The samples are summed
+    divided by max(1, sum |a_m|), which bounds |h| there, so their sum stays
+    finite.  Raises NonFinite where a sample or sum |a_m| overflows."""
+    samples = circle_samples(h, alias_free_n_theta(h.degree))
     with np.errstate(all="ignore"):
-        mean = float(np.mean(np.imag(h(circle))))
-        bound = float(np.abs(h.c).sum())
-    if not (math.isfinite(mean) and math.isfinite(bound)):
+        scale = max(1.0, float(np.abs(h.c).sum()))
+        mean = float(np.mean(np.imag(samples) / scale)) * scale
+    if not math.isfinite(mean):
         raise NonFinite("the circle mean of Im h or sum |a_m| is not finite")
     return 1j * mean
 
@@ -154,31 +154,19 @@ def _unfold(base: PolyAnalytic, lower) -> PolyAnalytic:
     return base
 
 
-def chain_from_top(poly: PolyAnalytic, n: int) -> tuple[PolyAnalytic, ...]:
-    """Rebuild f_1..f_n from the top member alone: f_{n-j} = dbar^j f_n."""
-    return poly.dbar_stack(n)[::-1]
-
-
 def default_test_basis(problem: SchwarzProblem) -> tuple[TestFunction, ...]:
     """Harmonics e^{im theta} up to twice the data degree (at least 8)."""
     top = max(8, 2 * problem.max_data_degree)
     return tuple(TestFunction.harmonic(m) for m in range(-top, top + 1))
 
 
-def _kept_factor(sol: SchwarzSolution) -> SimilarityFactor | None:
-    """The factor the boundary conditions keep: the schwarz kind's, else None
-    (the cauchy kind divides it out)."""
-    return sol.w.factor if sol.problem.factor_kind == "schwarz" else None
-
-
-def _sampled_pairings(factor: SimilarityFactor | None, g: PolyAnalytic, shift,
-                      tests):
-    """Circle pairings of Re(e^s (g + shift)), or of Re(g + shift) without a
-    factor, on a grid resolving g's frequencies plus the tests'."""
+def _sampled_pairings(s: PolyAnalytic | None, g: PolyAnalytic, shift, tests):
+    """Circle pairings of Re(e^s (g + shift)), or of Re(g + shift) without an
+    exponent, on a grid resolving g's frequencies plus the tests'."""
     n_theta = alias_free_n_theta(g.max_frequency + max(
         (phi.max_frequency for phi in tests), default=0))
-    weight = np.ones_like if factor is None else (
-        lambda z: np.exp(factor(z)))
+    weight = np.ones_like if s is None else (
+        lambda z: np.exp(s.monomial_sum(z)))
     return circle_pairings(lambda z: np.real(weight(z) * (g(z) + shift)),
                            tests, n_theta)
 
@@ -193,8 +181,8 @@ def verify_boundary_conditions(sol: SchwarzSolution, tests=None
     """Pair both sides of every boundary condition of ``sol.problem`` against
     the test basis.
 
-    The left side is always computed from w itself (its factor divided out for
-    the cauchy kind, kept for the schwarz kind), the right side from the
+    The left side is always computed from w itself (e^s divided out for the
+    cauchy kind, kept for the schwarz kind), the right side from the
     prescribed data, re-assembled from h and the lower chain members.
 
     Each sampled function is evaluated once on its alias-free circle and
@@ -202,15 +190,15 @@ def verify_boundary_conditions(sol: SchwarzSolution, tests=None
     """
     problem = sol.problem
     tests = tuple(tests) if tests is not None else default_test_basis(problem)
-    factor = _kept_factor(sol)
+    s = sol.w.s if problem.factor_kind == "schwarz" else None
     levels = []
     for k, lhs_poly in enumerate(sol.w.poly.dbar_stack(problem.n)):
         level = problem.n - 1 - k
         h, c = problem.levels[level]
         data = _unfold(h, sol.chain[:level])
-        lhs = _sampled_pairings(factor, lhs_poly, 0j, tests)
-        rhs = (_exact_pairings(data, tests) if factor is None else
-               _sampled_pairings(factor, data, 1j * c - sol.constants[level],
+        lhs = _sampled_pairings(s, lhs_poly, 0j, tests)
+        rhs = (_exact_pairings(data, tests) if s is None else
+               _sampled_pairings(s, data, 1j * c - sol.constants[level],
                                  tests))
         levels.append((lhs, rhs))
     return BoundaryReport(tuple(phi.label for phi in tests),
@@ -225,10 +213,10 @@ def _negative_control(sol: SchwarzSolution) -> float:
     """
     phi = (TestFunction.constant(),)
     poly = sol.w.poly
-    factor = _kept_factor(sol)
-    bad = _sampled_pairings(factor, poly, 0.1, phi)
-    good = (_exact_pairings(poly, phi) if factor is None else
-            _sampled_pairings(factor, poly, 0j, phi))
+    s = sol.w.s if sol.problem.factor_kind == "schwarz" else None
+    bad = _sampled_pairings(s, poly, 0.1, phi)
+    good = (_exact_pairings(poly, phi) if s is None else
+            _sampled_pairings(s, poly, 0j, phi))
     return abs(bad[0] - good[0])
 
 
@@ -264,15 +252,14 @@ def threshold_names(kind: str) -> list[str]:
                   if kind in kinds)
 
 
-def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
-                    thresholds: dict | None = None
+def verify_solution(sol: SchwarzSolution, thresholds: dict | None = None
                     ) -> tuple[Report, BoundaryReport]:
     """Run the full check battery on a solution; return its report, timed
     stage by stage, and its boundary table.
 
     Works both on freshly solved problems (where the chain came from the
-    recursion) and on reloaded solution files (where the chain is rebuilt from
-    the top member, making the chain check trivially exact and the boundary
+    recursion) and on reloaded solution files (where the chain is the shifted
+    stack of the top member, making the chain check trivially exact and the boundary
     and origin checks the live ones).  A threshold named for a check that the
     problem's kind does not report raises ValueError before any check runs.
     """
@@ -286,22 +273,25 @@ def verify_solution(sol: SchwarzSolution, grid: PolarGrid | None = None,
                              f"kind, expected one of {', '.join(names)}")
     n = problem.n
     w = sol.w
-    factor = _kept_factor(sol)
+    s = w.s if kind == "schwarz" else None
     report = Report()
     values = {}
 
     with report.timed("pde_residual"):
-        values["pde_residual"] = pde_residual(w, problem.coeff, n, grid)
-    if factor is not None:
-        values["similarity_imag_at_origin"] = abs(factor.at_zero.imag)
-        circle = unit_circle(alias_free_n_theta(factor.value.max_frequency))
-        with np.errstate(all="ignore"):  # a non-finite s fails the pairings
-            s = factor(circle)
+        values["pde_residual"] = pde_residual(w, problem.coeff, n)
+    if s is not None:
+        s_at_zero = s.coefficient(0, 0)
+        values["similarity_imag_at_origin"] = abs(s_at_zero.imag)
+        on_circle = circle_samples(s.monomial_sum,
+                                   alias_free_n_theta(s.max_frequency))
+        with np.errstate(all="ignore"):  # |s| past the largest double
             values["similarity_re_on_circle"] = float(
-                np.max(np.abs(s.real)) / max(1.0, np.max(np.abs(s))))
-        origin_scale = cmath.exp(factor.at_zero).real
+                np.max(np.abs(on_circle.real))
+                / max(1.0, np.max(np.abs(on_circle))))
+        origin_scale = cmath.exp(s_at_zero).real
+        stack = w.poly.dbar_stack(n)
         values["imag_at_origin_smooth"] = max(
-            abs(w.dbar_shift_power(k)(0j).imag
+            abs(MetaExpr(s, stack[k])(0j).imag
                 - origin_scale * problem.levels[n - 1 - k][1])
             for k in range(n))
     else:
@@ -334,7 +324,6 @@ def solve_meta(problem: SchwarzProblem) -> SchwarzSolution:
     schwarz kind keeps it inside them and has it real at the origin, so
     Im((dbar - A)^k w)(0) = e^{s(0)} c_{n-1-k} with a positive scale.
     """
-    factor = similarity_factor(problem.coeff, problem.factor_kind)
+    s = similarity_factor(problem.coeff, problem.factor_kind)
     chain, constants = solve_poly_chain(problem)
-    return SchwarzSolution(MetaExpr(factor, chain[-1]), chain, constants,
-                           problem)
+    return SchwarzSolution(MetaExpr(s, chain[-1]), chain, constants, problem)

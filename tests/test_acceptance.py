@@ -23,7 +23,8 @@ from metadisk.boundary import (TestFunction, circle_pairings, growth_order,
 from metadisk.cli import main
 from metadisk.disk import PolarGrid, RadialSequence
 from metadisk.integral import PolyAnalytic, similarity_factor, teodorescu_poly
-from metadisk.meta import derivative_matrix, derivative_stack, pde_residual
+from metadisk.meta import (MetaExpr, derivative_matrix, derivative_stack,
+                           pde_residual)
 from metadisk.schwarz import SchwarzProblem, solve_meta, verify_solution
 
 GRID = PolarGrid.mesh(32, 64)
@@ -68,9 +69,9 @@ def test_criterion_2_similarity_derivative_both_kinds():
         for kind in ("cauchy", "schwarz"):
             psi = similarity_factor(coeff, kind)
             for z in points:
-                worst = max(worst, abs(wirtinger_dbar(psi.value, z) - coeff(z)))
+                worst = max(worst, abs(wirtinger_dbar(psi, z) - coeff(z)))
             if kind == "schwarz":
-                worst_origin = max(worst_origin, abs(psi.value(0j).imag))
+                worst_origin = max(worst_origin, abs(psi(0j).imag))
     ok = worst < 1e-5 and worst_origin < 1e-6
     _verdict(2, ok, f"max derivative error {worst:.3g} (tol 1e-5), "
                     f"max |Im psi(0)| {worst_origin:.3g} (tol 1e-6)")
@@ -116,7 +117,7 @@ def test_criterion_4_matrix_machinery():
         f_stack = [w.poly]
         for _ in range(n - 1):
             f_stack.append(f_stack[-1].dbar())
-        weight = np.exp(w.factor(pts))
+        weight = np.exp(w.s.monomial_sum(pts))
         for k in range(n):
             rhs = sum(matrix[k][j](pts) * f_stack[j](pts)
                       for j in range(k + 1))
@@ -152,10 +153,10 @@ def test_criterion_6_smooth_variant():
         problem = random_problem(rng, n_max=2, coeff_degree=1, data_degree=3,
                                  factor_kind="schwarz")
         sol = solve_meta(problem)
-        scale = cmath.exp(sol.w.factor.at_zero)
+        scale = cmath.exp(sol.w.s.coefficient(0, 0))
         assert abs(scale.imag) < 1e-12 and scale.real > 0
         for k in range(problem.n):
-            got = sol.w.dbar_shift_power(k)(0j).imag
+            got = MetaExpr(sol.w.s, sol.w.poly.dbar_stack(k + 1)[-1])(0j).imag
             want = scale.real * problem.levels[problem.n - 1 - k][1]
             worst_origin = max(worst_origin, abs(got - want))
 

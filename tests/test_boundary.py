@@ -1,6 +1,7 @@
 """Boundary distributions, pairings, Poisson extension, growth, Hardy norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from metadisk.boundary import (BoundaryDistribution, TestFunction,
                                poisson_extend)
 from metadisk.disk import PolarGrid, RadialSequence
 from metadisk.errors import NonFinite
-from metadisk.integral import PolyAnalytic, SimilarityFactor, similarity_factor
+from metadisk.integral import PolyAnalytic, similarity_factor
 from metadisk.meta import MetaExpr
 from metadisk.schwarz import (SchwarzProblem, _unfold,
                               default_test_basis, solve_meta,
@@ -128,6 +129,15 @@ def test_pairing_limit_divergent_input():
     blow_up = lambda z: 1.0 / (1.0 - np.abs(z))
     with pytest.raises(NonFinite):
         circle_pairings(blow_up, (TestFunction.constant(),))
+
+
+def test_pairing_limit_spectrum_overflow():
+    # every sample is finite, |f| <= 2e307, but 256 of them sum past 1.8e308
+    huge = lambda z: 1e307 * (1.0 + 1j * z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # in place of numpy's warnings
+        with pytest.raises(NonFinite, match="spectrum"):
+            circle_pairings(huge, (TestFunction.constant(),))
 
 
 def test_poisson_extension_examples():
@@ -295,7 +305,7 @@ def _oracle_rows(sol, problem):
     """Every (level, test) row paired on its own through the scalar route."""
     n = problem.n
     smooth = problem.factor_kind == "schwarz"
-    factor = sol.w.factor
+    s = sol.w.s
     rows = []
     lhs_poly = sol.w.poly
     for k in range(n):
@@ -304,7 +314,7 @@ def _oracle_rows(sol, problem):
         if smooth:
             def real(g, shift=0j):
                 return _oracle_samples(
-                    lambda z: np.real(np.exp(factor(z)) * (g(z) + shift)))
+                    lambda z: np.real(np.exp(s.monomial_sum(z)) * (g(z) + shift)))
             const = 1j * problem.levels[n - 1 - k][1] - sol.constants[n - 1 - k]
             lhs_samples = real(lhs_poly)
             rhs_samples = real(unfolded, const)
@@ -361,16 +371,16 @@ def test_verify_evaluations_do_not_grow_with_the_basis(kind, monkeypatch):
     sol = solve_meta(problem)
     counts = {"poly": 0, "factor": 0}
 
-    def counting(cls, key):
-        original = cls.__call__
+    def counting(method, key):
+        original = getattr(PolyAnalytic, method)
 
         def counted(self, z):
             counts[key] += 1
             return original(self, z)
-        monkeypatch.setattr(cls, "__call__", counted)
+        monkeypatch.setattr(PolyAnalytic, method, counted)
 
-    counting(PolyAnalytic, "poly")
-    counting(SimilarityFactor, "factor")
+    counting("__call__", "poly")
+    counting("monomial_sum", "factor")  # the exponent's evaluations
     seen = []
     for top in (8, 120):  # 17 and 241 test functions
         tests = tuple(TestFunction.harmonic(m) for m in range(-top, top + 1))

@@ -190,8 +190,8 @@ def test_verify_fails_an_extra_part_on_pde_residual(tmp_path):
     checks = {c["name"]: c for c in
               json.loads((check / "report.json").read_text())["checks"]}
     assert checks["pde_residual"]["passed"] is False
-    factor = integral.similarity_factor(problem.coeff, "schwarz")
-    weight = np.abs(np.exp(factor(PolarGrid.mesh().points())))
+    s = integral.similarity_factor(problem.coeff, "schwarz")
+    weight = np.abs(np.exp(s.monomial_sum(PolarGrid.mesh().points())))
     assert checks["pde_residual"]["value"] == pytest.approx(
         2e-3 * weight.max(), rel=1e-12)
 
@@ -814,6 +814,46 @@ def test_data_that_overflow_on_the_circle_exit_three(tmp_path, capsys, kind,
     assert not out.exists()
 
 
+# h = 1e307 i: finite samples whose sum of 256 passes the largest double
+_HUGE_CIRCLE_MEAN = {
+    "n": 1, "A": {"terms": [{"m": 0, "k": 0, "re": 0.5, "im": 0.0}]},
+    "levels": [{"h": {"coeffs": [[0.0, 1e307]]}, "c": 0.0}]}
+# h = 1e307 (1 + i z) at level 0: finite samples, an FFT that overflows
+_HUGE_CIRCLE_SPECTRUM = {
+    "n": 2, "A": {"terms": [{"m": 0, "k": 0, "re": 0.5, "im": 0.0}]},
+    "levels": [{"h": {"coeffs": [[1e307, 0.0], [0.0, 1e307]]}, "c": 0.0},
+               {"h": {"coeffs": [[0.0, 0.0]]}, "c": 0.0}]}
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "schwarz"])
+def test_finite_data_whose_circle_samples_sum_past_the_largest_double_pass(
+        tmp_path, kind):
+    cfg = tmp_path / "problem.json"
+    formats.save_json(cfg, {**_HUGE_CIRCLE_MEAN, "psi_kind": kind})
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["verify", "--config", str(out / "solution.json"),
+                     "--out", str(tmp_path / "check")]) == 0
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "schwarz"])
+def test_circle_spectrum_that_overflows_exits_three(tmp_path, capsys, kind):
+    cfg = tmp_path / "problem.json"
+    formats.save_json(cfg, {**_HUGE_CIRCLE_SPECTRUM, "psi_kind": kind})
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: the spectrum of the unit circle "
+                   "samples is not finite\n")
+    assert not out.exists()
+
+
 def test_commands_without_pairings_leave_numpy_fft_unloaded(tmp_path):
     # numpy imports np.fft lazily; only the boundary pairings should pay for it
     cfg = tmp_path / "transform.json"
@@ -888,6 +928,22 @@ def test_verify_rejects_origin_constants_not_one_per_level(tmp_path, count,
     code = main(["verify", "--config", str(bad), "--out", str(tmp_path / "check")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_solution_from_data_checks_the_schema_once(tmp_path, monkeypatch):
+    # SOLUTION_SCHEMA holds PROBLEM_SCHEMA, so the embedded problem is not
+    # walked a second time
+    cfg = write_problem(tmp_path / "problem.json")
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    data = json.loads((out / "solution.json").read_text())
+    schemas = []
+    check = formats.check_schema
+    monkeypatch.setattr(formats, "check_schema", lambda data, schema: (
+        schemas.append(schema), check(data, schema)))
+    sol = formats.solution_from_data(data)
+    assert schemas == [formats.SOLUTION_SCHEMA]
+    assert len(sol.chain) == sol.problem.n == 2
 
 
 @pytest.mark.parametrize("shift", [5 + 7j, 1e-6j])

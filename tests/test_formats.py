@@ -21,6 +21,7 @@ from metadisk import floatrepr, formats
 from metadisk.boundary import BoundaryDistribution, poisson_extend
 from metadisk.disk import PolarGrid
 from metadisk.integral import PolyAnalytic, schwarz_pompeiu_poly, teodorescu_poly
+from metadisk.meta import MetaExpr
 from oracles import dict_from_data, dict_to_data
 
 SPECIAL = (-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
@@ -170,7 +171,7 @@ def _grid_functions():
                  "schwarz_pompeiu": schwarz_pompeiu_poly(f).monomial_sum}
     for kind in ("cauchy", "schwarz"):
         w = random_meta(rng, n_max=4, kind=kind)
-        residual = w.dbar_shift_power(w.order)
+        residual = MetaExpr(w.s, w.poly.dbar_stack(w.order + 1)[-1])
         functions[f"{kind}-solution"] = w
         functions[f"{kind}-residual"] = lambda z, e=residual: e(z) + 0.0
     return functions

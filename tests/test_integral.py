@@ -101,7 +101,7 @@ def test_tables_and_factors_match_dict_reference(pairs):
     assert (_hex(_terms(schwarz_pompeiu_poly(f)))
             == _hex(dict_schwarz_pompeiu(terms)))
     for kind in ("cauchy", "schwarz"):
-        assert (_hex(_terms(similarity_factor(f, kind).value))
+        assert (_hex(_terms(similarity_factor(f, kind)))
                 == _hex(dict_similarity(terms, kind)))
 
 
@@ -118,7 +118,8 @@ def test_monomial_sum_matches_dict_reference(pairs):
     tables = [(teodorescu_poly(f).monomial_sum, dict_teodorescu(terms)),
               (schwarz_pompeiu_poly(f).monomial_sum,
                dict_schwarz_pompeiu(terms))]
-    factors = [(similarity_factor(f, kind), dict_similarity(terms, kind))
+    factors = [(similarity_factor(f, kind).monomial_sum,
+                dict_similarity(terms, kind))
                for kind in ("cauchy", "schwarz")]
     for cases, meshes in ((tables, (CLI_MESH, GRID_IO_MESH, 0.3 - 0.2j)),
                           (factors, (CLI_MESH, 0.3 - 0.2j))):
@@ -234,12 +235,12 @@ def test_schwarz_pompeiu_table_exact():
 def test_similarity_factor_cauchy_closed_forms(coeff, expect_terms):
     psi = similarity_factor(coeff, "cauchy")
     want = PolyAnalytic.from_terms({mk: complex(c) for mk, c in expect_terms.items()})
-    assert (psi.value + want.scale(-1.0)).max_coeff() < 1e-12
+    assert (psi + want.scale(-1.0)).max_coeff() < 1e-12
 
 
 def test_similarity_factor_schwarz_zero_coeff():
     psi = similarity_factor(PolyAnalytic.zero(), "schwarz")
-    assert psi.value.is_zero
+    assert psi.is_zero
 
 
 def test_similarity_factor_derivative_both_kinds():
@@ -250,9 +251,9 @@ def test_similarity_factor_derivative_both_kinds():
             coeff = random_bivar(rng, 3)
             psi = similarity_factor(coeff, kind)
             for z in pts[:5]:
-                assert abs(wirtinger_dbar(psi.value, z) - coeff(z)) < 1e-5
+                assert abs(wirtinger_dbar(psi, z) - coeff(z)) < 1e-5
             if kind == "schwarz":
-                assert abs(psi.value(0j).imag) < 1e-6
+                assert abs(psi(0j).imag) < 1e-6
 
 
 def test_holder_quotients_stay_bounded():
@@ -267,6 +268,6 @@ def test_holder_quotients_stay_bounded():
         z = r * np.exp(1j * t)
         sep = np.abs(z[:, 0] - z[:, 1])
         keep = sep > 1e-12
-        quot = np.abs(psi.value(z[keep, 0]) - psi.value(z[keep, 1])) / np.sqrt(sep[keep])
+        quot = np.abs(psi(z[keep, 0]) - psi(z[keep, 1])) / np.sqrt(sep[keep])
         worst = max(worst, float(np.max(quot)))
     assert worst < 2.0
