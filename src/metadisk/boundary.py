@@ -122,27 +122,25 @@ def alias_free_n_theta(max_frequency: int) -> int:
     return max(DEFAULT_N_THETA, 1 << int(max_frequency).bit_length())
 
 
-def unit_circle(n_theta: int) -> np.ndarray:
-    """n_theta equispaced points of |z| = 1, the first at z = 1."""
-    return np.exp(1j * (np.arange(n_theta) * (TWO_PI / n_theta)))
-
-
-def circle_samples(f, n_theta: int) -> np.ndarray:
-    """f on unit_circle(n_theta), broadcast to its shape; raises NonFinite,
-    in place of numpy's warnings, if a sample is not finite."""
-    circle = unit_circle(n_theta)
+def finite_samples(f, z, what: str) -> np.ndarray:
+    """f(z) as a complex array, evaluated with numpy's warnings off; raises
+    NonFinite naming the first point of ``z`` whose value is not finite."""
     with np.errstate(all="ignore"):
-        samples = np.broadcast_to(np.asarray(f(circle), dtype=complex),
-                                  circle.shape)
-    if not np.all(np.isfinite(samples)):
-        raise NonFinite("a sample on the unit circle is not finite")
-    return samples
+        values = np.asarray(f(z), dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFinite(f"{what} at z={complex(z.flat[bad[0]])!r} "
+                        "is not finite")
+    return values
 
 
-def ring_samples(f, rs: RadialSequence, n_theta: int) -> np.ndarray:
-    """f evaluated once on every ring of ``rs``: shape (len(rs), n_theta)."""
-    z = rs.radii[:, None] * unit_circle(n_theta)[None, :]
-    return np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
+def ring_samples(f, radii, n_theta: int) -> np.ndarray:
+    """f on n_theta equispaced points of each ring of ``radii`` (1.0 is the
+    unit circle), the first at z = r: shape (len(radii), n_theta).  Raises
+    NonFinite at the first sample in ring order that is not finite."""
+    circle = np.exp(1j * (np.arange(n_theta) * (TWO_PI / n_theta)))
+    z = np.asarray(radii, dtype=float)[:, None] * circle[None, :]
+    return np.broadcast_to(finite_samples(f, z, "ring sample"), z.shape)
 
 
 def pair_spectrum(spectrum: np.ndarray, tests) -> np.ndarray:
@@ -174,7 +172,7 @@ def circle_pairings(f, tests, n_theta: int = DEFAULT_N_THETA) -> np.ndarray:
     Raises NonFinite if a sample, or the spectrum of finite samples, is not
     finite.
     """
-    samples = circle_samples(f, n_theta)
+    samples = ring_samples(f, (1.0,), n_theta)[0]
     with np.errstate(all="ignore"):
         spectrum = TWO_PI * np.fft.ifft(samples)
     if not np.all(np.isfinite(spectrum)):
@@ -231,16 +229,30 @@ def growth_order(f, rs: RadialSequence | None = None,
     """Least-squares slope of log sup_theta |f| against -log(1 - r), clamped at 0.
 
     Estimates the power alpha in |f| <= C / (1 - r)^alpha along the radial
-    sequence.  Raises NonFinite if sampling overflows.
+    sequence.  Raises NonFinite if a sample or a supremum is not finite.
     """
     rs = rs or RadialSequence()
-    sups = np.max(np.abs(ring_samples(f, rs, n_theta)), axis=1)
+    with np.errstate(all="ignore"):  # |f| past the largest double
+        sups = np.max(np.abs(ring_samples(f, rs.radii, n_theta)), axis=1)
     if not np.all(np.isfinite(sups)):
-        raise NonFinite("function overflowed while sampling radial suprema")
+        raise NonFinite("a radial supremum of |f| is not finite")
     x = -np.log(rs.gaps)
     y = np.log(np.maximum(sups, 1e-300))
     slope = np.polyfit(x, y, 1)[0]
     return float(max(slope, 0.0))
+
+
+def _lp_sums(f, p, rs: RadialSequence, n_theta: int, plus=0.0) -> np.ndarray:
+    """Int |f - plus|^p d theta on every ring of ``rs`` by the trapezoid sum,
+    taken with numpy's warnings off; raises NonFinite at the first ring whose
+    sum is not finite."""
+    samples = ring_samples(f, rs.radii, n_theta)
+    with np.errstate(all="ignore"):
+        sums = (TWO_PI / n_theta) * np.sum(np.abs(samples - plus) ** p, axis=1)
+    bad = np.flatnonzero(~np.isfinite(sums))
+    if bad.size:
+        raise NonFinite(f"the |f|^p sum at r={rs.radii[bad[0]]} is not finite")
+    return sums
 
 
 @dataclass(frozen=True)
@@ -261,16 +273,12 @@ class HardyNormEstimate:
 
 def hardy_norm(f, p: float, rs: RadialSequence | None = None,
                n_theta: int = DEFAULT_N_THETA) -> HardyNormEstimate:
-    """sup over the radial sequence of (Int |f(r e^{i theta})|^p d theta)^(1/p)."""
+    """sup over the radial sequence of (Int |f(r e^{i theta})|^p d theta)^(1/p);
+    raises NonFinite if a sample or a ring's sum is not finite."""
     if p <= 0:
         raise ValueError("p must be positive")
     rs = rs or RadialSequence()
-    vals = np.abs(ring_samples(f, rs, n_theta))
-    integrals = (TWO_PI / n_theta) * np.sum(vals ** p, axis=1)
-    if not np.all(np.isfinite(integrals)):
-        r = rs.radii[np.argmin(np.isfinite(integrals))]
-        raise NonFinite(f"norm integrand overflowed at r={r}")
-    means = integrals ** (1.0 / p)
+    means = _lp_sums(f, p, rs, n_theta) ** (1.0 / p)
     unbounded = bool(means[-1] > 1.05 * means[-2])
     return HardyNormEstimate(value=float(np.max(means)), unbounded=unbounded)
 
@@ -298,11 +306,11 @@ def lp_boundary_convergence(f, boundary_values, p: float,
     """Residuals Int |f(r_j e^{i theta}) - f_plus(e^{i theta})|^p d theta per radius.
 
     ``boundary_values`` is either an array of samples on the angular grid or a
-    callable of theta evaluated on it.
+    callable of theta evaluated on it.  Raises NonFinite if a sample of f or
+    a ring's sum is not finite.
     """
     rs = rs or RadialSequence()
     plus = boundary_values
     if callable(plus):
         plus = plus(np.arange(n_theta) * (TWO_PI / n_theta))
-    gap = np.abs(ring_samples(f, rs, n_theta) - np.asarray(plus, dtype=complex))
-    return (TWO_PI / n_theta) * np.sum(gap ** p, axis=1)
+    return _lp_sums(f, p, rs, n_theta, np.asarray(plus, dtype=complex))

@@ -24,9 +24,9 @@ from time import perf_counter
 import numpy as np
 
 from . import formats
-from .boundary import poisson_extend
+from .boundary import finite_samples, poisson_extend
 from .disk import PolarGrid
-from .errors import MetadiskError, NonFinite, SchemaViolation
+from .errors import MetadiskError, SchemaViolation
 from .integral import schwarz_pompeiu_poly, teodorescu_poly
 from .meta import poly_decompose
 from .report import Report
@@ -109,7 +109,8 @@ def run_solve(args: argparse.Namespace) -> int:
     with report.timed("write"):
         # (dbar - A)^n w = e^s dbar^n F, and dbar^n of the order-n F is zero
         formats.write_solution_csv(args.out / "solution_grid.csv", args.grid,
-                                   _finite(sol.w, "solution"), np.zeros_like)
+                                   partial(finite_samples, sol.w,
+                                           what="solution"), np.zeros_like)
         formats.save_json(args.out / "solution.json",
                           formats.solution_to_data(sol))
     _write_report(args.out, report, boundary)
@@ -127,21 +128,6 @@ def run_verify(args: argparse.Namespace) -> int:
     return 0 if report.overall_pass else 2
 
 
-def _finite(evaluate, what: str):
-    """``evaluate`` raising NonFinite where a value overflows, in place of
-    numpy's warnings; the first such point in ring order is named whichever
-    chunk of rings meets it."""
-    def checked(z):
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = evaluate(z)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise NonFinite(f"{what} at z={complex(z.flat[bad[0]])!r} "
-                            "is not finite")
-        return values
-    return checked
-
-
 def run_transform(args: argparse.Namespace) -> int:
     data = formats.load_json(args.config)
     formats.check_schema(data, formats.TRANSFORM_CONFIG_SCHEMA)
@@ -151,16 +137,17 @@ def run_transform(args: argparse.Namespace) -> int:
     else:
         table = schwarz_pompeiu_poly(f)
     formats.write_values_csv(args.out / "transform.csv", args.grid,
-                             _finite(table.monomial_sum,
-                                     f"{data['operator']} transform"))
+                             partial(finite_samples, table.monomial_sum,
+                                     what=f"{data['operator']} transform"))
     return 0
 
 
 def run_poisson(args: argparse.Namespace) -> int:
     u = formats.boundary_from_data(formats.load_json(args.config))
     formats.write_values_csv(args.out / "poisson.csv", args.grid,
-                             _finite(partial(poisson_extend, u),
-                                     "poisson extension"))
+                             partial(finite_samples,
+                                     partial(poisson_extend, u),
+                                     what="poisson extension"))
     return 0
 
 

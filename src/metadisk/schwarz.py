@@ -1,9 +1,10 @@
 """Schwarz boundary value problems for meta-analytic functions.
 
 Data is a ladder of n levels (h_k, c_k): h_k a polynomial-coefficient
-holomorphic function carrying the prescribed real boundary part, c_k the
-prescribed imaginary part at the origin.  The poly-analytic chain f_1..f_n is
-built bottom-up so that
+holomorphic function and c_k the prescribed imaginary part at the origin.
+The real boundary part a level prescribes is assembled from h_k and the lower
+chain members (`_unfold`); only at the bottom level is it Re h_k itself.  The
+poly-analytic chain f_1..f_n is built bottom-up so that
 
     dbar f_k = f_{k-1}   (f_0 = 0),   Im f_k(0) = c_{k-1},
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import (TestFunction, alias_free_n_theta, circle_pairings,
-                       circle_samples)
+                       ring_samples)
 from .errors import NonFinite
 from .integral import PolyAnalytic, similarity_factor
 from .meta import MetaExpr, pde_residual
@@ -118,7 +119,7 @@ def imag_mean_constant(h: PolyAnalytic) -> complex:
     this is i*Im(a_0) by sampling, up to rounding.  The samples are summed
     divided by max(1, sum |a_m|), which bounds |h| there, so their sum stays
     finite.  Raises NonFinite where a sample or sum |a_m| overflows."""
-    samples = circle_samples(h, alias_free_n_theta(h.degree))
+    samples = ring_samples(h, (1.0,), alias_free_n_theta(h.degree))[0]
     with np.errstate(all="ignore"):
         scale = max(1.0, float(np.abs(h.c).sum()))
         mean = float(np.mean(np.imag(samples) / scale)) * scale
@@ -160,15 +161,13 @@ def default_test_basis(problem: SchwarzProblem) -> tuple[TestFunction, ...]:
     return tuple(TestFunction.harmonic(m) for m in range(-top, top + 1))
 
 
-def _sampled_pairings(s: PolyAnalytic | None, g: PolyAnalytic, shift, tests):
-    """Circle pairings of Re(e^s (g + shift)), or of Re(g + shift) without an
-    exponent, on a grid resolving g's frequencies plus the tests'."""
-    n_theta = alias_free_n_theta(g.max_frequency + max(
+def _sampled_pairings(w: PolyAnalytic | MetaExpr, tests, shift: float = 0.0):
+    """Circle pairings of Re w + shift, w evaluated as it is, on a grid
+    resolving its polynomial's frequencies plus the tests'."""
+    poly = w.poly if isinstance(w, MetaExpr) else w
+    n_theta = alias_free_n_theta(poly.max_frequency + max(
         (phi.max_frequency for phi in tests), default=0))
-    weight = np.ones_like if s is None else (
-        lambda z: np.exp(s.monomial_sum(z)))
-    return circle_pairings(lambda z: np.real(weight(z) * (g(z) + shift)),
-                           tests, n_theta)
+    return circle_pairings(lambda z: np.real(w(z)) + shift, tests, n_theta)
 
 
 def _exact_pairings(g: PolyAnalytic, tests) -> np.ndarray:
@@ -196,27 +195,32 @@ def verify_boundary_conditions(sol: SchwarzSolution, tests=None
         level = problem.n - 1 - k
         h, c = problem.levels[level]
         data = _unfold(h, sol.chain[:level])
-        lhs = _sampled_pairings(s, lhs_poly, 0j, tests)
-        rhs = (_exact_pairings(data, tests) if s is None else
-               _sampled_pairings(s, data, 1j * c - sol.constants[level],
-                                 tests))
+        if s is None:
+            lhs = _sampled_pairings(lhs_poly, tests)
+            rhs = _exact_pairings(data, tests)
+        else:
+            constant = PolyAnalytic.constant(1j * c - sol.constants[level])
+            lhs = _sampled_pairings(MetaExpr(s, lhs_poly), tests)
+            rhs = _sampled_pairings(MetaExpr(s, data + constant), tests)
         levels.append((lhs, rhs))
     return BoundaryReport(tuple(phi.label for phi in tests),
                           *(np.array(column) for column in zip(*levels)))
 
 
 def _negative_control(sol: SchwarzSolution) -> float:
-    """Shift the solution by 0.1 and measure the k=0 constant-test row move.
+    """Shift Re w by 0.1 and measure how far the k=0 constant-test cell
+    moves: 0.1 * 2 pi on either kind, up to rounding, whatever the data.
 
     A corrupted solution must fail verification by a visible margin,
     otherwise the pairing residuals prove nothing.
     """
     phi = (TestFunction.constant(),)
-    poly = sol.w.poly
-    s = sol.w.s if sol.problem.factor_kind == "schwarz" else None
-    bad = _sampled_pairings(s, poly, 0.1, phi)
-    good = (_exact_pairings(poly, phi) if s is None else
-            _sampled_pairings(s, poly, 0j, phi))
+    if sol.problem.factor_kind == "schwarz":
+        bad = _sampled_pairings(sol.w, phi, 0.1)
+        good = _sampled_pairings(sol.w, phi)
+    else:
+        bad = _sampled_pairings(sol.w.poly, phi, 0.1)
+        good = _exact_pairings(sol.w.poly, phi)
     return abs(bad[0] - good[0])
 
 
@@ -282,8 +286,8 @@ def verify_solution(sol: SchwarzSolution, thresholds: dict | None = None
     if s is not None:
         s_at_zero = s.coefficient(0, 0)
         values["similarity_imag_at_origin"] = abs(s_at_zero.imag)
-        on_circle = circle_samples(s.monomial_sum,
-                                   alias_free_n_theta(s.max_frequency))
+        on_circle = ring_samples(s.monomial_sum, (1.0,),
+                                 alias_free_n_theta(s.max_frequency))[0]
         with np.errstate(all="ignore"):  # |s| past the largest double
             values["similarity_re_on_circle"] = float(
                 np.max(np.abs(on_circle.real))

@@ -97,3 +97,19 @@ def interior_points(rng, count, r_max=0.85):
     r = r_max * np.sqrt(rng.uniform(0.0, 1.0, count))
     theta = rng.uniform(0.0, 2.0 * np.pi, count)
     return r * np.exp(1j * theta)
+
+
+# A schwarz problem whose e^s has a real part of mean about 1e-4 on the
+# circle: a shift of F by 0.1 inside e^s moves a pairing with 1 by only
+# 6.5e-5, a shift of w itself by 0.1 * 2 pi.
+SMALL_MEAN_FACTOR_PROBLEM = {
+    "n": 2, "psi_kind": "schwarz",
+    "A": {"terms": [
+        {"m": 0, "k": 0, "re": -1.6085270583188667, "im": 1.2229435218257196},
+        {"m": 0, "k": 1, "re": 0.32854055273811855, "im": -0.12439786387837073},
+        {"m": 0, "k": 2, "re": -1.0846491000801854, "im": -1.5890076930151398},
+        {"m": 1, "k": 0, "re": -1.1110998630375328, "im": -0.02136399482727128},
+        {"m": 1, "k": 1, "re": -1.17508790770756, "im": -0.8164748147369453},
+        {"m": 2, "k": 0, "re": -0.6167085805248366, "im": 0.6665386451776084}]},
+    "levels": [{"h": {"coeffs": [[0.1, 0.0], [0.0, 0.2]]}, "c": 0.01},
+               {"h": {"coeffs": [[0.3, 0.0], [0.1, 0.0]]}, "c": -0.02}]}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_bivar, random_holo, random_problem, stack_parts
+from metadisk import boundary
 from metadisk.boundary import (BoundaryDistribution, TestFunction,
                                circle_pairings, growth_order, hardy_norm,
                                lp_boundary_convergence, meta_hardy_norm,
@@ -138,6 +139,51 @@ def test_pairing_limit_spectrum_overflow():
         warnings.simplefilter("error")  # in place of numpy's warnings
         with pytest.raises(NonFinite, match="spectrum"):
             circle_pairings(huge, (TestFunction.constant(),))
+
+
+def test_the_ring_of_radius_one_is_the_unit_circle_bit_for_bit():
+    f = lambda z: np.exp(z) * (1.0 - 0.5j * z ** 3)
+    for n_theta in range(256, 4097):
+        circle = np.exp(1j * (np.arange(n_theta) * (TWO_PI / n_theta)))
+        got = boundary.ring_samples(f, (1.0,), n_theta)[0]
+        assert got.tobytes() == f(circle).tobytes(), n_theta
+
+
+def test_finite_samples_names_the_first_bad_point_in_ring_order():
+    radii = (0.5, 0.75, 1.0)
+    z = np.asarray(radii)[:, None] * np.exp(1j * np.arange(8) * (TWO_PI / 8))
+    bad = np.zeros(z.shape, bool)
+    bad[1, 5] = bad[2, 0] = bad[2, 3] = True  # the first is on ring 1
+    f = lambda points: np.where(bad, np.inf, points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite) as exc:
+            boundary.finite_samples(f, z, "the planted value")
+    assert str(exc.value) == (f"the planted value at z={complex(z[1, 5])!r} "
+                              "is not finite")
+    with pytest.raises(NonFinite) as exc:
+        boundary.ring_samples(lambda points: 1.0 / (1.0 - np.abs(points)),
+                              radii, 8)
+    assert str(exc.value) == "ring sample at z=(1+0j) is not finite"
+
+
+_OVERFLOWING = PolyAnalytic.holomorphic([1.7e308, 1.7e308])
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda: growth_order(_OVERFLOWING),
+    lambda: hardy_norm(_OVERFLOWING, 2.0),
+    lambda: lp_boundary_convergence(_OVERFLOWING, np.zeros(256), 2.0),
+    # every sample is finite, but |1e200|^2 is not
+    lambda: lp_boundary_convergence(PolyAnalytic.holomorphic([1e200]),
+                                    np.zeros(256), 2.0),
+    lambda: hardy_norm(PolyAnalytic.holomorphic([1e200]), 2.0),
+], ids=["growth", "hardy", "lp", "lp-sum", "hardy-sum"])
+def test_ring_estimates_that_overflow_raise_without_warnings(estimate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # in place of numpy's warnings
+        with pytest.raises(NonFinite):
+            estimate()
 
 
 def test_poisson_extension_examples():

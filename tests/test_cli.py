@@ -13,6 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import SMALL_MEAN_FACTOR_PROBLEM
 from metadisk import formats, integral
 from metadisk.boundary import BoundaryDistribution
 from metadisk.cli import _parse_grid, main
@@ -852,6 +853,19 @@ def test_circle_spectrum_that_overflows_exits_three(tmp_path, capsys, kind):
     assert err == ("numerical failure: the spectrum of the unit circle "
                    "samples is not finite\n")
     assert not out.exists()
+
+
+def test_a_schwarz_factor_of_small_circle_mean_solves_and_verifies(tmp_path):
+    cfg = tmp_path / "problem.json"
+    formats.save_json(cfg, SMALL_MEAN_FACTOR_PROBLEM)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", "--config", str(out / "solution.json"),
+                 "--out", str(tmp_path / "check")]) == 0
+    for report in (out / "report.json", tmp_path / "check" / "report.json"):
+        checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+        assert checks["negative_control"]["value"] == pytest.approx(
+            0.2 * np.pi, rel=1e-12, abs=0.0)
 
 
 def test_commands_without_pairings_leave_numpy_fft_unloaded(tmp_path):

@@ -6,13 +6,16 @@ report are all known in closed form.
 """
 
 import cmath
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_bivar, random_holo, random_problem
+from conftest import (SMALL_MEAN_FACTOR_PROBLEM, random_bivar, random_holo,
+                      random_problem)
+from metadisk import formats
 from metadisk.boundary import TestFunction
 from metadisk.boundary import meta_hardy_norm
 from metadisk.disk import PolarGrid
@@ -293,6 +296,22 @@ def test_verify_solution_full_battery():
     strict, _ = verify_solution(sol, thresholds={"negative_control": 1.0})
     assert not strict["negative_control"].passed
     assert not strict.overall_pass
+
+
+def test_negative_control_moves_by_a_tenth_of_two_pi_on_both_kinds():
+    rng = np.random.default_rng(41)
+    problems = [formats.problem_from_data(SMALL_MEAN_FACTOR_PROBLEM)]
+    for kind in ("cauchy", "schwarz"):
+        for _ in range(4):
+            problem = random_problem(rng, factor_kind=kind)
+            # larger coefficients, where Re e^s on the circle varies more
+            problems.append(dataclasses.replace(problem,
+                                                coeff=problem.coeff.scale(5.0)))
+    assert {p.factor_kind for p in problems} == {"cauchy", "schwarz"}
+    for problem in problems:
+        report, _ = verify_solution(solve_meta(problem))
+        assert report["negative_control"].value == pytest.approx(
+            0.2 * math.pi, rel=1e-12, abs=0.0)
 
 
 def test_default_test_basis_spans_data():
