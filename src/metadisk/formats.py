@@ -35,7 +35,8 @@ from .disk import PolarGrid
 from .errors import SchemaViolation
 from .integral import PolyAnalytic, similarity_factor
 from .meta import MetaExpr
-from .schwarz import BoundaryReport, SchwarzProblem, SchwarzSolution
+from .schwarz import (FACTOR_KINDS, BoundaryReport, SchwarzProblem,
+                      SchwarzSolution)
 
 COMPLEX_PAIR = {
     "type": "array",
@@ -89,7 +90,7 @@ PROBLEM_SCHEMA = {
     "properties": {
         "n": {"type": "integer", "minimum": 1},
         "A": BIVAR_POLY_SCHEMA,
-        "psi_kind": {"enum": ["cauchy", "schwarz"]},
+        "psi_kind": {"enum": list(FACTOR_KINDS)},
         "levels": {
             "type": "array",
             "minItems": 1,
@@ -109,7 +110,7 @@ SOLUTION_SCHEMA = {
     "type": "object",
     "properties": {
         "A": BIVAR_POLY_SCHEMA,
-        "psi_kind": {"enum": ["cauchy", "schwarz"]},
+        "psi_kind": {"enum": list(FACTOR_KINDS)},
         "parts": {"type": "array", "items": HOLO_SERIES_SCHEMA, "minItems": 1},
         "I": {"type": "array", "items": COMPLEX_PAIR},
         "diagnostics": {"type": "object"},

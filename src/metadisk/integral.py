@@ -117,15 +117,18 @@ class PolyAnalytic:
 
     def monomial_sum(self, z):
         """The nonzero terms c z^m conj(z)^k added one by one in sorted (m, k)
-        order, with a running power of z and a table of powers of conj(z)."""
+        order, with running powers of z and of conj(z); of the latter only
+        the powers the terms use are kept."""
         arr = np.asarray(z, dtype=complex)
         out = np.zeros(arr.shape, dtype=complex)
         m, k, c = self.sorted_terms()
         if c.size:
-            zbar = np.conjugate(arr)
-            zbar_powers = [np.ones_like(arr)]
-            for _ in range(k.max()):
-                zbar_powers.append(zbar_powers[-1] * zbar)
+            zbar, zbar_powers = np.conjugate(arr), {}
+            power, top = np.ones_like(arr), 0
+            for used in sorted(set(k.tolist())):
+                while top < used:
+                    power, top = power * zbar, top + 1
+                zbar_powers[used] = power
             power, top = np.ones_like(arr), 0
             for m, k, c in zip(m.tolist(), k.tolist(), c.tolist()):
                 while top < m:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import finite_samples
 from .disk import PolarGrid
 from .errors import IllConditioned, NonFinite
 from .integral import PolyAnalytic
@@ -74,15 +75,14 @@ def derivative_matrix(coeff: PolyAnalytic, n: int
                  for k in range(n))
 
 
-def pde_residual(w: MetaExpr, coeff: PolyAnalytic, n: int,
-                 grid: PolarGrid | None = None) -> float:
-    """max over the grid of |(d/d conj(z) - A)^n w|, applied exactly.
+def pde_residual(w: MetaExpr, coeff: PolyAnalytic, n: int) -> float:
+    """max over the default mesh of |(d/d conj(z) - A)^n w|, applied exactly.
 
     (d/d conj(z) - A)^n e^s F = e^s dbar^n F, so the residual is 0.0 when F
-    has order at most n and e^s is evaluated only when it is not.  ``w``
-    must be a MetaExpr of the coefficient ``coeff`` itself; anything else,
-    such as a plain callable or the expression of another A, is a
-    ValueError.
+    has order at most n and e^s is evaluated only when it is not; a sample
+    that is not finite raises NonFinite.  ``w`` must be a MetaExpr of the
+    coefficient ``coeff`` itself; anything else, such as a plain callable or
+    the expression of another A, is a ValueError.
     """
     if not (isinstance(w, MetaExpr) and isinstance(coeff, PolyAnalytic)
             and (w.coefficient - coeff).max_coeff()
@@ -92,8 +92,8 @@ def pde_residual(w: MetaExpr, coeff: PolyAnalytic, n: int,
     top = w.poly.dbar_stack(n + 1)[-1] if w.order > n else PolyAnalytic.zero()
     if top.is_zero:
         return 0.0
-    grid = grid or PolarGrid.mesh()
-    return float(np.max(np.abs(MetaExpr(w.s, top)(grid.points().ravel()))))
+    return float(np.max(np.abs(finite_samples(
+        MetaExpr(w.s, top), PolarGrid.mesh().points(), "pde residual"))))
 
 
 @dataclass(frozen=True)

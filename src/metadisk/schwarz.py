@@ -23,14 +23,13 @@ visibly fail.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import (TestFunction, alias_free_n_theta, circle_pairings,
-                       ring_samples)
+                       finite_samples, ring_samples)
 from .errors import NonFinite
 from .integral import PolyAnalytic, similarity_factor
 from .meta import MetaExpr, pde_residual
@@ -170,9 +169,21 @@ def _sampled_pairings(w: PolyAnalytic | MetaExpr, tests, shift: float = 0.0):
     return circle_pairings(lambda z: np.real(w(z)) + shift, tests, n_theta)
 
 
-def _exact_pairings(g: PolyAnalytic, tests) -> np.ndarray:
-    """Pairings of the exact trace Re g on |z| = 1."""
-    return g.boundary_distribution().re_part().pairings(tests)
+def _trace_pairings(f: PolyAnalytic | MetaExpr, tests) -> np.ndarray:
+    """Pairings of Re f on |z| = 1: the exact trace of a polynomial, the
+    samples of e^s g, whose trace has no finite Fourier series."""
+    if isinstance(f, MetaExpr):
+        return _sampled_pairings(f, tests)
+    return f.boundary_distribution().re_part().pairings(tests)
+
+
+def _weighted(sol: SchwarzSolution):
+    """The map from a polynomial g to the function whose real part a level's
+    boundary condition prescribes: g itself for the cauchy kind, which
+    divides e^s out of the conditions, and e^s g for the schwarz kind."""
+    if sol.problem.factor_kind == "cauchy":
+        return lambda g: g
+    return lambda g: MetaExpr(sol.w.s, g)
 
 
 def verify_boundary_conditions(sol: SchwarzSolution, tests=None
@@ -180,48 +191,37 @@ def verify_boundary_conditions(sol: SchwarzSolution, tests=None
     """Pair both sides of every boundary condition of ``sol.problem`` against
     the test basis.
 
-    The left side is always computed from w itself (e^s divided out for the
-    cauchy kind, kept for the schwarz kind), the right side from the
-    prescribed data, re-assembled from h and the lower chain members.
-
-    Each sampled function is evaluated once on its alias-free circle and
-    paired with every test at once.  Level k's arrays are row k of the table.
+    The left side samples dbar^k of w's polynomial and the right side pairs
+    the data, re-assembled from h, the lower chain members and the level's
+    constant i(c - Im a_0), each weighted by :func:`_weighted`.  Each
+    sampled function is evaluated once on its alias-free circle and paired
+    with every test at once.  Level k's arrays are row k of the table.
     """
     problem = sol.problem
     tests = tuple(tests) if tests is not None else default_test_basis(problem)
-    s = sol.w.s if problem.factor_kind == "schwarz" else None
+    weighted = _weighted(sol)
     levels = []
     for k, lhs_poly in enumerate(sol.w.poly.dbar_stack(problem.n)):
         level = problem.n - 1 - k
         h, c = problem.levels[level]
-        data = _unfold(h, sol.chain[:level])
-        if s is None:
-            lhs = _sampled_pairings(lhs_poly, tests)
-            rhs = _exact_pairings(data, tests)
-        else:
-            constant = PolyAnalytic.constant(1j * c - sol.constants[level])
-            lhs = _sampled_pairings(MetaExpr(s, lhs_poly), tests)
-            rhs = _sampled_pairings(MetaExpr(s, data + constant), tests)
-        levels.append((lhs, rhs))
+        data = _unfold(h, sol.chain[:level]) + PolyAnalytic.constant(
+            1j * c - sol.constants[level])
+        levels.append((_sampled_pairings(weighted(lhs_poly), tests),
+                       _trace_pairings(weighted(data), tests)))
     return BoundaryReport(tuple(phi.label for phi in tests),
                           *(np.array(column) for column in zip(*levels)))
 
 
-def _negative_control(sol: SchwarzSolution) -> float:
-    """Shift Re w by 0.1 and measure how far the k=0 constant-test cell
-    moves: 0.1 * 2 pi on either kind, up to rounding, whatever the data.
+def _negative_control(top: PolyAnalytic | MetaExpr) -> float:
+    """Shift Re top, the weighted F, by 0.1 and measure how far the k=0
+    constant-test cell moves: 0.1 * 2 pi, up to rounding, whatever the data.
 
     A corrupted solution must fail verification by a visible margin,
     otherwise the pairing residuals prove nothing.
     """
     phi = (TestFunction.constant(),)
-    if sol.problem.factor_kind == "schwarz":
-        bad = _sampled_pairings(sol.w, phi, 0.1)
-        good = _sampled_pairings(sol.w, phi)
-    else:
-        bad = _sampled_pairings(sol.w.poly, phi, 0.1)
-        good = _exact_pairings(sol.w.poly, phi)
-    return abs(bad[0] - good[0])
+    return abs(_sampled_pairings(top, phi, 0.1)[0]
+               - _trace_pairings(top, phi)[0])
 
 
 def _chain_defect(chain) -> float:
@@ -275,33 +275,29 @@ def verify_solution(sol: SchwarzSolution, thresholds: dict | None = None
         if name not in names:
             raise ValueError(f"unknown tolerance {name!r} for the {kind} "
                              f"kind, expected one of {', '.join(names)}")
-    n = problem.n
     w = sol.w
-    s = w.s if kind == "schwarz" else None
+    weighted = _weighted(sol)
     report = Report()
     values = {}
 
     with report.timed("pde_residual"):
-        values["pde_residual"] = pde_residual(w, problem.coeff, n)
-    if s is not None:
-        s_at_zero = s.coefficient(0, 0)
-        values["similarity_imag_at_origin"] = abs(s_at_zero.imag)
-        on_circle = ring_samples(s.monomial_sum, (1.0,),
-                                 alias_free_n_theta(s.max_frequency))[0]
+        values["pde_residual"] = pde_residual(w, problem.coeff, problem.n)
+    if kind == "schwarz":
+        values["similarity_imag_at_origin"] = abs(w.s.coefficient(0, 0).imag)
+        on_circle = ring_samples(w.s.monomial_sum, (1.0,),
+                                 alias_free_n_theta(w.s.max_frequency))[0]
         with np.errstate(all="ignore"):  # |s| past the largest double
             values["similarity_re_on_circle"] = float(
                 np.max(np.abs(on_circle.real))
                 / max(1.0, np.max(np.abs(on_circle))))
-        origin_scale = cmath.exp(s_at_zero).real
-        stack = w.poly.dbar_stack(n)
-        values["imag_at_origin_smooth"] = max(
-            abs(MetaExpr(s, stack[k])(0j).imag
-                - origin_scale * problem.levels[n - 1 - k][1])
-            for k in range(n))
-    else:
-        values["imag_at_origin"] = max(
-            abs(sol.chain[j](0j).imag - problem.levels[j][1])
-            for j in range(n))
+    # level n-1-k reads Im of the weighted dbar^k F at 0: scale e^s(0) > 0
+    # (s(0) is real) or 1 times the constant coefficient of dbar^k F
+    scale = finite_samples(weighted(PolyAnalytic.constant(1)),
+                           np.zeros(1, complex), "e^s")[0].real
+    origin = "imag_at_origin_smooth" if kind == "schwarz" else "imag_at_origin"
+    values[origin] = scale * max(
+        abs(member.coefficient(0, 0).imag - c) for member, (_, c)
+        in zip(w.poly.dbar_stack(problem.n), problem.levels[::-1]))
     # relative to sum |a_m|, which bounds |h| on the circle and so the
     # rounding of the sampled mean; imag_mean_constant checks it is finite
     values["origin_constants"] = max(
@@ -312,7 +308,7 @@ def verify_solution(sol: SchwarzSolution, thresholds: dict | None = None
         values["boundary_pairing_max"] = boundary.max_residual
     values["chain_derivative"] = _chain_defect(sol.chain)
     with report.timed("negative_control"):
-        values["negative_control"] = _negative_control(sol)
+        values["negative_control"] = _negative_control(weighted(w.poly))
 
     for name, (kinds, threshold, direction) in CHECKS.items():
         if kind in kinds:

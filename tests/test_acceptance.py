@@ -27,8 +27,6 @@ from metadisk.meta import (MetaExpr, derivative_matrix, derivative_stack,
                            pde_residual)
 from metadisk.schwarz import SchwarzProblem, solve_meta, verify_solution
 
-GRID = PolarGrid.mesh(32, 64)
-
 
 def _verdict(num, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -83,9 +81,9 @@ def test_criterion_3_representation_annihilation():
     weakest_control = math.inf
     for _ in range(20):
         w = random_meta(rng)
-        worst = max(worst, pde_residual(w, w.coefficient, w.order, GRID))
+        worst = max(worst, pde_residual(w, w.coefficient, w.order))
         if w.order > 1:
-            control = pde_residual(w, w.coefficient, w.order - 1, GRID)
+            control = pde_residual(w, w.coefficient, w.order - 1)
             weakest_control = min(weakest_control, control)
     ok = worst < 1e-10 and weakest_control > 1e-3
     _verdict(3, ok, f"max residual {worst:.3g} (tol 1e-10), weakest "

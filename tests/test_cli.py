@@ -815,6 +815,58 @@ def test_data_that_overflow_on_the_circle_exit_three(tmp_path, capsys, kind,
     assert not out.exists()
 
 
+# F = 0.1 + 0.001 conj(z) for n = 1 and A = 800: the residual
+# 0.001 e^(800 conj(z)) overflows on the mesh from Re z of about 0.89 on
+_OVERFLOWING_RESIDUAL = {
+    "A": {"terms": [{"m": 0, "k": 0, "re": 800.0, "im": 0.0}]},
+    "I": [[0.0, 0.0]], "psi_kind": "cauchy",
+    "parts": [{"coeffs": [[0.1, 0.0]]}, {"coeffs": [[0.001, 0.0]]}],
+    "problem": {"n": 1, "psi_kind": "cauchy",
+                "A": {"terms": [{"m": 0, "k": 0, "re": 800.0, "im": 0.0}]},
+                "levels": [{"h": {"coeffs": [[0.1, 0.0]]}, "c": 0.0}]}}
+# A = -800 z: the schwarz exponent 800 (1 - |z|^2) is 800 at the origin
+_OVERFLOWING_ORIGIN = {
+    "n": 1, "psi_kind": "schwarz",
+    "A": {"terms": [{"m": 1, "k": 0, "re": -800.0, "im": 0.0}]},
+    "levels": [{"h": {"coeffs": [[0.1, 0.0]]}, "c": 0.0}]}
+
+
+def _solved_then_overflowing_at_the_origin(tmp_path):
+    """The solution file of _OVERFLOWING_ORIGIN's problem with A = -z, with
+    both copies of A then set to -800 z."""
+    data = json.loads(json.dumps(_OVERFLOWING_ORIGIN))
+    data["A"]["terms"][0]["re"] = -1.0
+    formats.save_json(tmp_path / "mild.json", data)
+    assert main(["solve", "--config", str(tmp_path / "mild.json"),
+                 "--out", str(tmp_path / "mild")]) == 0
+    solution = json.loads((tmp_path / "mild" / "solution.json").read_text())
+    for a in (solution["A"], solution["problem"]["A"]):
+        a["terms"][0]["re"] = -800.0
+    return solution
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("verify", lambda tmp_path: _OVERFLOWING_RESIDUAL,
+     "pde residual at z=(0.8919354838709678+0j) is not finite"),
+    ("solve", lambda tmp_path: _OVERFLOWING_ORIGIN,
+     "e^s at z=0j is not finite"),
+    ("verify", _solved_then_overflowing_at_the_origin,
+     "e^s at z=0j is not finite"),
+], ids=["verify-residual", "solve-origin", "verify-origin"])
+def test_checks_whose_values_overflow_exit_three(tmp_path, capsys, command,
+                                                 data, message):
+    cfg = tmp_path / "config.json"
+    formats.save_json(cfg, data(tmp_path))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not out.exists()
+
+
 # h = 1e307 i: finite samples whose sum of 256 passes the largest double
 _HUGE_CIRCLE_MEAN = {
     "n": 1, "A": {"terms": [{"m": 0, "k": 0, "re": 0.5, "im": 0.0}]},

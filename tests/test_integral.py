@@ -7,6 +7,8 @@ reference in oracles.py pins the tables' coefficients and the monomial sum
 bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy
@@ -128,6 +130,20 @@ def test_monomial_sum_matches_dict_reference(pairs):
                 got, want = evaluate(z), dict_eval(reference, z)
                 assert type(got) is type(want)
                 assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_monomial_sum_keeps_only_the_powers_of_conj_z_it_uses():
+    # one term conj(z)^2000 on 256 points: a table of every power up to
+    # 2000 would hold about 2000 arrays of the points' size at once
+    z = PolarGrid.mesh(4, 64).points()
+    f = PolyAnalytic.from_terms({(0, 2000): 1.0})
+    tracemalloc.start()
+    try:
+        f.monomial_sum(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * z.nbytes, peak
 
 
 def test_teodorescu_base_cases():

@@ -150,11 +150,11 @@ def test_dbar_shift_examples():
 def test_pde_residual_exact_and_order():
     one = PolyAnalytic.constant(1.0)
     w = expr(one, [[2.0j], [1.0]])  # e^zbar (2i + zbar)
-    assert pde_residual(w, one, 2, GRID) < 1e-12
+    assert pde_residual(w, one, 2) < 1e-12
 
     zero = PolyAnalytic.zero()
     null = expr(zero, [[0.0]])
-    assert pde_residual(null, zero, 1, GRID) == 0.0
+    assert pde_residual(null, zero, 1) == 0.0
 
 
 def test_pde_residual_takes_only_the_expression_of_its_coefficient():
@@ -163,16 +163,16 @@ def test_pde_residual_takes_only_the_expression_of_its_coefficient():
     other = expr(PolyAnalytic.constant(1.0 + 1e-6), [[2.0j], [1.0]])
     for bad in (w.__call__, lambda z: np.conjugate(z) ** 2, other):
         with pytest.raises(ValueError, match="MetaExpr of the coefficient"):
-            pde_residual(bad, one, 2, GRID)
+            pde_residual(bad, one, 2)
     with pytest.raises(ValueError, match="MetaExpr of the coefficient"):
-        pde_residual(w, one.__call__, 2, GRID)
+        pde_residual(w, one.__call__, 2)
 
 
 def test_pde_residual_annihilation_random():
     rng = np.random.default_rng(31)
     for _ in range(6):
         w = random_meta(rng)
-        assert pde_residual(w.poly and w, w.coefficient, w.order, GRID) < 1e-10
+        assert pde_residual(w.poly and w, w.coefficient, w.order) < 1e-10
 
 
 def test_pde_residual_order_minimality():
@@ -181,7 +181,7 @@ def test_pde_residual_order_minimality():
         w = random_meta(rng)
         if w.order == 1:
             continue
-        assert pde_residual(w, w.coefficient, w.order - 1, GRID) > 1e-3
+        assert pde_residual(w, w.coefficient, w.order - 1) > 1e-3
 
 
 def _equal(p, q):

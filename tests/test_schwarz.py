@@ -298,6 +298,19 @@ def test_verify_solution_full_battery():
     assert not strict.overall_pass
 
 
+@pytest.mark.parametrize("kind, failed", [
+    ("cauchy", {"imag_at_origin"}),
+    ("schwarz", {"imag_at_origin_smooth", "boundary_pairing_max"}),
+])
+def test_origin_checks_read_w_not_the_chain(kind, failed):
+    # F shifted by 1e-6 i, the chain of the solve kept: only w moves
+    sol = solve_meta(dataclasses.replace(WORKED, factor_kind=kind))
+    w = MetaExpr(sol.w.s, sol.w.poly + PolyAnalytic.constant(1e-6j))
+    report, _ = verify_solution(
+        SchwarzSolution(w, sol.chain, sol.constants, sol.problem))
+    assert {c.name for c in report.checks if not c.passed} == failed
+
+
 def test_negative_control_moves_by_a_tenth_of_two_pi_on_both_kinds():
     rng = np.random.default_rng(41)
     problems = [formats.problem_from_data(SMALL_MEAN_FACTOR_PROBLEM)]
