@@ -7,16 +7,13 @@ runs the command line with the collector off.
 """
 
 _EXPORTS = {
-    "boundary": ("BoundaryDistribution", "HardyNormEstimate", "TestFunction",
-                 "circle_pairings", "growth_order", "hardy_norm",
-                 "lp_boundary_convergence", "meta_hardy_norm",
+    "boundary": ("BoundaryDistribution", "TestFunction", "circle_pairings",
                  "poisson_extend"),
-    "disk": ("PolarGrid", "RadialSequence"),
+    "disk": ("PolarGrid",),
     "errors": ("IllConditioned", "MetadiskError", "NonFinite"),
     "integral": ("PolyAnalytic", "schwarz_pompeiu_poly", "similarity_factor",
                  "teodorescu_poly"),
-    "meta": ("DecompositionFit", "MetaExpr", "derivative_matrix",
-             "derivative_stack", "pde_residual", "poly_decompose"),
+    "meta": ("DecompositionFit", "MetaExpr", "pde_residual", "poly_decompose"),
     "report": ("Check", "Report"),
     "schwarz": ("BoundaryReport", "SchwarzProblem", "SchwarzSolution",
                 "default_test_basis", "imag_mean_constant", "solve_meta",

@@ -9,11 +9,9 @@ closed disk the limit is the pairing of its restriction to |z| = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .disk import TWO_PI, RadialSequence
+from .disk import TWO_PI
 from .errors import NonFinite
 
 DEFAULT_N_THETA = 256
@@ -44,35 +42,12 @@ class BoundaryDistribution:
     def harmonic(cls, m: int) -> "TestFunction":
         return cls({m: 1.0}, label=f"harmonic[{m}]")
 
-    @classmethod
-    def cosine(cls, m: int) -> "TestFunction":
-        return cls({m: 0.5, -m: 0.5}, label=f"cos[{m}]")
-
-    @classmethod
-    def sine(cls, m: int) -> "TestFunction":
-        return cls({m: -0.5j, -m: 0.5j}, label=f"sin[{m}]")
-
-    @classmethod
-    def poisson_kernel(cls, r: float, theta: float, max_freq: int) -> "TestFunction":
-        """Truncation of P_r(theta - .) = sum r^|m| e^{i m (theta - .)}."""
-        return cls(
-            {-m: r ** abs(m) * np.exp(1j * m * theta)
-             for m in range(-max_freq, max_freq + 1)},
-            label=f"poisson[r={r}]",
-        )
-
     @property
     def coeffs(self) -> dict[int, complex]:
         return dict(self._coeffs)
 
     def coefficient(self, n: int) -> complex:
         return self._coeffs.get(n, 0j)
-
-    @property
-    def is_real(self) -> bool:
-        return all(
-            self.coefficient(-m) == np.conjugate(c) for m, c in self._coeffs.items()
-        )
 
     def __call__(self, theta):
         arr = np.asarray(theta, dtype=float)
@@ -103,9 +78,6 @@ class BoundaryDistribution:
         freqs = np.array(list(self._coeffs), dtype=int)
         row[-freqs % n_theta] = TWO_PI * np.array(list(self._coeffs.values()))
         return pair_spectrum(row, tests)
-
-    def pair(self, phi: "TestFunction") -> complex:
-        return complex(self.pairings((phi,))[0])
 
     def __repr__(self):
         return f"BoundaryDistribution({self._coeffs!r})"
@@ -222,95 +194,3 @@ def poisson_extend(u: BoundaryDistribution, z):
     if total.shape == ():
         return complex(total)
     return total
-
-
-def growth_order(f, rs: RadialSequence | None = None,
-                 n_theta: int = DEFAULT_N_THETA) -> float:
-    """Least-squares slope of log sup_theta |f| against -log(1 - r), clamped at 0.
-
-    Estimates the power alpha in |f| <= C / (1 - r)^alpha along the radial
-    sequence.  Raises NonFinite if a sample or a supremum is not finite.
-    """
-    rs = rs or RadialSequence()
-    with np.errstate(all="ignore"):  # |f| past the largest double
-        sups = np.max(np.abs(ring_samples(f, rs.radii, n_theta)), axis=1)
-    if not np.all(np.isfinite(sups)):
-        raise NonFinite("a radial supremum of |f| is not finite")
-    x = -np.log(rs.gaps)
-    y = np.log(np.maximum(sups, 1e-300))
-    slope = np.polyfit(x, y, 1)[0]
-    return float(max(slope, 0.0))
-
-
-def _lp_sums(f, p, rs: RadialSequence, n_theta: int, plus=0.0) -> np.ndarray:
-    """Int |f - plus|^p d theta on every ring of ``rs`` by the trapezoid sum,
-    taken with numpy's warnings off; raises NonFinite at the first ring whose
-    sum is not finite."""
-    samples = ring_samples(f, rs.radii, n_theta)
-    with np.errstate(all="ignore"):
-        sums = (TWO_PI / n_theta) * np.sum(np.abs(samples - plus) ** p, axis=1)
-    bad = np.flatnonzero(~np.isfinite(sums))
-    if bad.size:
-        raise NonFinite(f"the |f|^p sum at r={rs.radii[bad[0]]} is not finite")
-    return sums
-
-
-@dataclass(frozen=True)
-class HardyNormEstimate:
-    """A norm value together with an unboundedness flag.
-
-    ``unbounded`` is set when the per-radius means were still growing by more
-    than five percent between the last two radii, i.e. the supremum had not
-    saturated inside the disk.
-    """
-
-    value: float
-    unbounded: bool
-
-    def __float__(self):
-        return self.value
-
-
-def hardy_norm(f, p: float, rs: RadialSequence | None = None,
-               n_theta: int = DEFAULT_N_THETA) -> HardyNormEstimate:
-    """sup over the radial sequence of (Int |f(r e^{i theta})|^p d theta)^(1/p);
-    raises NonFinite if a sample or a ring's sum is not finite."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    rs = rs or RadialSequence()
-    means = _lp_sums(f, p, rs, n_theta) ** (1.0 / p)
-    unbounded = bool(means[-1] > 1.05 * means[-2])
-    return HardyNormEstimate(value=float(np.max(means)), unbounded=unbounded)
-
-
-def meta_hardy_norm(w, p: float, n: int, rs: RadialSequence | None = None,
-                    n_theta: int = DEFAULT_N_THETA) -> HardyNormEstimate:
-    """Sum of hardy_norm over the conj-z derivative stack of orders 0..n-1.
-
-    The stack holds plain derivatives, not the coefficient-shifted ones:
-    ``w`` must expose them exactly via a ``dbar`` method (meta-analytic
-    expressions do).
-    """
-    from .meta import derivative_stack  # meta imports this module
-
-    parts = [hardy_norm(g, p, rs, n_theta) for g in derivative_stack(w, n)]
-    return HardyNormEstimate(
-        value=float(sum(part.value for part in parts)),
-        unbounded=any(part.unbounded for part in parts),
-    )
-
-
-def lp_boundary_convergence(f, boundary_values, p: float,
-                            rs: RadialSequence | None = None,
-                            n_theta: int = DEFAULT_N_THETA) -> np.ndarray:
-    """Residuals Int |f(r_j e^{i theta}) - f_plus(e^{i theta})|^p d theta per radius.
-
-    ``boundary_values`` is either an array of samples on the angular grid or a
-    callable of theta evaluated on it.  Raises NonFinite if a sample of f or
-    a ring's sum is not finite.
-    """
-    rs = rs or RadialSequence()
-    plus = boundary_values
-    if callable(plus):
-        plus = plus(np.arange(n_theta) * (TWO_PI / n_theta))
-    return _lp_sums(f, p, rs, n_theta, np.asarray(plus, dtype=complex))

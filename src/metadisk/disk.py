@@ -1,4 +1,4 @@
-"""Geometry on the open unit disk: radial sequences and polar grids."""
+"""Polar grids on the open unit disk: the commands' meshes and samples."""
 
 from __future__ import annotations
 
@@ -8,44 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# The deepest radial sequence whose radii all lie inside the disk.
-MAX_DEPTH = 52
-
-
-@dataclass(frozen=True)
-class RadialSequence:
-    """Radii r_j = 1 - 2^(-j-1), j = 0..depth, accumulating at the boundary.
-
-    The geometric gaps 1 - r_j halve at every step, so -log(1 - r_j), the
-    abscissa of the growth-order fit, is evenly spaced.  The depth is 1 to
-    MAX_DEPTH: from j = 53 on, r_j rounds to 1.0 and the ring is the circle
-    itself.
-    """
-
-    depth: int = 16
-
-    def __post_init__(self):
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise ValueError(f"radial depth must be between 1 and "
-                             f"{MAX_DEPTH}, got {self.depth}")
-
-    @property
-    def radii(self) -> np.ndarray:
-        j = np.arange(self.depth + 1)
-        return 1.0 - 0.5 ** (j + 1.0)
-
-    @property
-    def gaps(self) -> np.ndarray:
-        """The distances 1 - r_j to the boundary."""
-        j = np.arange(self.depth + 1)
-        return 0.5 ** (j + 1.0)
-
-    def __len__(self) -> int:
-        return self.depth + 1
-
-    def __iter__(self):
-        return iter(self.radii)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,14 +53,7 @@ class PolarGrid:
         angles = np.arange(n_angular) * (TWO_PI / n_angular)
         return cls(radii, angles)
 
-    @classmethod
-    def rings(cls, radii, n_angular: int = 64) -> "PolarGrid":
-        angles = np.arange(n_angular) * (TWO_PI / n_angular)
-        return cls(np.asarray(sorted(radii), dtype=float), angles)
-
     def points(self) -> np.ndarray:
         """Complex nodes, shape (n_radial, n_angular)."""
         return self.radii[:, None] * np.exp(1j * self.angles[None, :])
 
-    def with_values(self, values: np.ndarray) -> "PolarGrid":
-        return PolarGrid(self.radii, self.angles, values)

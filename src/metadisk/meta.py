@@ -41,39 +41,6 @@ class MetaExpr:
             return complex(out)
         return out
 
-    def dbar(self) -> "MetaExpr":
-        """Plain d/d conj(z): the product rule brings the coefficient back in."""
-        F = self.poly
-        return MetaExpr(self.s, F.dbar() + self.coefficient * F)
-
-
-def derivative_stack(w: MetaExpr, n: int) -> tuple[MetaExpr, ...]:
-    """Plain conj(z)-derivatives d^k w for k = 0..n-1 (product rule applied)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    stack = [w]
-    for _ in range(n - 1):
-        stack.append(stack[-1].dbar())
-    return tuple(stack)
-
-
-def derivative_matrix(coeff: PolyAnalytic, n: int
-                      ) -> tuple[tuple[PolyAnalytic, ...], ...]:
-    """Rows M[k] with d^k (e^s F) = e^s sum_j M[k][j] d^j F, in closed form;
-    row k holds the k + 1 entries j <= k of the lower unitriangular matrix.
-
-    By Leibniz M[k][j] = C(k, j) B_(k-j), where d^m e^s = e^s B_m:
-    B_0 = 1 and B_(m+1) = dbar B_m + A B_m.  The inverse is the matrix of
-    -A, whose similarity exponent is -s: d^k F = d^k (e^(-s) w).
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    b = [PolyAnalytic.constant(1.0)]
-    for _ in range(n - 1):
-        b.append(b[-1].dbar() + coeff * b[-1])
-    return tuple(tuple(b[k - j].scale(math.comb(k, j)) for j in range(k + 1))
-                 for k in range(n))
-
 
 def pde_residual(w: MetaExpr, coeff: PolyAnalytic, n: int) -> float:
     """max over the default mesh of |(d/d conj(z) - A)^n w|, applied exactly.

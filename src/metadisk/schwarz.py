@@ -11,7 +11,9 @@ poly-analytic chain f_1..f_n is built bottom-up so that
 and the solution is w = e^{s} f_n with s the similarity exponent of the
 coefficient A.  `solve_meta` solves both factor kinds: the cauchy kind
 divides the boundary conditions by e^{s}, the schwarz kind keeps e^{s}
-inside the conditions and needs s real at the origin.
+inside the conditions and needs s real at the origin.  The schwarz datum
+that the solution meets is Re(e^{s} (h_j + sum ... + i(c_j - Im a_0(h_j))))
+on |z| = 1, where e^{s} = e^{i Im s}, so c_j moves it.
 
 `verify_solution` checks a solution, fresh or reloaded: PDE residual, origin
 conditions, Re s = 0 on |z| = 1 for the schwarz kind, origin constants
@@ -52,8 +54,9 @@ class SchwarzProblem:
     factor_kind: str = "cauchy"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("order must be at least 1")
+        # _unfold weighs f_1 by 1/(n-1)!, and 171! passes the largest double
+        if not 1 <= self.n <= 171:
+            raise ValueError(f"order must be between 1 and 171, got {self.n}")
         if self.factor_kind not in FACTOR_KINDS:
             raise ValueError(f"factor_kind must be one of {FACTOR_KINDS}")
         levels = []

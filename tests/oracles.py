@@ -1,7 +1,7 @@
 """Test-only oracles: quadrature, finite-difference Wirtinger derivatives,
-the dense decomposition fit and its default collocation rings, the product of
-derivative matrices, the Poisson extension's term loop and the dict reference
-for the polynomial tables.
+the dense decomposition fit and its collocation rings, the plain derivative
+stack, the derivative matrix and the product of two such matrices, the ring
+estimators, the Poisson extension's term loop and the dict polynomial tables.
 
 Quadrature certifies the closed-form area-integral tables by an independent
 route, finite differences certify the exact d/d conj(z) of the package, the
@@ -20,10 +20,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from metadisk.boundary import ring_samples
 from metadisk.disk import TWO_PI, PolarGrid
 from metadisk.errors import IllConditioned, MetadiskError, NonFinite
 from metadisk.integral import PolyAnalytic
-from metadisk.meta import DecompositionFit
+from metadisk.meta import DecompositionFit, MetaExpr
 
 _PI = math.pi
 
@@ -71,6 +72,34 @@ def wirtinger_dbar(f, z, h: float = 1e-4, richardson: bool = False) -> complex:
         d_half = central(h / 2.0)
         d = (4.0 * d_half - d) / 3.0
     return d
+
+
+def plain_dbar(w: MetaExpr) -> MetaExpr:
+    """d/d conj(z) of e^s F by the product rule: e^s (dbar F + A F)."""
+    return MetaExpr(w.s, w.poly.dbar() + w.coefficient * w.poly)
+
+
+def derivative_stack(w: MetaExpr, n: int) -> tuple[MetaExpr, ...]:
+    """Plain conj(z)-derivatives d^k w for k = 0..n-1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    stack = [w]
+    for _ in range(n - 1):
+        stack.append(plain_dbar(stack[-1]))
+    return tuple(stack)
+
+
+def derivative_matrix(coeff: PolyAnalytic, n: int):
+    """Rows M[k] of the lower unitriangular matrix with d^k (e^s F) =
+    e^s sum_(j<=k) M[k][j] d^j F: by Leibniz M[k][j] = C(k, j) B_(k-j), with
+    B_0 = 1 and B_(m+1) = dbar B_m + A B_m.  Its inverse is the matrix of -A."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    b = [PolyAnalytic.constant(1.0)]
+    for _ in range(n - 1):
+        b.append(b[-1].dbar() + coeff * b[-1])
+    return tuple(tuple(b[k - j].scale(math.comb(k, j)) for j in range(k + 1))
+                 for k in range(n))
 
 
 def triangular_product(a, b) -> tuple[tuple[PolyAnalytic, ...], ...]:
@@ -218,8 +247,10 @@ DECOMPOSE_RADII = (0.3, 0.5, 0.7, 0.9)
 
 def decompose_samples(fn, n_angular: int = 64) -> PolarGrid:
     """Sample fn on the default collocation rings, ready for poly_decompose."""
-    grid = PolarGrid.rings(np.array(DECOMPOSE_RADII), n_angular)
-    return grid.with_values(np.asarray(fn(grid.points()), dtype=complex))
+    angles = np.arange(n_angular) * (TWO_PI / n_angular)
+    points = PolarGrid(DECOMPOSE_RADII, angles).points()
+    return PolarGrid(DECOMPOSE_RADII, angles,
+                     np.asarray(fn(points), dtype=complex))
 
 
 def dense_poly_decompose(samples: PolarGrid, n: int, degree: int = 16,
@@ -251,6 +282,65 @@ def dense_poly_decompose(samples: PolarGrid, n: int, degree: int = 16,
     poly = PolyAnalytic(sol.reshape(n, degree + 1))
     residual = float(np.max(np.abs(design @ sol - vals)))
     return DecompositionFit(poly=poly, residual=residual, condition=condition)
+
+
+def dyadic_radii(depth: int) -> np.ndarray:
+    """r_j = 1 - 2^(-j-1), j = 0..depth: -log(1 - r_j) is evenly spaced."""
+    return 1.0 - 0.5 ** (np.arange(depth + 1) + 1.0)
+
+
+# A pole on the circle is a peak of width about 1 - r on the ring of radius
+# r; N angles see it wherever it sits only where N (1 - r) >= 8.
+POLE_DEPTH, POLE_N_THETA = 8, 4096
+HALF_STEP = math.pi / POLE_N_THETA  # half a step of those angles
+
+
+def pole(theta0: float, p: int):
+    """1 / (1 - z e^{-i theta0})^p, of growth order p."""
+    return lambda z: 1.0 / (1.0 - z * np.exp(-1j * theta0)) ** p
+
+
+def growth_order(f) -> float:
+    """Least-squares slope of log max |f| on the dyadic rings against
+    -log(1 - r), clamped at 0: alpha in |f| <= C / (1 - r)^alpha.  Raises
+    NonFinite if a sample or a ring's maximum is not finite."""
+    radii = dyadic_radii(POLE_DEPTH)
+    with np.errstate(all="ignore"):  # |f| past the largest double
+        sups = np.max(np.abs(ring_samples(f, radii, POLE_N_THETA)), axis=1)
+    if not np.all(np.isfinite(sups)):
+        raise NonFinite("a radial supremum of |f| is not finite")
+    x, y = -np.log(1.0 - radii), np.log(np.maximum(sups, 1e-300))
+    return float(max(np.polyfit(x, y, 1)[0], 0.0))
+
+
+def lp_boundary_convergence(f, plus, p: float, depth: int = 16,
+                            n_theta: int = 256) -> np.ndarray:
+    """Int |f - plus|^p d theta on each dyadic ring by the trapezoid sum;
+    ``plus`` is samples on the ring's angles or a callable of theta.  Raises
+    NonFinite at the first sample of f or ring sum that is not finite."""
+    if callable(plus):
+        plus = plus(np.arange(n_theta) * (TWO_PI / n_theta))
+    radii = dyadic_radii(depth)
+    samples = ring_samples(f, radii, n_theta)
+    with np.errstate(all="ignore"):
+        sums = (TWO_PI / n_theta) * np.sum(np.abs(samples - plus) ** p, axis=1)
+    bad = np.flatnonzero(~np.isfinite(sums))
+    if bad.size:
+        raise NonFinite(f"the |f|^p sum at r={radii[bad[0]]} is not finite")
+    return sums
+
+
+def hardy_norm(f, p: float, depth: int = 16, n_theta: int = 256):
+    """(max of the L^p means on the dyadic rings, unbounded): unbounded when
+    the last mean passes the one before by more than five percent."""
+    means = lp_boundary_convergence(f, 0.0, p, depth, n_theta) ** (1.0 / p)
+    return float(np.max(means)), bool(means[-1] > 1.05 * means[-2])
+
+
+def meta_hardy_norm(w: MetaExpr, p: float, n: int):
+    """hardy_norm summed over derivative_stack(w, n), unbounded if a part is."""
+    parts = [hardy_norm(g, p) for g in derivative_stack(w, n)]
+    return sum(v for v, _ in parts), any(u for _, u in parts)
 
 
 def poisson_extend_loop(u, z):

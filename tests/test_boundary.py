@@ -10,17 +10,17 @@ from hypothesis import given, strategies as st
 from conftest import random_bivar, random_holo, random_problem, stack_parts
 from metadisk import boundary
 from metadisk.boundary import (BoundaryDistribution, TestFunction,
-                               circle_pairings, growth_order, hardy_norm,
-                               lp_boundary_convergence, meta_hardy_norm,
-                               poisson_extend)
-from metadisk.disk import PolarGrid, RadialSequence
+                               circle_pairings, poisson_extend)
+from metadisk.disk import PolarGrid
 from metadisk.errors import NonFinite
 from metadisk.integral import PolyAnalytic, similarity_factor
 from metadisk.meta import MetaExpr
 from metadisk.schwarz import (SchwarzProblem, _unfold,
                               default_test_basis, solve_meta,
                               verify_boundary_conditions)
-from oracles import poisson_extend_loop
+from oracles import (HALF_STEP, POLE_DEPTH, POLE_N_THETA, growth_order,
+                     hardy_norm, lp_boundary_convergence, meta_hardy_norm,
+                     pole, poisson_extend_loop)
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,18 +39,19 @@ def test_holo_series_algebra():
 def test_boundary_distribution_pairings():
     # z on the circle is the frequency-one mode
     u = PolyAnalytic.holomorphic((0.0, 1.0)).boundary_distribution()
-    assert u.pair(TestFunction.harmonic(-1)) == pytest.approx(TWO_PI)
-    assert u.pair(TestFunction.harmonic(1)) == pytest.approx(0.0)
-    assert BoundaryDistribution({0: 1.0}).pair(TestFunction.constant()) == pytest.approx(TWO_PI)
+    assert u.pairings((TestFunction.harmonic(-1),))[0] == pytest.approx(TWO_PI)
+    assert u.pairings((TestFunction.harmonic(1),))[0] == pytest.approx(0.0)
+    one = BoundaryDistribution({0: 1.0})
+    assert one.pairings((TestFunction.constant(),))[0] == pytest.approx(TWO_PI)
 
 
 def test_real_and_imag_parts():
     u = BoundaryDistribution({1: 2.0 + 1.0j, -1: 0.5})
     re = u.re_part()
     phi = TestFunction.harmonic(-1)
-    direct = u.pair(phi)
-    conj = BoundaryDistribution({-1: 2.0 - 1.0j, 1: 0.5}).pair(phi)
-    assert re.pair(phi) == pytest.approx((direct + conj) / 2.0)
+    direct = u.pairings((phi,))[0]
+    conj = BoundaryDistribution({-1: 2.0 - 1.0j, 1: 0.5}).pairings((phi,))[0]
+    assert re.pairings((phi,))[0] == pytest.approx((direct + conj) / 2.0)
 
 
 def _oracle_pair(u, phi):
@@ -78,7 +79,7 @@ def test_gathered_pairings_match_dict_loop(u_coeffs, test_coeffs):
     for value, phi in zip(got, tests):
         want, scale = _oracle_pair(u, phi)
         assert abs(value - want) <= 1e-13 * scale
-        assert abs(u.pair(phi) - want) <= 1e-13 * scale
+        assert abs(u.pairings((phi,))[0] - want) <= 1e-13 * scale
 
 
 def test_gathered_pairings_match_dict_loop_degree_60():
@@ -90,18 +91,6 @@ def test_gathered_pairings_match_dict_loop_degree_60():
         for value, phi in zip(got, basis):
             want, scale = _oracle_pair(trace, phi)
             assert abs(value - want) <= 1e-13 * scale
-
-
-def test_test_function_factories():
-    assert TestFunction.constant().is_real
-    assert TestFunction.cosine(3).is_real
-    assert TestFunction.sine(2).is_real
-    assert not TestFunction.harmonic(2).is_real
-    pk = TestFunction.poisson_kernel(0.5, 0.3, max_freq=32)
-    theta = np.linspace(0, TWO_PI, 7)
-    r = 0.5
-    want = (1 - r ** 2) / (1 - 2 * r * np.cos(theta - 0.3) + r ** 2)
-    assert np.allclose([pk(t) for t in theta], want, atol=1e-9)
 
 
 @pytest.mark.parametrize("f, phi, want", [
@@ -120,7 +109,7 @@ def test_pairing_limit_examples(f, phi, want):
 def test_pairing_limit_matches_algebra(coeffs):
     h = PolyAnalytic.holomorphic(coeffs)
     phi = TestFunction.harmonic(-1) if len(coeffs) > 1 else TestFunction.constant()
-    exact = h.boundary_distribution().pair(phi)
+    exact = h.boundary_distribution().pairings((phi,))[0]
     got = complex(circle_pairings(h, (phi,))[0])
     assert abs(got - exact) < 1e-8 * max(1.0, abs(exact))
 
@@ -256,6 +245,9 @@ def geometric_series(z):
     (geometric_series, 1.0, 0.1),
     (lambda z: 5.0 * np.ones_like(z), 0.0, 0.05),
     (lambda z: geometric_series(z) ** 2, 2.0, 0.15),
+    *(pytest.param(pole(theta0, p), p, tol, id=f"pole-{p}-at-{where}")
+      for where, theta0 in (("half-step", HALF_STEP), ("1.234", 1.234))
+      for p, tol in ((1, 0.1), (2, 0.15))),
 ])
 def test_growth_order_examples(f, want, tol):
     assert growth_order(f) == pytest.approx(want, abs=tol)
@@ -268,37 +260,37 @@ def test_growth_order_polynomials_bounded():
         assert growth_order(h) < 0.05
 
 
-DEEP = RadialSequence(depth=34)
-
-
 @pytest.mark.parametrize("m", [0, 1, 3, 8])
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_hardy_norm_monomials(m, p):
-    est = hardy_norm(lambda z: z ** m, p, rs=DEEP)
-    assert not est.unbounded
-    assert float(est) == pytest.approx(TWO_PI ** (1.0 / p), abs=1e-8)
+    value, unbounded = hardy_norm(lambda z: z ** m, p, depth=34)
+    assert not unbounded
+    assert value == pytest.approx(TWO_PI ** (1.0 / p), abs=1e-8)
 
 
 def test_hardy_norm_zero_and_unbounded():
-    assert float(hardy_norm(lambda z: np.zeros_like(z), 2.0)) == 0.0
-    est = hardy_norm(geometric_series, 2.0)
-    assert est.unbounded
+    assert hardy_norm(lambda z: np.zeros_like(z), 2.0)[0] == 0.0
+    _, unbounded = hardy_norm(geometric_series, 2.0)
+    assert unbounded
+    _, unbounded = hardy_norm(pole(HALF_STEP, 1), 2.0, depth=POLE_DEPTH,
+                              n_theta=POLE_N_THETA)
+    assert unbounded
 
 
 def test_meta_hardy_norm_examples():
     one = PolyAnalytic.constant(1.0)
     w = MetaExpr(similarity_factor(PolyAnalytic.constant(1.0), "cauchy"), one)
-    total = meta_hardy_norm(w, 2.0, 2)
-    single = hardy_norm(lambda z: np.exp(np.conjugate(z)), 2.0)
-    assert float(total) == pytest.approx(2.0 * float(single), rel=1e-9)
+    total, _ = meta_hardy_norm(w, 2.0, 2)
+    single, _ = hardy_norm(lambda z: np.exp(np.conjugate(z)), 2.0)
+    assert total == pytest.approx(2.0 * single, rel=1e-9)
 
     zero = MetaExpr(similarity_factor(PolyAnalytic.zero(), "cauchy"),
                     PolyAnalytic.zero())
-    assert float(meta_hardy_norm(zero, 2.0, 1)) == 0.0
+    assert meta_hardy_norm(zero, 2.0, 1)[0] == 0.0
 
     zbar = MetaExpr(similarity_factor(PolyAnalytic.zero(), "cauchy"),
                     PolyAnalytic([[0.0], [1.0]]))
-    got = float(meta_hardy_norm(zbar, 1.0, 2))
+    got, _ = meta_hardy_norm(zbar, 1.0, 2)
     # sup of the first term is realized at the last radius, 2pi*(1 - 2^-17)
     assert got == pytest.approx(2.0 * TWO_PI, abs=1e-3)
 
@@ -326,8 +318,8 @@ def test_hardy_norm_regression_bound_for_meta():
         coeff = random_bivar(rng, 2)
         parts = tuple(random_holo(rng, 3, scale=0.3) for _ in range(2))
         w = MetaExpr(similarity_factor(coeff, "cauchy"), stack_parts(parts))
-        total = float(meta_hardy_norm(w, 2.0, 2))
-        bound = 4.0 * sum(float(hardy_norm(f, 2.0)) for f in parts)
+        total, _ = meta_hardy_norm(w, 2.0, 2)
+        bound = 4.0 * sum(hardy_norm(f, 2.0)[0] for f in parts)
         assert np.isfinite(total)
         if bound > 0:
             assert total <= bound

@@ -277,7 +277,7 @@ def test_integer_valued_floats_read_as_integers(tmp_path):
     coeff = PolyAnalytic.from_terms({(0, 0): 1.0, (2, 1): 0.05j})
     problem = formats.problem_to_data(
         SchwarzProblem(n=2, coeff=coeff, levels=WORKED.levels))
-    grid = PolarGrid.rings(np.array([0.3, 0.5, 0.7, 0.9]), 16)
+    grid = PolarGrid((0.3, 0.5, 0.7, 0.9), np.arange(16) * (np.pi / 8))
     formats.write_values_csv(tmp_path / "samples.csv", grid,
                              np.conjugate(grid.points()))
     cases = [
@@ -352,6 +352,15 @@ def _with_exponent_past_64_bits(data):
     data["A"]["terms"][0]["m"] = "<100000000000000000000>"
 
 
+def _with_172_levels(data):
+    # level 172 would weigh f_1 by 1/171!, which passes the largest double
+    problem = data.get("problem", data)
+    problem["n"] = 172
+    problem["levels"] += [{"h": {"coeffs": [[0.0, 0.0]]}, "c": 0.0}] * 170
+    if "I" in data:  # a solution file holds one origin constant per level
+        data["I"] += [[0.0, 0.0]] * 170
+
+
 @pytest.mark.parametrize("command, corrupt", [
     ("solve", _with_nan_coefficient),
     ("solve", _with_infinite_level),
@@ -361,6 +370,8 @@ def _with_exponent_past_64_bits(data):
     ("solve", _with_400_digit_coefficient),
     ("solve", _with_exponent_of_14_tib),
     ("solve", _with_exponent_past_64_bits),
+    ("solve", _with_172_levels),
+    ("verify", _with_172_levels),
 ])
 def test_non_finite_numbers_exit_one(tmp_path, capsys, command, corrupt):
     cfg = write_problem(tmp_path / "problem.json")
@@ -589,7 +600,7 @@ def test_poisson_extension(tmp_path):
 
 
 def test_decompose_command(tmp_path):
-    grid = PolarGrid.rings(np.array([0.3, 0.5, 0.7, 0.9]), 16)
+    grid = PolarGrid((0.3, 0.5, 0.7, 0.9), np.arange(16) * (np.pi / 8))
     pts = grid.points()
     samples = tmp_path / "samples.csv"
     formats.write_values_csv(samples, grid, np.conjugate(pts) + 3 * pts ** 2)

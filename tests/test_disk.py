@@ -6,21 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import random_bivar
-from metadisk.disk import PolarGrid, RadialSequence
+from metadisk.disk import PolarGrid
 from metadisk.errors import NonFinite
 from oracles import (NonConvergent, StencilOutsideDisk, disk_quadrature,
                      wirtinger_dbar)
-
-
-def test_radial_sequence_geometric():
-    rs = RadialSequence()
-    assert len(rs) == 17
-    assert rs.radii[0] == 0.5
-    assert rs.radii[-1] == 1.0 - 2.0 ** -17
-    assert np.all(np.diff(rs.radii) > 0)
-    # each gap to 1 halves
-    gaps = 1.0 - np.asarray(rs.radii)
-    assert np.allclose(gaps[1:] / gaps[:-1], 0.5)
 
 
 def test_polar_grid_validation():
@@ -31,9 +20,9 @@ def test_polar_grid_validation():
     grid = PolarGrid.mesh(4, 8)
     assert grid.points().shape == (4, 8)
     vals = np.ones((4, 8), dtype=complex)
-    assert PolarGrid.mesh(4, 8).with_values(vals).values is not None
+    assert PolarGrid(grid.radii, grid.angles, vals).values is not None
     with pytest.raises(ValueError):
-        grid.with_values(np.ones((3, 8)))
+        PolarGrid(grid.radii, grid.angles, np.ones((3, 8)))
 
 
 @pytest.mark.parametrize("f, z, want, tol", [

@@ -17,16 +17,16 @@ from conftest import (SMALL_MEAN_FACTOR_PROBLEM, random_bivar, random_holo,
                       random_problem)
 from metadisk import formats
 from metadisk.boundary import TestFunction
-from metadisk.boundary import meta_hardy_norm
 from metadisk.disk import PolarGrid
 from metadisk.errors import NonFinite
 from metadisk.integral import PolyAnalytic
 from metadisk.meta import MetaExpr
-from metadisk.schwarz import (SchwarzProblem, SchwarzSolution,
+from metadisk.schwarz import (SchwarzProblem, SchwarzSolution, _unfold,
                               default_test_basis,
                               imag_mean_constant, solve_meta,
                               solve_poly_chain, verify_boundary_conditions,
                               verify_solution)
+from oracles import meta_hardy_norm
 
 POINTS = [0.3 + 0.2j, -0.5 + 0.1j, 0.7j, 0.25]
 
@@ -95,9 +95,30 @@ def test_chain_worked_example():
     assert defect.max_coeff() < 1e-15
     # real boundary trace of f2 is cos(theta)
     trace = f2.boundary_distribution().re_part()
-    assert trace.pair(TestFunction.cosine(1)) == pytest.approx(math.pi)
-    assert trace.pair(TestFunction.constant()) == pytest.approx(0.0)
-    assert trace.pair(TestFunction.sine(1)) == pytest.approx(0.0)
+    cos1, one, sin1 = trace.pairings((
+        TestFunction({1: 0.5, -1: 0.5}, label="cos[1]"), TestFunction.constant(),
+        TestFunction({1: -0.5j, -1: 0.5j}, label="sin[1]")))
+    assert (cos1, one, sin1) == pytest.approx((math.pi, 0.0, 0.0))
+
+
+def test_schwarz_datum_holds_the_level_constant():
+    # README's problem with s = conj(z) - z: e^s = e^{i Im s} on the circle,
+    # so f_j's constant i kappa_j adds -kappa_j sin(Im s) to the datum
+    problem = dataclasses.replace(WORKED, factor_kind="schwarz")
+    sol = solve_meta(problem)
+    re_weighted = lambda g: np.real(MetaExpr(sol.w.s, g)(
+        np.exp(1j * np.arange(4096) * (2 * math.pi / 4096))))
+    members = sol.w.poly.dbar_stack(2)[::-1]  # f_1, f_2
+    missed, stated = [], []
+    for j, (h, c) in enumerate(problem.levels):
+        unfolded = _unfold(h, members[:j])
+        kappa = c - h.coefficient(0, 0).imag  # from the data, not the solution
+        met = re_weighted(members[j])
+        missed.append(np.max(np.abs(met - re_weighted(unfolded))))
+        stated.append(np.max(np.abs(
+            met - re_weighted(unfolded + PolyAnalytic.constant(1j * kappa)))))
+    assert missed[0] == 0.0 and missed[1] == pytest.approx(2.0, abs=1e-6)
+    assert stated == [0.0, 0.0]
 
 
 def test_chain_from_top_matches_recursion():
@@ -216,8 +237,10 @@ def test_verify_constant_problem():
 
 def test_verify_worked_example_basis():
     sol = solve_meta(WORKED)
-    tests = (TestFunction.constant(), TestFunction.cosine(1),
-             TestFunction.sine(1), TestFunction.cosine(2))
+    tests = (TestFunction.constant(),
+             TestFunction({1: 0.5, -1: 0.5}, label="cos[1]"),
+             TestFunction({1: -0.5j, -1: 0.5j}, label="sin[1]"),
+             TestFunction({2: 0.5, -2: 0.5}, label="cos[2]"))
     report = verify_boundary_conditions(sol, tests=tests)
     assert report.max_residual < 1e-7
     assert np.all(report.residual < 1e-7)
@@ -267,8 +290,9 @@ def test_boundary_report_worst_names_the_corrupted_cell():
     corrupted = type(sol)(w=sol.w, chain=chain, constants=sol.constants,
                           problem=problem)
     tests = (TestFunction.constant(),
-             *(phi(m) for m in (1, 2, 3)
-               for phi in (TestFunction.cosine, TestFunction.sine)))
+             *(TestFunction(c, label=f"{name}[{m}]") for m in (1, 2, 3)
+               for name, c in (("cos", {m: 0.5, -m: 0.5}),
+                               ("sin", {m: -0.5j, -m: 0.5j}))))
     report = verify_boundary_conditions(corrupted, tests=tests)
     assert report.worst() == (1, "cos[2]")
     cos1, cos2 = report.tests.index("cos[1]"), report.tests.index("cos[2]")
@@ -340,7 +364,7 @@ def test_hardy_persistence():
     problem = random_problem(rng)
     sol = solve_meta(problem)
     for p in (1.0, 2.0):
-        assert np.isfinite(float(meta_hardy_norm(sol.w, p, problem.n)))
+        assert np.isfinite(meta_hardy_norm(sol.w, p, problem.n)[0])
 
 
 def high_degree_problem(degree):
