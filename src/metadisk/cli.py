@@ -7,15 +7,16 @@ Commands:
   poisson    boundary-data JSON -> poisson.csv (harmonic extension)
   decompose  {"order", "samples"} JSON -> decomposition.json
 
-Exit codes: 0 success, 1 malformed config or schema violation, 2 verification
-failure (the report is still written), 3 numerical non-convergence.
+Verification holds every check to its threshold in ``schwarz.CHECKS``; no
+flag changes one.  Exit codes: 0 success, 1 malformed config or schema
+violation, 2 verification failure (the report is still written) or usage
+error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -30,7 +31,7 @@ from .errors import MetadiskError, SchemaViolation
 from .integral import schwarz_pompeiu_poly, teodorescu_poly
 from .meta import poly_decompose
 from .report import Report
-from .schwarz import CHECKS, solve_meta, verify_solution
+from .schwarz import solve_meta, verify_solution
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -62,33 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
         elif name != "verify":
             cmd.add_argument("--grid", type=_parse_grid, default=(32, 64),
                              metavar="NRxNT", help="sampling grid, default 32x64")
-        if name in ("solve", "verify"):
-            cmd.add_argument("--tol", action="append", default=[],
-                             metavar="NAME=VALUE",
-                             help="override a named tolerance (repeatable)")
     return parser
 
 
 def _check_options(args: argparse.Namespace) -> None:
-    """Read ``--tol`` into a dict and ``--grid`` into its mesh; a bad value of
-    either, or a negative ``--degree``, is a ValueError before any input."""
-    tolerances = {}
-    for item in getattr(args, "tol", ()):
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
-        tolerances[name] = float(value)
+    """Read ``--grid`` into its mesh; a bad grid, or a negative ``--degree``,
+    is a ValueError before any input."""
     if "grid" in args:
         if args.grid[0] < 4:
             raise ValueError("the grid needs at least 4 radii")
         args.grid = PolarGrid.mesh(*args.grid)  # checks the angles
-    for name, value in tolerances.items():
-        if name not in CHECKS:
-            raise ValueError(f"unknown tolerance {name!r}, expected one "
-                             f"of {', '.join(sorted(CHECKS))}")
-        if not 0 < value < math.inf:  # also rejects NaN
-            raise ValueError(f"tolerance {name} must be positive and finite")
-    args.tol = tolerances
     if getattr(args, "degree", 0) < 0:
         raise ValueError("degree must be nonnegative")
 
@@ -104,7 +88,7 @@ def run_solve(args: argparse.Namespace) -> int:
     t = perf_counter()
     sol = solve_meta(problem)
     construct_s = perf_counter() - t
-    report, boundary = verify_solution(sol, thresholds=args.tol)
+    report, boundary = verify_solution(sol)
     report.timings["construct"] = construct_s
     with report.timed("write"):
         # (dbar - A)^n w = e^s dbar^n F, and dbar^n of the order-n F is zero
@@ -121,7 +105,7 @@ def run_verify(args: argparse.Namespace) -> int:
     t = perf_counter()
     sol = formats.solution_from_data(formats.load_json(args.config))
     load_s = perf_counter() - t
-    report, boundary = verify_solution(sol, thresholds=args.tol)
+    report, boundary = verify_solution(sol)
     report.timings["load"] = load_s
     args.out.mkdir(parents=True, exist_ok=True)
     _write_report(args.out, report, boundary)

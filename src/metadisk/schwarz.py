@@ -20,7 +20,7 @@ conditions, Re s = 0 on |z| = 1 for the schwarz kind, origin constants
 against the sampled boundary mean of Im h, boundary pairings of w against the
 data unfolded from h and the lower chain members over a trig test basis, the
 exact chain property, and a corrupted-solution negative control that must
-visibly fail.
+visibly fail, each against its fixed threshold in `CHECKS`.
 """
 
 from __future__ import annotations
@@ -150,11 +150,22 @@ def solve_poly_chain(problem: SchwarzProblem):
 
 def _unfold(base: PolyAnalytic, lower) -> PolyAnalytic:
     """base + sum_j -(-1)^j / j! conj(z)^j g_j, where g_j is the j-th of the
-    chain members ``lower`` counted down from the last, added from j = 1 up."""
+    chain members ``lower`` counted down from the last, added from j = 1 up.
+
+    The terms add in place into one array of zeros, so for a one-row
+    ``base`` every coefficient rounds as in a chain of padded sums, which
+    also turn a -0.0 of ``base`` into +0.0."""
+    if not lower:
+        return base
+    terms = [(0, base.c)]
     for step in range(1, len(lower) + 1):
         scale = -((-1.0) ** step) / math.factorial(step)
-        base = base + lower[-step].shifted(step, scale)
-    return base
+        terms.append((step, lower[-step].c * complex(scale)))
+    out = np.zeros((max(step + c.shape[0] for step, c in terms),
+                    max(c.shape[1] for _, c in terms)), dtype=complex)
+    for step, c in terms:
+        out[step:step + c.shape[0], :c.shape[1]] += c
+    return PolyAnalytic(out)
 
 
 def default_test_basis(problem: SchwarzProblem) -> tuple[TestFunction, ...]:
@@ -238,8 +249,8 @@ def _chain_defect(chain) -> float:
     return worst
 
 
-# name -> (factor kinds that report it, default threshold, direction a
-# value passes in); the order is the report's
+# name -> (factor kinds that report it, threshold, direction a value passes
+# in); the order is the report's
 CHECKS = {
     "pde_residual": (FACTOR_KINDS, 1e-9, "<"),
     "similarity_imag_at_origin": (("schwarz",), 1e-6, "<"),
@@ -253,31 +264,18 @@ CHECKS = {
 }
 
 
-def threshold_names(kind: str) -> list[str]:
-    """The checks ``verify_solution`` reports for a factor kind, sorted."""
-    return sorted(name for name, (kinds, _, _) in CHECKS.items()
-                  if kind in kinds)
-
-
-def verify_solution(sol: SchwarzSolution, thresholds: dict | None = None
-                    ) -> tuple[Report, BoundaryReport]:
+def verify_solution(sol: SchwarzSolution) -> tuple[Report, BoundaryReport]:
     """Run the full check battery on a solution; return its report, timed
-    stage by stage, and its boundary table.
+    stage by stage, and its boundary table.  Every check is held to its
+    threshold in :data:`CHECKS`.
 
     Works both on freshly solved problems (where the chain came from the
     recursion) and on reloaded solution files (where the chain is the shifted
     stack of the top member, making the chain check trivially exact and the boundary
-    and origin checks the live ones).  A threshold named for a check that the
-    problem's kind does not report raises ValueError before any check runs.
+    and origin checks the live ones).
     """
     problem = sol.problem
     kind = problem.factor_kind
-    thresholds = thresholds or {}
-    names = threshold_names(kind)
-    for name in thresholds:
-        if name not in names:
-            raise ValueError(f"unknown tolerance {name!r} for the {kind} "
-                             f"kind, expected one of {', '.join(names)}")
     w = sol.w
     weighted = _weighted(sol)
     report = Report()
@@ -293,12 +291,13 @@ def verify_solution(sol: SchwarzSolution, thresholds: dict | None = None
             values["similarity_re_on_circle"] = float(
                 np.max(np.abs(on_circle.real))
                 / max(1.0, np.max(np.abs(on_circle))))
-    # level n-1-k reads Im of the weighted dbar^k F at 0: scale e^s(0) > 0
-    # (s(0) is real) or 1 times the constant coefficient of dbar^k F
-    scale = finite_samples(weighted(PolyAnalytic.constant(1)),
-                           np.zeros(1, complex), "e^s")[0].real
+    # level n-1-k reads Im dbar^k F(0), the constant coefficient, against its
+    # c unscaled: e^s(0) can underflow to zero and would hide a wrong
+    # constant; it must still be finite, as it scales w at the origin
+    finite_samples(weighted(PolyAnalytic.constant(1)), np.zeros(1, complex),
+                   "e^s")
     origin = "imag_at_origin_smooth" if kind == "schwarz" else "imag_at_origin"
-    values[origin] = scale * max(
+    values[origin] = max(
         abs(member.coefficient(0, 0).imag - c) for member, (_, c)
         in zip(w.poly.dbar_stack(problem.n), problem.levels[::-1]))
     # relative to sum |a_m|, which bounds |h| on the circle and so the
@@ -315,8 +314,7 @@ def verify_solution(sol: SchwarzSolution, thresholds: dict | None = None
 
     for name, (kinds, threshold, direction) in CHECKS.items():
         if kind in kinds:
-            report.add(name, values[name], thresholds.get(name, threshold),
-                       direction)
+            report.add(name, values[name], threshold, direction)
     return report, boundary
 
 
@@ -325,7 +323,9 @@ def solve_meta(problem: SchwarzProblem) -> SchwarzSolution:
 
     The cauchy kind divides the boundary conditions by the factor; the
     schwarz kind keeps it inside them and has it real at the origin, so
-    Im((dbar - A)^k w)(0) = e^{s(0)} c_{n-1-k} with a positive scale.
+    Im((dbar - A)^k w)(0) = e^{s(0)} c_{n-1-k} with a positive scale.  Both
+    kinds' origin checks read Im dbar^k F(0) = c_{n-1-k} without that scale,
+    which can underflow to zero.
     """
     s = similarity_factor(problem.coeff, problem.factor_kind)
     chain, constants = solve_poly_chain(problem)

@@ -1,7 +1,8 @@
 """Test-only oracles: quadrature, finite-difference Wirtinger derivatives,
 the dense decomposition fit and its collocation rings, the plain derivative
 stack, the derivative matrix and the product of two such matrices, the ring
-estimators, the Poisson extension's term loop and the dict polynomial tables.
+estimators, the Poisson extension's term loop, the padded-sum unfold of a
+Schwarz level and the dict polynomial tables.
 
 Quadrature certifies the closed-form area-integral tables by an independent
 route, finite differences certify the exact d/d conj(z) of the package, the
@@ -355,6 +356,15 @@ def poisson_extend_loop(u, z):
     if out.shape == ():
         return complex(out)
     return out
+
+
+def unfold_padded(base: PolyAnalytic, lower) -> PolyAnalytic:
+    """``schwarz._unfold`` of earlier versions, bit for bit: one padded
+    PolyAnalytic sum per lower member, counted down from the last."""
+    for step in range(1, len(lower) + 1):
+        scale = -((-1.0) ** step) / math.factorial(step)
+        base = base + lower[-step].shifted(step, scale)
+    return base
 
 
 def _normalized(terms: dict) -> dict:

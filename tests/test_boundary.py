@@ -15,12 +15,11 @@ from metadisk.disk import PolarGrid
 from metadisk.errors import NonFinite
 from metadisk.integral import PolyAnalytic, similarity_factor
 from metadisk.meta import MetaExpr
-from metadisk.schwarz import (SchwarzProblem, _unfold,
-                              default_test_basis, solve_meta,
+from metadisk.schwarz import (SchwarzProblem, default_test_basis, solve_meta,
                               verify_boundary_conditions)
 from oracles import (HALF_STEP, POLE_DEPTH, POLE_N_THETA, growth_order,
                      hardy_norm, lp_boundary_convergence, meta_hardy_norm,
-                     pole, poisson_extend_loop)
+                     pole, poisson_extend_loop, unfold_padded)
 
 TWO_PI = 2.0 * math.pi
 
@@ -348,7 +347,7 @@ def _oracle_rows(sol, problem):
     lhs_poly = sol.w.poly
     for k in range(n):
         level = n - 1 - k
-        unfolded = _unfold(problem.levels[level][0], sol.chain[:level])
+        unfolded = unfold_padded(problem.levels[level][0], sol.chain[:level])
         if smooth:
             def real(g, shift=0j):
                 return _oracle_samples(

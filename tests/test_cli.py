@@ -20,7 +20,7 @@ from metadisk.cli import _parse_grid, main
 from metadisk.disk import PolarGrid
 from metadisk.errors import MetadiskError, SchemaViolation
 from metadisk.integral import PolyAnalytic
-from metadisk.schwarz import SchwarzProblem, threshold_names
+from metadisk.schwarz import CHECKS, SchwarzProblem
 
 WORKED = SchwarzProblem(
     n=2,
@@ -55,18 +55,13 @@ def _solve_error(tmp_path, capsys, *flags) -> str:
     return capsys.readouterr().err
 
 
-def test_bad_grid_or_tolerance_exits_one(tmp_path, capsys):
+def test_bad_grid_exits_one(tmp_path, capsys):
     # too few radii, and angular counts that PolarGrid rejects: odd or below 8
     assert _solve_error(tmp_path, capsys, "--grid", "2x64") == (
         "error: the grid needs at least 4 radii\n")
     for bad in ("4x6", "4x9"):
         assert _solve_error(tmp_path, capsys, "--grid", bad) == (
             "error: angular count must be even and at least 8\n")
-    for bad in ("-1.0", "nan", "inf"):
-        assert _solve_error(tmp_path, capsys, f"--tol=pde_residual={bad}") == (
-            "error: tolerance pde_residual must be positive and finite\n")
-    assert _solve_error(tmp_path, capsys, "--tol", "pde_residual").startswith(
-        "error: --tol expects NAME=VALUE")
 
 
 def test_negative_degree_exits_one(tmp_path, capsys):
@@ -74,17 +69,6 @@ def test_negative_degree_exits_one(tmp_path, capsys):
     assert main(["decompose", "--config", str(tmp_path / "x"),
                  "--degree", "-1"]) == 1
     assert capsys.readouterr().err == "error: degree must be nonnegative\n"
-
-
-def test_unknown_tolerance_name_exits_one(tmp_path, capsys):
-    assert _solve_error(tmp_path, capsys, "--tol",
-                        "quadrature=1e-8").startswith(
-        "error: unknown tolerance 'quadrature', expected one of ")
-    cfg = write_problem(tmp_path / "problem.json")
-    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run"),
-                 "--tol", "pde_residul=1e-9"])
-    assert code == 1
-    assert not (tmp_path / "run").exists()
 
 
 def test_solve_worked_example(tmp_path):
@@ -198,43 +182,43 @@ def test_verify_fails_an_extra_part_on_pde_residual(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["cauchy", "schwarz"])
-def test_every_tol_name_sets_the_check_of_that_name(tmp_path, kind):
-    names = threshold_names(kind)
-    tols = {name: (i + 1) / 1024 for i, name in enumerate(names)}
-    cfg = write_problem(tmp_path / "problem.json",
-                        dataclasses.replace(WORKED, factor_kind=kind))
-    out = tmp_path / "run"
-    assert main(["solve", "--config", str(cfg), "--out", str(out),
-                 *(f"--tol={name}={value!r}" for name, value in tols.items())]
-                ) in (0, 2)
-    checks = json.loads((out / "report.json").read_text())["checks"]
-    assert {c["name"]: c["threshold"] for c in checks} == tols
-    origin = "imag_at_origin_smooth" if kind == "schwarz" else "imag_at_origin"
-    assert origin in {c["name"] for c in checks}
-
-
-@pytest.mark.parametrize("kind, name", [
-    ("cauchy", "imag_at_origin_smooth"),
-    ("cauchy", "similarity_imag_at_origin"),
-    ("schwarz", "imag_at_origin"),
-])
-def test_tol_of_a_check_the_kind_does_not_report_exits_one(tmp_path, capsys,
-                                                            kind, name):
+def test_every_check_writes_its_pinned_threshold(tmp_path, kind):
+    pinned = {name: [threshold, direction]
+              for name, (kinds, threshold, direction) in CHECKS.items()
+              if kind in kinds}
     cfg = write_problem(tmp_path / "problem.json",
                         dataclasses.replace(WORKED, factor_kind=kind))
     assert main(["solve", "--config", str(cfg),
                  "--out", str(tmp_path / "run")]) == 0
-    listed = ", ".join(threshold_names(kind))
-    for command, config in (("solve", cfg),
-                            ("verify", tmp_path / "run" / "solution.json")):
-        out = tmp_path / command
-        capsys.readouterr()
-        assert main([command, "--config", str(config), "--out", str(out),
-                     "--tol", f"{name}=1e-30"]) == 1
-        assert capsys.readouterr().err == (
-            f"error: unknown tolerance {name!r} for the {kind} kind, "
-            f"expected one of {listed}\n")
-        assert not out.exists()
+    assert main(["verify", "--config", str(tmp_path / "run" / "solution.json"),
+                 "--out", str(tmp_path / "check")]) == 0
+    for out in ("run", "check"):
+        checks = json.loads((tmp_path / out / "report.json").read_text())[
+            "checks"]
+        assert {c["name"]: [c["threshold"], c["direction"]]
+                for c in checks} == pinned
+
+
+def test_origin_check_sees_c_where_e_s_underflows(tmp_path):
+    # s = 800(|z|^2 - 1): e^s(0) = e^-800 rounds to zero, and e^s = 1 on the
+    # circle, where Re(i c) = 0, so only the origin check can see c move
+    data = {"n": 1, "psi_kind": "schwarz",
+            "A": {"terms": [{"m": 1, "k": 0, "re": 800.0, "im": 0.0}]},
+            "levels": [{"h": {"coeffs": [[0.1, 0.0]]}, "c": 0.0}]}
+    cfg = tmp_path / "problem.json"
+    formats.save_json(cfg, data)
+    assert main(["solve", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 0
+    solution = json.loads((tmp_path / "run" / "solution.json").read_text())
+    solution["problem"]["levels"][0]["c"] = 5.0
+    moved = tmp_path / "moved.json"
+    formats.save_json(moved, solution)
+    assert main(["verify", "--config", str(moved),
+                 "--out", str(tmp_path / "check")]) == 2
+    checks = json.loads((tmp_path / "check" / "report.json").read_text())[
+        "checks"]
+    assert {c["name"]: c["value"] for c in checks if not c["passed"]} == {
+        "imag_at_origin_smooth": 5.0}
 
 
 def test_schema_violation_exits_one(tmp_path):
@@ -313,11 +297,15 @@ def test_usage_error_exits_two():
     ["decompose", "--grid", "8x8"],
     ["solve", "--radial-depth", "4"],
     ["verify", "--grid", "32x64"],
+    ["solve", "--tol", "pde_residual=1"],
+    ["verify", "--tol", "pde_residual=1"],
 ])
-def test_flags_a_command_does_not_read_exit_two(argv):
+def test_flags_a_command_does_not_read_exit_two(tmp_path, argv):
+    out = tmp_path / "run"
     with pytest.raises(SystemExit) as err:
-        main([argv[0], "--config", "x.json", *argv[1:]])
+        main([argv[0], "--config", "x.json", "--out", str(out), *argv[1:]])
     assert err.value.code == 2
+    assert not out.exists()
 
 
 def _with_nan_coefficient(data):
@@ -539,10 +527,14 @@ def test_report_holds_the_boundary_table(tmp_path):
         n=1, coeff=PolyAnalytic.zero(),
         levels=((PolyAnalytic.holomorphic((0, 0, 0, 0, 0, 1.0)), 0.0),))
     cfg = write_problem(tmp_path / "problem.json", problem)
-    out = tmp_path / "run"
-    # a failing report is written too: the control moves by 0.1 * 2 pi
-    assert main(["solve", "--config", str(cfg), "--out", str(out),
-                 "--tol", "negative_control=1"]) == 2
+    run, out = tmp_path / "run", tmp_path / "check"
+    assert main(["solve", "--config", str(cfg), "--out", str(run)]) == 0
+    # a failing report is written too: Re w moves by 0.5 on the circle
+    solution = json.loads((run / "solution.json").read_text())
+    solution["parts"][-1]["coeffs"][0][0] += 0.5
+    bad = tmp_path / "bad.json"
+    formats.save_json(bad, solution)
+    assert main(["verify", "--config", str(bad), "--out", str(out)]) == 2
     text = (out / "report.json").read_text()
     report = json.loads(text)
     assert text == json.dumps(report, sort_keys=True,
@@ -558,7 +550,7 @@ def test_report_holds_the_boundary_table(tmp_path):
         [abs(complex(*lhs) - complex(*rhs)) for lhs, rhs in zip(*level)]
         for level in zip(table["lhs"], table["rhs"])]
     checks = {c["name"]: c for c in report["checks"]}
-    assert not checks["negative_control"]["passed"]
+    assert not checks["boundary_pairing_max"]["passed"]
 
 
 def test_transform_teodorescu(tmp_path):
