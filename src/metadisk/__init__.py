@@ -14,11 +14,10 @@ _EXPORTS = {
     "integral": ("PolyAnalytic", "schwarz_pompeiu_poly", "similarity_factor",
                  "teodorescu_poly"),
     "meta": ("DecompositionFit", "MetaExpr", "pde_residual", "poly_decompose"),
-    "report": ("Check", "Report"),
-    "schwarz": ("BoundaryReport", "SchwarzProblem", "SchwarzSolution",
-                "default_test_basis", "imag_mean_constant", "solve_meta",
-                "solve_poly_chain", "verify_boundary_conditions",
-                "verify_solution"),
+    "report": ("BoundaryReport", "Check", "Report"),
+    "schwarz": ("SchwarzProblem", "SchwarzSolution", "default_test_basis",
+                "imag_mean_constant", "solve_meta", "solve_poly_chain",
+                "verify_boundary_conditions", "verify_solution"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

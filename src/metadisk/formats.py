@@ -35,8 +35,7 @@ from .disk import PolarGrid
 from .errors import SchemaViolation
 from .integral import PolyAnalytic, similarity_factor
 from .meta import MetaExpr
-from .schwarz import (FACTOR_KINDS, BoundaryReport, SchwarzProblem,
-                      SchwarzSolution)
+from .schwarz import FACTOR_KINDS, SchwarzProblem, SchwarzSolution
 
 COMPLEX_PAIR = {
     "type": "array",
@@ -363,14 +362,6 @@ def solution_from_data(data: dict) -> SchwarzSolution:
     constants = tuple(pair_complex(v) for v in data["I"])
     return SchwarzSolution(w, w.poly.dbar_stack(problem.n)[::-1], constants,
                            problem)
-
-
-def boundary_to_data(boundary: BoundaryReport) -> dict:
-    """The test labels once, then each (level x test) array nested by level."""
-    return {"tests": list(boundary.tests),
-            "lhs": boundary.lhs[..., None].view(float).tolist(),
-            "rhs": boundary.rhs[..., None].view(float).tolist(),
-            "residual": boundary.residual.tolist()}
 
 
 def save_json(path, data, indent: int | None = 2) -> None:

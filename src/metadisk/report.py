@@ -1,10 +1,13 @@
-"""Verification reports: named checks with thresholds and timings."""
+"""Verification reports: named checks with thresholds and timings, and the
+boundary table."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -25,10 +28,41 @@ class Check:
         return self.value > self.threshold
 
 
+@dataclass(frozen=True, eq=False)
+class BoundaryReport:
+    """Both sides of every boundary condition paired with every test.
+
+    Each array has one row per level k and one column per test label.
+    """
+
+    tests: tuple[str, ...]
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+    @property
+    def residual(self) -> np.ndarray:
+        """|lhs - rhs| by libm's hypot, as Python's abs of a complex takes it;
+        np.abs of a complex array can differ from that in the last bit."""
+        gap = self.lhs - self.rhs
+        return np.hypot(gap.real, gap.imag)
+
+    @property
+    def max_residual(self) -> float:
+        return float(self.residual.max(initial=0.0))
+
+    def worst(self) -> tuple[int, str]:
+        """(level, test label) of the largest residual."""
+        k, j = np.unravel_index(np.argmax(self.residual), self.lhs.shape)
+        return int(k), self.tests[j]
+
+
 @dataclass
 class Report:
+    """One verification; ``schwarz.verify_solution`` sets every field."""
+
     checks: list[Check] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
+    boundary: BoundaryReport | None = None
 
     def add(self, name: str, value: float, threshold: float,
             direction: str = "<") -> Check:
@@ -55,6 +89,8 @@ class Report:
         return all(check.passed for check in self.checks)
 
     def to_dict(self) -> dict:
+        """All of report.json; the boundary arrays are nested by level."""
+        boundary = self.boundary
         return {
             "checks": [
                 {
@@ -68,4 +104,10 @@ class Report:
             ],
             "timings": dict(sorted(self.timings.items())),
             "overall_pass": self.overall_pass,
+            "boundary": {
+                "tests": list(boundary.tests),
+                "lhs": boundary.lhs[..., None].view(float).tolist(),
+                "rhs": boundary.rhs[..., None].view(float).tolist(),
+                "residual": boundary.residual.tolist(),
+            },
         }

@@ -15,12 +15,13 @@ inside the conditions and needs s real at the origin.  The schwarz datum
 that the solution meets is Re(e^{s} (h_j + sum ... + i(c_j - Im a_0(h_j))))
 on |z| = 1, where e^{s} = e^{i Im s}, so c_j moves it.
 
-`verify_solution` checks a solution, fresh or reloaded: PDE residual, origin
-conditions, Re s = 0 on |z| = 1 for the schwarz kind, origin constants
-against the sampled boundary mean of Im h, boundary pairings of w against the
-data unfolded from h and the lower chain members over a trig test basis, the
-exact chain property, and a corrupted-solution negative control that must
-visibly fail, each against its fixed threshold in `CHECKS`.
+`verify_solution` checks a solution, fresh or reloaded, and returns one
+report: PDE residual, origin conditions, Re s = 0 on |z| = 1 for the schwarz
+kind, origin constants against the sampled boundary mean of Im h, boundary
+pairings of w against each level's datum over the fixed harmonic test basis,
+the exact chain property, and a corrupted-solution negative control that must
+visibly fail, each against its fixed threshold in `CHECKS`; the boundary
+table rides in the report as `report.boundary`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .boundary import (TestFunction, alias_free_n_theta, circle_pairings,
 from .errors import NonFinite
 from .integral import PolyAnalytic, similarity_factor
 from .meta import MetaExpr, pde_residual
-from .report import Report
+from .report import BoundaryReport, Report
 
 FACTOR_KINDS = ("cauchy", "schwarz")
 
@@ -77,34 +78,6 @@ class SchwarzProblem:
     @property
     def max_data_degree(self) -> int:
         return max(h.degree for h, _ in self.levels)
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryReport:
-    """Both sides of every boundary condition paired with every test.
-
-    Each array has one row per level k and one column per test label.
-    """
-
-    tests: tuple[str, ...]
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def residual(self) -> np.ndarray:
-        """|lhs - rhs| by libm's hypot, as Python's abs of a complex takes it;
-        np.abs of a complex array can differ from that in the last bit."""
-        gap = self.lhs - self.rhs
-        return np.hypot(gap.real, gap.imag)
-
-    @property
-    def max_residual(self) -> float:
-        return float(self.residual.max(initial=0.0))
-
-    def worst(self) -> tuple[int, str]:
-        """(level, test label) of the largest residual."""
-        k, j = np.unravel_index(np.argmax(self.residual), self.lhs.shape)
-        return int(k), self.tests[j]
 
 
 @dataclass(frozen=True)
@@ -200,26 +173,26 @@ def _weighted(sol: SchwarzSolution):
     return lambda g: MetaExpr(sol.w.s, g)
 
 
-def verify_boundary_conditions(sol: SchwarzSolution, tests=None
-                               ) -> BoundaryReport:
+def verify_boundary_conditions(sol: SchwarzSolution) -> BoundaryReport:
     """Pair both sides of every boundary condition of ``sol.problem`` against
-    the test basis.
+    the harmonics of :func:`default_test_basis`, whose cells give, by
+    linearity, the pairing with any trigonometric test they span.
 
     The left side samples dbar^k of w's polynomial and the right side pairs
-    the data, re-assembled from h, the lower chain members and the level's
-    constant i(c - Im a_0), each weighted by :func:`_weighted`.  Each
-    sampled function is evaluated once on its alias-free circle and paired
-    with every test at once.  Level k's arrays are row k of the table.
+    the level's datum, unfolded as the solver unfolds it, each weighted by
+    :func:`_weighted`.  Each sampled function is evaluated once on its
+    alias-free circle and paired with every test at once.  Level k's arrays
+    are row k of the table.
     """
     problem = sol.problem
-    tests = tuple(tests) if tests is not None else default_test_basis(problem)
+    tests = default_test_basis(problem)
     weighted = _weighted(sol)
     levels = []
     for k, lhs_poly in enumerate(sol.w.poly.dbar_stack(problem.n)):
         level = problem.n - 1 - k
         h, c = problem.levels[level]
-        data = _unfold(h, sol.chain[:level]) + PolyAnalytic.constant(
-            1j * c - sol.constants[level])
+        data = _unfold(h + PolyAnalytic.constant(
+            1j * c - sol.constants[level]), sol.chain[:level])
         levels.append((_sampled_pairings(weighted(lhs_poly), tests),
                        _trace_pairings(weighted(data), tests)))
     return BoundaryReport(tuple(phi.label for phi in tests),
@@ -264,10 +237,10 @@ CHECKS = {
 }
 
 
-def verify_solution(sol: SchwarzSolution) -> tuple[Report, BoundaryReport]:
-    """Run the full check battery on a solution; return its report, timed
-    stage by stage, and its boundary table.  Every check is held to its
-    threshold in :data:`CHECKS`.
+def verify_solution(sol: SchwarzSolution) -> Report:
+    """Run the full check battery on a solution and return one report: the
+    checks, each held to its threshold in :data:`CHECKS`, the stage timings
+    and the table of :func:`verify_boundary_conditions` as ``.boundary``.
 
     Works both on freshly solved problems (where the chain came from the
     recursion) and on reloaded solution files (where the chain is the shifted
@@ -287,10 +260,11 @@ def verify_solution(sol: SchwarzSolution) -> tuple[Report, BoundaryReport]:
         values["similarity_imag_at_origin"] = abs(w.s.coefficient(0, 0).imag)
         on_circle = ring_samples(w.s.monomial_sum, (1.0,),
                                  alias_free_n_theta(w.s.max_frequency))[0]
-        with np.errstate(all="ignore"):  # |s| past the largest double
+        # over sum |coefficients of s|, the scale its rounding grows with
+        with np.errstate(all="ignore"):  # sums past the largest double
             values["similarity_re_on_circle"] = float(
                 np.max(np.abs(on_circle.real))
-                / max(1.0, np.max(np.abs(on_circle))))
+                / max(1.0, float(np.abs(w.s.c).sum())))
     # level n-1-k reads Im dbar^k F(0), the constant coefficient, against its
     # c unscaled: e^s(0) can underflow to zero and would hide a wrong
     # constant; it must still be finite, as it scales w at the origin
@@ -306,8 +280,8 @@ def verify_solution(sol: SchwarzSolution) -> tuple[Report, BoundaryReport]:
         abs(const - imag_mean_constant(h)) / max(1.0, float(np.abs(h.c).sum()))
         for const, (h, _) in zip(sol.constants, problem.levels))
     with report.timed("boundary"):
-        boundary = verify_boundary_conditions(sol)
-        values["boundary_pairing_max"] = boundary.max_residual
+        report.boundary = verify_boundary_conditions(sol)
+        values["boundary_pairing_max"] = report.boundary.max_residual
     values["chain_derivative"] = _chain_defect(sol.chain)
     with report.timed("negative_control"):
         values["negative_control"] = _negative_control(weighted(w.poly))
@@ -315,7 +289,7 @@ def verify_solution(sol: SchwarzSolution) -> tuple[Report, BoundaryReport]:
     for name, (kinds, threshold, direction) in CHECKS.items():
         if kind in kinds:
             report.add(name, values[name], threshold, direction)
-    return report, boundary
+    return report
 
 
 def solve_meta(problem: SchwarzProblem) -> SchwarzSolution:

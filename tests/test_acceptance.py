@@ -131,7 +131,7 @@ def test_criterion_5_schwarz_chain(batch):
     worst_chain = worst_imag = worst_pair = 0.0
     weakest_control = math.inf
     for problem, sol in batch:
-        report, _ = verify_solution(sol)
+        report = verify_solution(sol)
         worst_chain = max(worst_chain, report["chain_derivative"].value)
         worst_imag = max(worst_imag, report["imag_at_origin"].value)
         worst_pair = max(worst_pair, report["boundary_pairing_max"].value)

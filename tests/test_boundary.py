@@ -404,8 +404,12 @@ def test_spectral_rows_match_scalar_oracle():
 @pytest.mark.parametrize("kind", ["cauchy", "schwarz"])
 def test_verify_evaluations_do_not_grow_with_the_basis(kind, monkeypatch):
     rng = np.random.default_rng(13)
-    problem = random_problem(rng, n_max=3, factor_kind=kind)
-    sol = solve_meta(problem)
+    problem = random_problem(rng, n_max=3, data_degree=4, factor_kind=kind)
+    # the same n and coefficient with data of degree 60
+    wide = SchwarzProblem(n=problem.n, coeff=problem.coeff,
+                          levels=tuple((random_holo(rng, 60), c)
+                                       for _, c in problem.levels),
+                          factor_kind=kind)
     counts = {"poly": 0, "factor": 0}
 
     def counting(method, key):
@@ -419,10 +423,10 @@ def test_verify_evaluations_do_not_grow_with_the_basis(kind, monkeypatch):
     counting("__call__", "poly")
     counting("monomial_sum", "factor")  # the exponent's evaluations
     seen = []
-    for top in (8, 120):  # 17 and 241 test functions
-        tests = tuple(TestFunction.harmonic(m) for m in range(-top, top + 1))
+    for data, width in ((problem, 17), (wide, 241)):
+        sol = solve_meta(data)
         counts.update(poly=0, factor=0)
-        verify_boundary_conditions(sol, tests=tests)
+        assert len(verify_boundary_conditions(sol).tests) == width
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     # one evaluation per sampled function: the left side of each level, and

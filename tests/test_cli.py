@@ -221,6 +221,24 @@ def test_origin_check_sees_c_where_e_s_underflows(tmp_path):
         "imag_at_origin_smooth": 5.0}
 
 
+def test_re_s_on_the_circle_is_relative_to_the_coefficients_of_s(tmp_path):
+    # s = 20000(|z|^2 - 1) is about 0 on the circle, where its samples round
+    # with its coefficients: divided by max(1, max |s| there) it reads 3.6e-12
+    data = {"n": 1, "psi_kind": "schwarz",
+            "A": {"terms": [{"m": 1, "k": 0, "re": 20000.0, "im": 0.0}]},
+            "levels": [{"h": {"coeffs": [[0.1, 0.0]]}, "c": 0.0}]}
+    cfg = tmp_path / "problem.json"
+    formats.save_json(cfg, data)
+    run, check = tmp_path / "run", tmp_path / "check"
+    assert main(["solve", "--config", str(cfg), "--out", str(run)]) == 0
+    assert main(["verify", "--config", str(run / "solution.json"),
+                 "--out", str(check)]) == 0
+    for out in (run, check):
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        values = {c["name"]: c["value"] for c in checks}
+        assert values["similarity_re_on_circle"] < 1e-15
+
+
 def test_schema_violation_exits_one(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text(json.dumps({"n": 1, "psi_kind": "cauchy", "levels": []}))

@@ -22,6 +22,7 @@ from metadisk.disk import PolarGrid
 from metadisk.errors import NonFinite
 from metadisk.integral import PolyAnalytic
 from metadisk.meta import MetaExpr
+from metadisk.report import BoundaryReport, Report
 from metadisk.schwarz import (SchwarzProblem, SchwarzSolution, _unfold,
                               default_test_basis,
                               imag_mean_constant, solve_meta,
@@ -153,7 +154,7 @@ def test_the_largest_order_solves_and_verifies():
     # 171 zero levels: each level unfolds up to 170 lower members
     problem = SchwarzProblem(n=171, coeff=PolyAnalytic.zero(),
                              levels=((PolyAnalytic.zero(), 0.0),) * 171)
-    report, _ = verify_solution(solve_meta(problem))
+    report = verify_solution(solve_meta(problem))
     assert report.overall_pass
 
 
@@ -181,7 +182,7 @@ def test_solve_meta_zero_coeff_reduces_to_chain():
 
 def test_solve_meta_worked_example():
     sol = solve_meta(WORKED)
-    assert verify_solution(sol)[0].overall_pass
+    assert verify_solution(sol).overall_pass
     for z in POINTS:
         want = np.exp(np.conjugate(z)) * (2.0j + np.conjugate(z))
         assert sol.w(z) == pytest.approx(want)
@@ -223,7 +224,7 @@ def test_smooth_variant_single_level():
     problem = constant_problem(c=1.0, coeff=PolyAnalytic.constant(1.0),
                                kind="schwarz")
     sol = solve_meta(problem)
-    assert verify_solution(sol)[0].overall_pass
+    assert verify_solution(sol).overall_pass
     scale = cmath.exp(sol.w.s.coefficient(0, 0))
     assert scale.imag == pytest.approx(0.0, abs=1e-12)
     assert scale.real > 0
@@ -239,13 +240,13 @@ def test_re_s_on_the_circle_fails_a_perturbed_exponent(seed):
     problem = random_problem(np.random.default_rng(seed), coeff_degree=3,
                              factor_kind="schwarz")
     sol = solve_meta(problem)
-    check = verify_solution(sol)[0]["similarity_re_on_circle"]
+    check = verify_solution(sol)["similarity_re_on_circle"]
     assert check.passed and check.value < 1e-15
     bent = sol.w.s + PolyAnalytic.holomorphic((0.0, 1e-6))
     bad = SchwarzSolution(MetaExpr(bent, sol.w.poly), sol.chain, sol.constants,
                           problem)
-    report, _ = verify_solution(bad)
-    # |s| < 1 on the circle here, so the divisor max(1, max |s|) is 1
+    report = verify_solution(bad)
+    # s's coefficient sizes sum below 1 here, so the divisor is 1
     assert report["similarity_re_on_circle"].value == pytest.approx(1e-6,
                                                                     rel=1e-6)
     # no other check sees the bent exponent
@@ -267,17 +268,17 @@ def test_smooth_variant_origin_ratio_uniform():
 
 def test_verify_constant_problem():
     sol = solve_meta(constant_problem())
-    report = verify_boundary_conditions(sol, tests=(TestFunction.constant(),))
-    assert report.max_residual < 1e-10
+    report = verify_boundary_conditions(sol)
+    assert report.tests == tuple(phi.label
+                                 for phi in default_test_basis(sol.problem))
+    assert report.residual.shape == (1, 17)
+    assert np.all(report.residual < 1e-10)
 
 
 def test_verify_worked_example_basis():
     sol = solve_meta(WORKED)
-    tests = (TestFunction.constant(),
-             TestFunction({1: 0.5, -1: 0.5}, label="cos[1]"),
-             TestFunction({1: -0.5j, -1: 0.5j}, label="sin[1]"),
-             TestFunction({2: 0.5, -2: 0.5}, label="cos[2]"))
-    report = verify_boundary_conditions(sol, tests=tests)
+    report = verify_boundary_conditions(sol)
+    assert report.residual.shape == (2, 17)
     assert report.max_residual < 1e-7
     assert np.all(report.residual < 1e-7)
 
@@ -314,7 +315,8 @@ def test_verify_detects_corruption():
 def test_boundary_report_worst_names_the_corrupted_cell():
     # w is kept, so only the data unfolded from the lowest member moves: a
     # bump eps z^3 reaches level 1 as conj(z) eps z^3, which is eps z^2 on
-    # the circle, and level 0 as -conj(z)^2 eps z^3 / 2, which is -eps z / 2
+    # the circle, and level 0 as -conj(z)^2 eps z^3 / 2, which is -eps z / 2;
+    # their real parts pair with harmonic[+-2] and harmonic[+-1]
     rng = np.random.default_rng(107)
     problem = SchwarzProblem(
         n=3, coeff=random_bivar(rng, 2),
@@ -325,18 +327,14 @@ def test_boundary_report_worst_names_the_corrupted_cell():
              *sol.chain[1:])
     corrupted = type(sol)(w=sol.w, chain=chain, constants=sol.constants,
                           problem=problem)
-    tests = (TestFunction.constant(),
-             *(TestFunction(c, label=f"{name}[{m}]") for m in (1, 2, 3)
-               for name, c in (("cos", {m: 0.5, -m: 0.5}),
-                               ("sin", {m: -0.5j, -m: 0.5j}))))
-    report = verify_boundary_conditions(corrupted, tests=tests)
-    assert report.worst() == (1, "cos[2]")
-    cos1, cos2 = report.tests.index("cos[1]"), report.tests.index("cos[2]")
-    assert report.residual[1, cos2] == pytest.approx(math.pi * eps, rel=1e-9)
-    assert report.residual[0, cos1] == pytest.approx(math.pi * eps / 2,
-                                                     rel=1e-9)
+    report = verify_boundary_conditions(corrupted)
+    assert report.worst() in ((1, "harmonic[-2]"), (1, "harmonic[2]"))
     rest = report.residual.copy()
-    rest[1, cos2] = rest[0, cos1] = 0.0
+    for k, m, want in ((1, 2, math.pi * eps), (0, 1, math.pi * eps / 2)):
+        for label in (f"harmonic[{-m}]", f"harmonic[{m}]"):
+            j = report.tests.index(label)
+            assert report.residual[k, j] == pytest.approx(want, rel=1e-9)
+            rest[k, j] = 0.0
     assert rest.max() < 1e-9
 
 
@@ -344,13 +342,25 @@ def test_verify_solution_full_battery():
     rng = np.random.default_rng(79)
     problem = random_problem(rng)
     sol = solve_meta(problem)
-    report, _ = verify_solution(sol)
+    report = verify_solution(sol)
     names = {c.name for c in report.checks}
     assert {"pde_residual", "imag_at_origin", "origin_constants",
             "boundary_pairing_max", "chain_derivative",
             "negative_control"} <= names
     assert report.overall_pass
     assert report["negative_control"].value > 1e-3
+
+
+def test_verify_solution_returns_one_report_holding_the_table():
+    sol = solve_meta(WORKED)
+    report = verify_solution(sol)
+    assert isinstance(report, Report)
+    assert isinstance(report.boundary, BoundaryReport)
+    assert report.boundary.tests == verify_boundary_conditions(sol).tests
+    assert report["boundary_pairing_max"].value == report.boundary.max_residual
+    assert report.to_dict()["boundary"]["tests"] == list(report.boundary.tests)
+    with pytest.raises(TypeError):
+        verify_boundary_conditions(sol, tests=(TestFunction.constant(),))
 
 
 @pytest.mark.parametrize("kind, failed", [
@@ -361,7 +371,7 @@ def test_origin_checks_read_w_not_the_chain(kind, failed):
     # F shifted by 1e-6 i, the chain of the solve kept: only w moves
     sol = solve_meta(dataclasses.replace(WORKED, factor_kind=kind))
     w = MetaExpr(sol.w.s, sol.w.poly + PolyAnalytic.constant(1e-6j))
-    report, _ = verify_solution(
+    report = verify_solution(
         SchwarzSolution(w, sol.chain, sol.constants, sol.problem))
     assert {c.name for c in report.checks if not c.passed} == failed
 
@@ -377,7 +387,7 @@ def test_negative_control_moves_by_a_tenth_of_two_pi_on_both_kinds():
                                                 coeff=problem.coeff.scale(5.0)))
     assert {p.factor_kind for p in problems} == {"cauchy", "schwarz"}
     for problem in problems:
-        report, _ = verify_solution(solve_meta(problem))
+        report = verify_solution(solve_meta(problem))
         assert report["negative_control"].value == pytest.approx(
             0.2 * math.pi, rel=1e-12, abs=0.0)
 
@@ -411,7 +421,7 @@ def test_angular_grid_follows_the_test_basis(degree):
     # -180 aliased onto the data and an exact solution failed verification
     problem = high_degree_problem(degree)
     sol = solve_meta(problem)
-    report, _ = verify_solution(sol)
+    report = verify_solution(sol)
     assert report["boundary_pairing_max"].value < 1e-12
     assert report.overall_pass
 
@@ -427,12 +437,12 @@ def test_chain_derivative_is_relative_to_the_chain(kind):
                    for _ in range(6))
     sol = solve_meta(SchwarzProblem(n=6, coeff=coeff, levels=levels,
                                     factor_kind=kind))
-    report, _ = verify_solution(sol)
+    report = verify_solution(sol)
     assert report["chain_derivative"].value < 1e-15
     assert report.overall_pass
     # one member off by a relative 1e-9 still fails
     chain = list(sol.chain)
     chain[2] = chain[2].scale(1.0 + 1e-9)
-    bad, _ = verify_solution(SchwarzSolution(sol.w, tuple(chain),
-                                             sol.constants, sol.problem))
+    bad = verify_solution(SchwarzSolution(sol.w, tuple(chain),
+                                          sol.constants, sol.problem))
     assert not bad["chain_derivative"].passed
