@@ -7,17 +7,16 @@ runs the command line with the collector off.
 """
 
 _EXPORTS = {
-    "boundary": ("BoundaryDistribution", "TestFunction", "circle_pairings",
-                 "poisson_extend"),
+    "boundary": ("BoundaryDistribution", "circle_pairings", "poisson_extend"),
     "disk": ("PolarGrid",),
     "errors": ("IllConditioned", "MetadiskError", "NonFinite"),
     "integral": ("PolyAnalytic", "schwarz_pompeiu_poly", "similarity_factor",
                  "teodorescu_poly"),
     "meta": ("DecompositionFit", "MetaExpr", "pde_residual", "poly_decompose"),
     "report": ("BoundaryReport", "Check", "Report"),
-    "schwarz": ("SchwarzProblem", "SchwarzSolution", "default_test_basis",
-                "imag_mean_constant", "solve_meta", "solve_poly_chain",
-                "verify_boundary_conditions", "verify_solution"),
+    "schwarz": ("SchwarzProblem", "SchwarzSolution", "imag_mean_constant",
+                "solve_meta", "solve_poly_chain", "verify_boundary_conditions",
+                "verify_solution"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -5,6 +5,12 @@ Int f(r e^{i theta}) phi(theta) d theta -> <u, phi> as r -> 1 for every test
 function phi; all pairings here use the plain d theta measure with no
 conjugation and no 2 pi normalization.  For a function continuous on the
 closed disk the limit is the pairing of its restriction to |z| = 1.
+
+A distribution on the circle is known by its Fourier coefficients, so a
+pairing is a band of cells, one per harmonic e^{i m theta} with |m| <= top:
+exact from Fourier data (`BoundaryDistribution.pairings`), or sampled from a
+function on the circle (`circle_pairings`).  A trigonometric test
+sum b_m e^{i m theta} pairs as sum b_m times the cells of its harmonics.
 """
 
 from __future__ import annotations
@@ -18,29 +24,19 @@ DEFAULT_N_THETA = 256
 
 
 class BoundaryDistribution:
-    """Finite Fourier data sum c_n e^{i n theta}: a trigonometric test function
-    or the boundary distribution it defines; both names bind this class.
+    """Finite Fourier data sum c_n e^{i n theta} on the circle, the boundary
+    distribution it defines.
 
-    Pairing with phi = sum b_m e^{i m theta} is
-    <u, phi> = sum_n c_n Int e^{i n theta} phi d theta = 2 pi sum_n c_n b_{-n}.
+    A distribution is known by its Fourier coefficients: its pairing with
+    e^{i m theta} is 2 pi c_{-m}, and by linearity those cells give its
+    pairing with every trigonometric test.
     """
 
-    __slots__ = ("_coeffs", "label", "max_frequency")
-    __test__ = False  # not a pytest case despite the name TestFunction
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs=None, label: str = ""):
+    def __init__(self, coeffs=None):
         self._coeffs = {int(n): complex(c)
                         for n, c in dict(coeffs or {}).items() if complex(c) != 0}
-        self.label = label or f"trig{sorted(self._coeffs)}"
-        self.max_frequency = max(map(abs, self._coeffs), default=0)
-
-    @classmethod
-    def constant(cls, value=1.0) -> "TestFunction":
-        return cls({0: value}, label="1")
-
-    @classmethod
-    def harmonic(cls, m: int) -> "TestFunction":
-        return cls({m: 1.0}, label=f"harmonic[{m}]")
 
     @property
     def coeffs(self) -> dict[int, complex]:
@@ -49,15 +45,6 @@ class BoundaryDistribution:
     def coefficient(self, n: int) -> complex:
         return self._coeffs.get(n, 0j)
 
-    def __call__(self, theta):
-        arr = np.asarray(theta, dtype=float)
-        out = np.zeros(arr.shape, dtype=complex)
-        for m, c in sorted(self._coeffs.items()):
-            out = out + c * np.exp(1j * m * arr)
-        if out.shape == ():
-            return complex(out)
-        return out
-
     def re_part(self) -> "BoundaryDistribution":
         freqs = set(self._coeffs) | {-n for n in self._coeffs}
         return BoundaryDistribution({
@@ -65,25 +52,13 @@ class BoundaryDistribution:
             for n in freqs
         })
 
-    def pairings(self, tests) -> np.ndarray:
-        """<self, phi> for every test, gathered by :func:`pair_spectrum`.
-
-        The row r[-n mod N] = 2 pi c_n stands in for a ring spectrum; with N
-        from alias_free_n_theta(top frequency of self plus the tests') the
-        column a test term b_m reads holds 2 pi c_{-m} alone.
-        """
-        n_theta = alias_free_n_theta(self.max_frequency + max(
-            (phi.max_frequency for phi in tests), default=0))
-        row = np.zeros(n_theta, dtype=complex)
-        freqs = np.array(list(self._coeffs), dtype=int)
-        row[-freqs % n_theta] = TWO_PI * np.array(list(self._coeffs.values()))
-        return pair_spectrum(row, tests)
+    def pairings(self, top: int) -> np.ndarray:
+        """<self, e^{i m theta}> = 2 pi c_{-m} for m = -top..top."""
+        return TWO_PI * np.array([self.coefficient(-m)
+                                  for m in range(-top, top + 1)])
 
     def __repr__(self):
         return f"BoundaryDistribution({self._coeffs!r})"
-
-
-TestFunction = BoundaryDistribution
 
 
 def alias_free_n_theta(max_frequency: int) -> int:
@@ -115,41 +90,26 @@ def ring_samples(f, radii, n_theta: int) -> np.ndarray:
     return np.broadcast_to(finite_samples(f, z, "ring sample"), z.shape)
 
 
-def pair_spectrum(spectrum: np.ndarray, tests) -> np.ndarray:
-    """Ring integrals of f phi, one per test, from f's ring spectrum.
-
-    Column m mod n_theta of ``spectrum`` holds Int f e^{i m theta} d theta; a
-    test sum b_m e^{i m theta} gathers sum b_m times those columns.
-    """
-    terms = [(t, m, b) for t, phi in enumerate(tests)
-             for m, b in phi._coeffs.items()]
-    out = np.zeros(spectrum.shape[:-1] + (len(tests),), dtype=complex)
-    if terms:
-        index, columns, weights = (np.array(v) for v in zip(*terms))
-        gathered = spectrum[..., columns % spectrum.shape[-1]] * weights
-        np.add.at(out, (..., index), gathered)
-    return out
-
-
-def circle_pairings(f, tests, n_theta: int = DEFAULT_N_THETA) -> np.ndarray:
-    """Pairings Int f(e^{i theta}) phi(theta) d theta of f's trace on |z| = 1
-    with every test.
+def circle_pairings(f, top: int, n_theta: int = DEFAULT_N_THETA) -> np.ndarray:
+    """Pairings Int f(e^{i theta}) e^{i m theta} d theta of f's trace on
+    |z| = 1 for m = -top..top, the cells of :meth:`BoundaryDistribution.pairings`.
 
     Every function the solver pairs is a polynomial in (z, conj z), times e^s
     for the schwarz kind: continuous on the closed disk, so its boundary
     value in the sense of distributions is its restriction to the circle.
     The trapezoid rule on the circle (spectrally accurate for periodic
-    integrands) is its DFT, so one inverse FFT gives Int f e^{i m theta} for
-    every m.  ``np.fft`` is reached at call time: numpy imports it lazily.
-    Raises NonFinite if a sample, or the spectrum of finite samples, is not
-    finite.
+    integrands) is its DFT, so the cells are a slice of one inverse FFT,
+    column m mod n_theta for m.  With n_theta above f's top frequency plus
+    top, each cell's sum is exact even where two cells share a column.
+    ``np.fft`` is reached at call time: numpy imports it lazily.  Raises
+    NonFinite if a sample, or the spectrum of finite samples, is not finite.
     """
     samples = ring_samples(f, (1.0,), n_theta)[0]
     with np.errstate(all="ignore"):
         spectrum = TWO_PI * np.fft.ifft(samples)
     if not np.all(np.isfinite(spectrum)):
         raise NonFinite("the spectrum of the unit circle samples is not finite")
-    return pair_spectrum(spectrum, tests)
+    return spectrum[np.arange(-top, top + 1) % n_theta]
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,9 +30,11 @@ class Check:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryReport:
-    """Both sides of every boundary condition paired with every test.
+    """Both sides of every boundary condition paired with each harmonic
+    e^{i m theta} of a band |m| <= top.
 
-    Each array has one row per level k and one column per test label.
+    Each array has one row per level k and one column per harmonic, whose
+    label ``harmonic[m]`` is in ``tests``.
     """
 
     tests: tuple[str, ...]

@@ -18,10 +18,11 @@ on |z| = 1, where e^{s} = e^{i Im s}, so c_j moves it.
 `verify_solution` checks a solution, fresh or reloaded, and returns one
 report: PDE residual, origin conditions, Re s = 0 on |z| = 1 for the schwarz
 kind, origin constants against the sampled boundary mean of Im h, boundary
-pairings of w against each level's datum over the fixed harmonic test basis,
-the exact chain property, and a corrupted-solution negative control that must
-visibly fail, each against its fixed threshold in `CHECKS`; the boundary
-table rides in the report as `report.boundary`.
+pairings of w against each level's datum over a band of harmonics that
+covers every frequency of both sides, the exact chain property, and a
+corrupted-solution negative control that must visibly fail, each against its
+fixed threshold in `CHECKS`; the boundary table rides in the report as
+`report.boundary`.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (TestFunction, alias_free_n_theta, circle_pairings,
-                       finite_samples, ring_samples)
+from .boundary import (alias_free_n_theta, circle_pairings, finite_samples,
+                       ring_samples)
 from .errors import NonFinite
 from .integral import PolyAnalytic, similarity_factor
 from .meta import MetaExpr, pde_residual
@@ -141,27 +142,23 @@ def _unfold(base: PolyAnalytic, lower) -> PolyAnalytic:
     return PolyAnalytic(out)
 
 
-def default_test_basis(problem: SchwarzProblem) -> tuple[TestFunction, ...]:
-    """Harmonics e^{im theta} up to twice the data degree (at least 8)."""
-    top = max(8, 2 * problem.max_data_degree)
-    return tuple(TestFunction.harmonic(m) for m in range(-top, top + 1))
-
-
-def _sampled_pairings(w: PolyAnalytic | MetaExpr, tests, shift: float = 0.0):
-    """Circle pairings of Re w + shift, w evaluated as it is, on a grid
-    resolving its polynomial's frequencies plus the tests'."""
+def _sampled_pairings(w: PolyAnalytic | MetaExpr, top: int,
+                      shift: float = 0.0) -> np.ndarray:
+    """Circle pairings of Re w + shift with the harmonics |m| <= top, w
+    evaluated as it is, on a grid resolving its polynomial's frequencies
+    plus top."""
     poly = w.poly if isinstance(w, MetaExpr) else w
-    n_theta = alias_free_n_theta(poly.max_frequency + max(
-        (phi.max_frequency for phi in tests), default=0))
-    return circle_pairings(lambda z: np.real(w(z)) + shift, tests, n_theta)
+    n_theta = alias_free_n_theta(poly.max_frequency + top)
+    return circle_pairings(lambda z: np.real(w(z)) + shift, top, n_theta)
 
 
-def _trace_pairings(f: PolyAnalytic | MetaExpr, tests) -> np.ndarray:
-    """Pairings of Re f on |z| = 1: the exact trace of a polynomial, the
-    samples of e^s g, whose trace has no finite Fourier series."""
+def _trace_pairings(f: PolyAnalytic | MetaExpr, top: int) -> np.ndarray:
+    """Pairings of Re f on |z| = 1 with the harmonics |m| <= top: the exact
+    trace of a polynomial, the samples of e^s g, whose trace has no finite
+    Fourier series."""
     if isinstance(f, MetaExpr):
-        return _sampled_pairings(f, tests)
-    return f.boundary_distribution().re_part().pairings(tests)
+        return _sampled_pairings(f, top)
+    return f.boundary_distribution().re_part().pairings(top)
 
 
 def _weighted(sol: SchwarzSolution):
@@ -174,41 +171,43 @@ def _weighted(sol: SchwarzSolution):
 
 
 def verify_boundary_conditions(sol: SchwarzSolution) -> BoundaryReport:
-    """Pair both sides of every boundary condition of ``sol.problem`` against
-    the harmonics of :func:`default_test_basis`, whose cells give, by
-    linearity, the pairing with any trigonometric test they span.
+    """Pair both sides of every boundary condition of ``sol.problem`` with the
+    harmonics e^{i m theta}, |m| <= top, labelled ``harmonic[m]``, whose
+    cells give, by linearity, the pairing with any trigonometric test they
+    span.
 
     The left side samples dbar^k of w's polynomial and the right side pairs
     the level's datum, unfolded as the solver unfolds it, each weighted by
-    :func:`_weighted`.  Each sampled function is evaluated once on its
-    alias-free circle and paired with every test at once.  Level k's arrays
-    are row k of the table.
+    :func:`_weighted`.  top is the largest of 8, twice the data degree and
+    the top frequency of every side's polynomial, so no term of a side goes
+    unpaired.  Each sampled function is evaluated once on its alias-free
+    circle.  Level k's arrays are row k of the table.
     """
     problem = sol.problem
-    tests = default_test_basis(problem)
     weighted = _weighted(sol)
-    levels = []
+    sides = []
     for k, lhs_poly in enumerate(sol.w.poly.dbar_stack(problem.n)):
         level = problem.n - 1 - k
         h, c = problem.levels[level]
-        data = _unfold(h + PolyAnalytic.constant(
-            1j * c - sol.constants[level]), sol.chain[:level])
-        levels.append((_sampled_pairings(weighted(lhs_poly), tests),
-                       _trace_pairings(weighted(data), tests)))
-    return BoundaryReport(tuple(phi.label for phi in tests),
+        sides.append((lhs_poly, _unfold(h + PolyAnalytic.constant(
+            1j * c - sol.constants[level]), sol.chain[:level])))
+    top = max(8, 2 * problem.max_data_degree,
+              *(poly.max_frequency for side in sides for poly in side))
+    levels = [(_sampled_pairings(weighted(lhs_poly), top),
+               _trace_pairings(weighted(data), top))
+              for lhs_poly, data in sides]
+    return BoundaryReport(tuple(f"harmonic[{m}]" for m in range(-top, top + 1)),
                           *(np.array(column) for column in zip(*levels)))
 
 
-def _negative_control(top: PolyAnalytic | MetaExpr) -> float:
-    """Shift Re top, the weighted F, by 0.1 and measure how far the k=0
-    constant-test cell moves: 0.1 * 2 pi, up to rounding, whatever the data.
+def _negative_control(f: PolyAnalytic | MetaExpr) -> float:
+    """Shift Re f, the weighted F, by 0.1 and measure how far its constant
+    cell (m = 0) moves: 0.1 * 2 pi, up to rounding, whatever the data.
 
     A corrupted solution must fail verification by a visible margin,
     otherwise the pairing residuals prove nothing.
     """
-    phi = (TestFunction.constant(),)
-    return abs(_sampled_pairings(top, phi, 0.1)[0]
-               - _trace_pairings(top, phi)[0])
+    return abs(_sampled_pairings(f, 0, 0.1)[0] - _trace_pairings(f, 0)[0])
 
 
 def _chain_defect(chain) -> float:

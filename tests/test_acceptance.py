@@ -20,7 +20,7 @@ from oracles import (HALF_STEP, derivative_matrix, derivative_stack,
                      teodorescu_quadrature_oracle, triangular_product,
                      wirtinger_dbar)
 from metadisk import formats
-from metadisk.boundary import TestFunction, circle_pairings
+from metadisk.boundary import circle_pairings
 from metadisk.cli import main
 from metadisk.disk import PolarGrid
 from metadisk.integral import PolyAnalytic, similarity_factor, teodorescu_poly
@@ -186,15 +186,17 @@ def test_criterion_7_boundary_behavior(batch):
             worst_lp = max(worst_lp, float(residuals[-1]))
 
     worst_pairing = 0.0
-    probes = (TestFunction.constant(), TestFunction.harmonic(1),
-              TestFunction.harmonic(-2),
-              TestFunction({3: 0.5, -3: 0.5}, label="cos[3]"))
+    # the probes 1, harmonic[1], harmonic[-2] and cos[3] read the band
+    # |m| <= 3, whose cell m sits at m + 3; cos[3] is half of cells +-3
+    probes = (lambda cells: cells[3], lambda cells: cells[4],
+              lambda cells: cells[1],
+              lambda cells: 0.5 * cells[6] + 0.5 * cells[0])
     for problem, sol in batch[:10]:
         top = sol.chain[-1]
-        algebraic = top.boundary_distribution()
-        pairings = circle_pairings(top, probes)
-        for phi, value in zip(probes, pairings):
-            gap = abs(complex(value) - algebraic.pairings((phi,))[0])
+        algebraic = top.boundary_distribution().pairings(3)
+        pairings = circle_pairings(top, 3)
+        for probe in probes:
+            gap = abs(complex(probe(pairings)) - probe(algebraic))
             worst_pairing = max(worst_pairing, gap)
     ok = worst_lp < 1e-5 and worst_pairing < 1e-8
     _verdict(7, ok, f"max final L^p residual {worst_lp:.3g} at r=1-2^-17 "

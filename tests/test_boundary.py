@@ -9,13 +9,13 @@ from hypothesis import given, strategies as st
 
 from conftest import random_bivar, random_holo, random_problem, stack_parts
 from metadisk import boundary
-from metadisk.boundary import (BoundaryDistribution, TestFunction,
-                               circle_pairings, poisson_extend)
+from metadisk.boundary import (BoundaryDistribution, circle_pairings,
+                               poisson_extend)
 from metadisk.disk import PolarGrid
 from metadisk.errors import NonFinite
 from metadisk.integral import PolyAnalytic, similarity_factor
 from metadisk.meta import MetaExpr
-from metadisk.schwarz import (SchwarzProblem, default_test_basis, solve_meta,
+from metadisk.schwarz import (SchwarzProblem, solve_meta,
                               verify_boundary_conditions)
 from oracles import (HALF_STEP, POLE_DEPTH, POLE_N_THETA, growth_order,
                      hardy_norm, lp_boundary_convergence, meta_hardy_norm,
@@ -36,32 +36,26 @@ def test_holo_series_algebra():
 
 
 def test_boundary_distribution_pairings():
-    # z on the circle is the frequency-one mode
+    # z on the circle is the frequency-one mode; the band |m| <= 1 holds
+    # the cells m = -1, 0, 1
     u = PolyAnalytic.holomorphic((0.0, 1.0)).boundary_distribution()
-    assert u.pairings((TestFunction.harmonic(-1),))[0] == pytest.approx(TWO_PI)
-    assert u.pairings((TestFunction.harmonic(1),))[0] == pytest.approx(0.0)
+    assert u.pairings(1)[0] == pytest.approx(TWO_PI)
+    assert u.pairings(1)[2] == pytest.approx(0.0)
     one = BoundaryDistribution({0: 1.0})
-    assert one.pairings((TestFunction.constant(),))[0] == pytest.approx(TWO_PI)
+    assert one.pairings(0)[0] == pytest.approx(TWO_PI)
 
 
 def test_real_and_imag_parts():
     u = BoundaryDistribution({1: 2.0 + 1.0j, -1: 0.5})
     re = u.re_part()
-    phi = TestFunction.harmonic(-1)
-    direct = u.pairings((phi,))[0]
-    conj = BoundaryDistribution({-1: 2.0 - 1.0j, 1: 0.5}).pairings((phi,))[0]
-    assert re.pairings((phi,))[0] == pytest.approx((direct + conj) / 2.0)
+    direct = u.pairings(1)[0]  # the cell of e^{-i theta}
+    conj = BoundaryDistribution({-1: 2.0 - 1.0j, 1: 0.5}).pairings(1)[0]
+    assert re.pairings(1)[0] == pytest.approx((direct + conj) / 2.0)
 
 
-def _oracle_pair(u, phi):
-    """The dict loop 2 pi sum_m b_m c_{-m}, with the sum of |terms| as its scale."""
-    terms = [b * u.coefficient(-m) for m, b in sorted(phi.coeffs.items())]
-    return TWO_PI * sum(terms, 0j), TWO_PI * sum(abs(t) for t in terms)
-
-
-def test_one_fourier_class():
-    assert TestFunction is BoundaryDistribution
-    assert not hasattr(BoundaryDistribution, "im_part")
+def _oracle_pair(u, m):
+    """The dict loop 2 pi c_{-m}, the pairing with e^{i m theta}."""
+    return TWO_PI * sum((c for n, c in sorted(u.coeffs.items()) if n == -m), 0j)
 
 
 fourier_data = st.dictionaries(
@@ -70,36 +64,39 @@ fourier_data = st.dictionaries(
     max_size=12)
 
 
-@given(fourier_data, st.lists(fourier_data, min_size=1, max_size=5))
-def test_gathered_pairings_match_dict_loop(u_coeffs, test_coeffs):
+@given(fourier_data, st.integers(min_value=0, max_value=50))
+def test_gathered_pairings_match_dict_loop(u_coeffs, top):
     u = BoundaryDistribution(u_coeffs)
-    tests = tuple(TestFunction(c) for c in test_coeffs)
-    got = u.pairings(tests)
-    for value, phi in zip(got, tests):
-        want, scale = _oracle_pair(u, phi)
-        assert abs(value - want) <= 1e-13 * scale
-        assert abs(u.pairings((phi,))[0] - want) <= 1e-13 * scale
+    got = u.pairings(top)
+    assert got.shape == (2 * top + 1,)
+    for m, value in zip(range(-top, top + 1), got):
+        want = _oracle_pair(u, m)
+        assert abs(value - want) <= 1e-13 * abs(want)
+        # the same cell in the band of its own |m|
+        assert abs(u.pairings(abs(m))[m + abs(m)] - want) <= 1e-13 * abs(want)
 
 
 def test_gathered_pairings_match_dict_loop_degree_60():
     problem = _oracle_problems()[-1]  # n=6, data degree 60
-    basis = default_test_basis(problem)
+    top = 2 * problem.max_data_degree
     for member in solve_meta(problem).chain:
         trace = member.boundary_distribution().re_part()
-        got = trace.pairings(basis)
-        for value, phi in zip(got, basis):
-            want, scale = _oracle_pair(trace, phi)
-            assert abs(value - want) <= 1e-13 * scale
+        got = trace.pairings(top)
+        for m, value in zip(range(-top, top + 1), got):
+            want = _oracle_pair(trace, m)
+            assert abs(value - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("f, phi, want", [
-    (lambda z: z, TestFunction.harmonic(-1), TWO_PI),
-    (lambda z: np.ones_like(z), TestFunction.constant(), TWO_PI),
-    (lambda z: z, TestFunction.harmonic(1), 0.0),
+    (lambda z: z, {-1: 1.0}, TWO_PI),
+    (lambda z: np.ones_like(z), {0: 1.0}, TWO_PI),
+    (lambda z: z, {1: 1.0}, 0.0),
 ])
 def test_pairing_limit_examples(f, phi, want):
-    value = circle_pairings(f, (phi,))
-    assert complex(value[0]) == pytest.approx(want, abs=1e-8)
+    # phi = sum b_m e^{i m theta} as {m: b_m} pairs as sum b_m times cell m
+    cells = circle_pairings(f, 1)
+    value = sum(b * cells[m + 1] for m, b in phi.items())
+    assert complex(value) == pytest.approx(want, abs=1e-8)
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
@@ -107,17 +104,30 @@ def test_pairing_limit_examples(f, phi, want):
                 min_size=1, max_size=6))
 def test_pairing_limit_matches_algebra(coeffs):
     h = PolyAnalytic.holomorphic(coeffs)
-    phi = TestFunction.harmonic(-1) if len(coeffs) > 1 else TestFunction.constant()
-    exact = h.boundary_distribution().pairings((phi,))[0]
-    got = complex(circle_pairings(h, (phi,))[0])
+    m = -1 if len(coeffs) > 1 else 0
+    exact = h.boundary_distribution().pairings(1)[m + 1]
+    got = complex(circle_pairings(h, 1)[m + 1])
     assert abs(got - exact) < 1e-8 * max(1.0, abs(exact))
+
+
+def test_pairing_band_is_exact_where_cells_share_a_column():
+    # 256 angles: cells m and m - 256 share a column for 56 <= m <= 200; cell
+    # m reads f's frequency -m, and the others that fold onto its column,
+    # -m +- 256, have size 56 or more, above f's top frequency 5
+    f = random_bivar(np.random.default_rng(3), 5)
+    n_theta = boundary.alias_free_n_theta(f.max_frequency + 200)
+    assert n_theta == 256
+    got = circle_pairings(f, 200, n_theta)
+    want = f.boundary_distribution().pairings(200)
+    assert got.shape == want.shape == (401,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * TWO_PI * np.abs(f.c).sum()
 
 
 def test_pairing_limit_divergent_input():
     # infinite at z = 1, a sample of the circle
     blow_up = lambda z: 1.0 / (1.0 - np.abs(z))
     with pytest.raises(NonFinite):
-        circle_pairings(blow_up, (TestFunction.constant(),))
+        circle_pairings(blow_up, 0)
 
 
 def test_pairing_limit_spectrum_overflow():
@@ -126,7 +136,7 @@ def test_pairing_limit_spectrum_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # in place of numpy's warnings
         with pytest.raises(NonFinite, match="spectrum"):
-            circle_pairings(huge, (TestFunction.constant(),))
+            circle_pairings(huge, 0)
 
 
 def test_the_ring_of_radius_one_is_the_unit_circle_bit_for_bit():
@@ -324,12 +334,13 @@ def test_hardy_norm_regression_bound_for_meta():
             assert total <= bound
 
 
-def _oracle_pairing(samples, phi, n_theta=256):
-    """The scalar route: one trapezoid sum of the circle samples times phi,
-    in Python, with no FFT."""
+def _oracle_pairing(samples, m, n_theta=256):
+    """The scalar route: one trapezoid sum of the circle samples times
+    e^{i m theta}, in Python, with no FFT."""
     theta = np.arange(n_theta) * (TWO_PI / n_theta)
     return complex(TWO_PI / n_theta * sum(
-        complex(f) * complex(p) for f, p in zip(samples, phi(theta))))
+        complex(f) * complex(p)
+        for f, p in zip(samples, np.exp(1j * m * theta))))
 
 
 def _oracle_samples(f, n_theta=256):
@@ -339,15 +350,21 @@ def _oracle_samples(f, n_theta=256):
 
 
 def _oracle_rows(sol, problem):
-    """Every (level, test) row paired on its own through the scalar route."""
+    """Every (level, harmonic) row paired on its own through the scalar route,
+    over the band |m| <= top of the largest of 8, twice the data degree and
+    every side's top frequency."""
     n = problem.n
     smooth = problem.factor_kind == "schwarz"
     s = sol.w.s
     rows = []
-    lhs_poly = sol.w.poly
-    for k in range(n):
-        level = n - 1 - k
-        unfolded = unfold_padded(problem.levels[level][0], sol.chain[:level])
+    stack = [sol.w.poly]
+    for _ in range(n - 1):
+        stack.append(stack[-1].dbar())
+    unfolded_levels = [unfold_padded(problem.levels[n - 1 - k][0],
+                                     sol.chain[:n - 1 - k]) for k in range(n)]
+    top = max(8, 2 * problem.max_data_degree,
+              *(g.max_frequency for g in stack + unfolded_levels))
+    for k, (lhs_poly, unfolded) in enumerate(zip(stack, unfolded_levels)):
         if smooth:
             def real(g, shift=0j):
                 return _oracle_samples(
@@ -358,16 +375,14 @@ def _oracle_rows(sol, problem):
         else:
             lhs_samples = _oracle_samples(lambda z: np.real(lhs_poly(z)))
             rhs_dist = unfolded.boundary_distribution().re_part()
-        for phi in default_test_basis(problem):
-            lhs = _oracle_pairing(lhs_samples, phi)
+        for m in range(-top, top + 1):
+            lhs = _oracle_pairing(lhs_samples, m)
             if smooth:
-                rhs = _oracle_pairing(rhs_samples, phi)
+                rhs = _oracle_pairing(rhs_samples, m)
             else:
                 coeffs = sorted(rhs_dist.coeffs.items())
-                rhs = TWO_PI * sum((c * phi.coefficient(-q)
-                                    for q, c in coeffs), 0j)
-            rows.append((k, phi.label, lhs, rhs))
-        lhs_poly = lhs_poly.dbar()
+                rhs = TWO_PI * sum((c for q, c in coeffs if q == -m), 0j)
+            rows.append((k, f"harmonic[{m}]", lhs, rhs))
     return rows
 
 

@@ -2,8 +2,9 @@
 solution file fails.
 
 Each edit below adds 1e-6 to one number of the solved README problem's
-``solution.json`` (h given non-trivial terms; an extra part adds 1e-3) and
-runs ``verify`` on it.
+``solution.json`` (h given non-trivial terms; an extra part adds 1e-3; part
+0 padded with zeros to a term 1e-6 z^40, above twice the data degree) and runs
+``verify`` on it.
 """
 
 import copy
@@ -45,6 +46,12 @@ def _extra_part(data):
     data["parts"].append({"coeffs": [[1e-3, 0.0]]})
 
 
+def _high_term(data):
+    coeffs = data["parts"][0]["coeffs"]
+    coeffs += [[0.0, 0.0] for _ in range(41 - len(coeffs))]
+    coeffs[40][0] += 1e-6
+
+
 PAIRING = {"boundary_pairing_max"}
 
 # (edit, checks it fails for the cauchy kind, for the schwarz kind)
@@ -69,6 +76,7 @@ CATALOGUE = {
     "extra part": (_extra_part,
                    {"pde_residual", "chain_derivative", *PAIRING},
                    {"pde_residual", "chain_derivative", *PAIRING}),
+    "1e-6 z^40 added to part 0": (_high_term, PAIRING, PAIRING),
 }
 
 # the checks that no edit above fails; a check made able to fail leaves this

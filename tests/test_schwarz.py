@@ -17,14 +17,12 @@ from hypothesis import given, strategies as st
 from conftest import (SMALL_MEAN_FACTOR_PROBLEM, random_bivar, random_holo,
                       random_problem)
 from metadisk import formats
-from metadisk.boundary import TestFunction
 from metadisk.disk import PolarGrid
 from metadisk.errors import NonFinite
 from metadisk.integral import PolyAnalytic
 from metadisk.meta import MetaExpr
 from metadisk.report import BoundaryReport, Report
 from metadisk.schwarz import (SchwarzProblem, SchwarzSolution, _unfold,
-                              default_test_basis,
                               imag_mean_constant, solve_meta,
                               solve_poly_chain, verify_boundary_conditions,
                               verify_solution)
@@ -45,6 +43,11 @@ WORKED = SchwarzProblem(
     coeff=PolyAnalytic.constant(1.0),
     levels=((PolyAnalytic.constant(1.0), 0.0), (PolyAnalytic.zero(), 2.0)),
 )
+
+
+def _band(top):
+    """The labels of the harmonics |m| <= top, in table order."""
+    return tuple(f"harmonic[{m}]" for m in range(-top, top + 1))
 
 
 @pytest.mark.parametrize("h, want", [
@@ -95,11 +98,11 @@ def test_chain_worked_example():
     # derivative chain holds exactly
     defect = f2.dbar() + f1.scale(-1.0)
     assert defect.max_coeff() < 1e-15
-    # real boundary trace of f2 is cos(theta)
-    trace = f2.boundary_distribution().re_part()
-    cos1, one, sin1 = trace.pairings((
-        TestFunction({1: 0.5, -1: 0.5}, label="cos[1]"), TestFunction.constant(),
-        TestFunction({1: -0.5j, -1: 0.5j}, label="sin[1]")))
+    # real boundary trace of f2 is cos(theta): cos and sin pair as their
+    # coefficients times the cells of e^{-i theta}, 1 and e^{i theta}
+    below, one, above = f2.boundary_distribution().re_part().pairings(1)
+    cos1 = 0.5 * above + 0.5 * below
+    sin1 = -0.5j * above + 0.5j * below
     assert (cos1, one, sin1) == pytest.approx((math.pi, 0.0, 0.0))
 
 
@@ -269,8 +272,7 @@ def test_smooth_variant_origin_ratio_uniform():
 def test_verify_constant_problem():
     sol = solve_meta(constant_problem())
     report = verify_boundary_conditions(sol)
-    assert report.tests == tuple(phi.label
-                                 for phi in default_test_basis(sol.problem))
+    assert report.tests == _band(8)
     assert report.residual.shape == (1, 17)
     assert np.all(report.residual < 1e-10)
 
@@ -360,7 +362,7 @@ def test_verify_solution_returns_one_report_holding_the_table():
     assert report["boundary_pairing_max"].value == report.boundary.max_residual
     assert report.to_dict()["boundary"]["tests"] == list(report.boundary.tests)
     with pytest.raises(TypeError):
-        verify_boundary_conditions(sol, tests=(TestFunction.constant(),))
+        verify_boundary_conditions(sol, tests=("harmonic[0]",))
 
 
 @pytest.mark.parametrize("kind, failed", [
@@ -392,12 +394,29 @@ def test_negative_control_moves_by_a_tenth_of_two_pi_on_both_kinds():
             0.2 * math.pi, rel=1e-12, abs=0.0)
 
 
-def test_default_test_basis_spans_data():
+def test_band_spans_data_and_every_side():
     rng = np.random.default_rng(83)
     problem = random_problem(rng, data_degree=6)
-    basis = default_test_basis(problem)
-    top = max(8, 2 * problem.max_data_degree)
-    assert len(basis) == 2 * top + 1
+    report = verify_solution(solve_meta(problem))
+    assert report.boundary.tests == _band(max(8, 2 * problem.max_data_degree))
+    # n = 12 at degree 1: dbar^11 F reaches frequency -11, past 8
+    problem = SchwarzProblem(n=12, coeff=random_bivar(rng, 1),
+                             levels=tuple((random_holo(rng, 1), 0.0)
+                                          for _ in range(12)))
+    report = verify_solution(solve_meta(problem))
+    assert report.boundary.tests == _band(11)
+    assert report.overall_pass
+    # a term of w above the data's band widens it and is paired
+    for kind in ("cauchy", "schwarz"):
+        sol = solve_meta(dataclasses.replace(WORKED, factor_kind=kind))
+        w = MetaExpr(sol.w.s, sol.w.poly + PolyAnalytic.holomorphic(
+            (0.0,) * 40 + (1e-6,)))
+        report = verify_solution(
+            SchwarzSolution(w, w.poly.dbar_stack(2)[::-1], sol.constants,
+                            sol.problem))
+        assert report.boundary.tests == _band(40)
+        assert {c.name for c in report.checks if not c.passed} == {
+            "boundary_pairing_max"}
 
 
 def test_hardy_persistence():
@@ -417,7 +436,7 @@ def high_degree_problem(degree):
 
 @pytest.mark.parametrize("degree", [90, 130])
 def test_angular_grid_follows_the_test_basis(degree):
-    # the default basis reaches frequency 2*degree; on 256 angles harmonic
+    # the band reaches frequency 2*degree; on 256 angles harmonic
     # -180 aliased onto the data and an exact solution failed verification
     problem = high_degree_problem(degree)
     sol = solve_meta(problem)
